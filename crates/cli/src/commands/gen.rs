@@ -5,11 +5,11 @@
 //! ranging from 200 to 4,000 QPS in intervals of 200" (§A.4.2); with
 //! `--adaptive LO:HI`, refines the grid until adjacent policies'
 //! expected accuracies differ by less than 1% (§6's rule). Each policy
-//! lands at `policy_gen/RAMSIS_WORKERS_SLO/LOAD.json`.
+//! lands at `policy_gen/RAMSIS_WORKERS_SLO/LOAD.json`. The loads of a
+//! grid are solved in parallel, one per core; each policy's
+//! `generation_seconds` is its own solve's wall time.
 
-use ramsis_core::{
-    generate_policy, Discretization, PoissonArrivals, PolicyConfig, PolicySet, WorkerPolicy,
-};
+use ramsis_core::{Discretization, PolicyConfig, PolicySet};
 
 use crate::cli_args::CommonArgs;
 use crate::commands::{build_profile, policy_dir, write_json_file};
@@ -23,7 +23,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         .build();
     let dir = policy_dir(&args.out, "RAMSIS", args.workers, args.slo_ms);
 
-    let policies: Vec<WorkerPolicy> = if let Some(range) = args.extra("--adaptive") {
+    let set = if let Some(range) = args.extra("--adaptive") {
         // §6: refine until adjacent expected accuracies differ < 1%.
         let (lo, hi) = range
             .split_once(':')
@@ -44,23 +44,16 @@ pub fn run(args: &[String]) -> Result<(), String> {
             set.len(),
             set.loads().iter().map(|l| l.round()).collect::<Vec<_>>()
         );
-        set.policies().to_vec()
+        set
     } else {
         let loads: Vec<f64> = match args.load {
             Some(l) => vec![l],
             None => (1..=20).map(|i| 200.0 * i as f64).collect(),
         };
-        let mut out = Vec::new();
-        for load in loads {
-            out.push(
-                generate_policy(&profile, &PoissonArrivals::per_second(load), &config)
-                    .map_err(|e| e.to_string())?,
-            );
-        }
-        out
+        PolicySet::generate_poisson(&profile, &loads, &config).map_err(|e| e.to_string())?
     };
 
-    for policy in &policies {
+    for policy in set.policies() {
         let g = policy.guarantees();
         println!(
             "load {:>6.0}: E[accuracy] {:.2}%  E[violations] {:.4}%  ({:.2}s, {} sweeps)",

@@ -13,6 +13,11 @@
 //! ramsis-cli replay LOG.jsonl --snapshot CKPT.json [--json]
 //! ```
 //!
+//! The log is read as JSONL only: `sim --checkpoint` refuses a `.bin`
+//! telemetry path (the resume contract truncates the log to a record
+//! count, which the JSONL sink implements), so no checkpointed run has
+//! a binary log to validate.
+//!
 //! Checks, in order:
 //! 1. the snapshot is canonical (parses and re-serializes to the exact
 //!    bytes on disk — a torn or hand-edited snapshot fails here);

@@ -7,6 +7,9 @@
 //! ramsis-cli why --counterfactual --m RAMSIS --trace constant --load 80 [--json]
 //! ```
 //!
+//! The telemetry trace may be JSONL or the binary codec (`.bin`); the
+//! encoding is detected from the file's first bytes.
+//!
 //! Log mode answers "why did this query miss its deadline?" from two
 //! recorded streams: for every violated completion it finds the
 //! dominant critical-path segment, the decision record that routed it
@@ -31,9 +34,8 @@ use ramsis_sim::{
     SimulationConfig,
 };
 use ramsis_telemetry::{
-    burn_analysis, parse_decisions_tolerant, parse_jsonl_tolerant, reconstruct_spans,
-    BurnAlertKind, BurnConfig, BurnSummary, ChosenAction, DecisionRecord, Nanos, QuerySpan,
-    SpanOutcome,
+    burn_analysis, parse_decisions_tolerant, parse_tolerant, reconstruct_spans, BurnAlertKind,
+    BurnConfig, BurnSummary, ChosenAction, DecisionRecord, Nanos, QuerySpan, SpanOutcome,
 };
 use ramsis_workload::{DivergenceMonitor, LoadEstimator, OracleMonitor, Trace};
 use serde::Serialize;
@@ -320,9 +322,8 @@ fn run_log(args: &[String], json: bool) -> Result<i32, String> {
     if decisions.torn_tail.is_some() {
         eprintln!("warning: decision log has a torn final record (ignored)");
     }
-    let trace_text =
-        std::fs::read_to_string(&trace_path).map_err(|e| format!("read {trace_path}: {e}"))?;
-    let parsed = parse_jsonl_tolerant(&trace_text)?;
+    let trace_bytes = std::fs::read(&trace_path).map_err(|e| format!("read {trace_path}: {e}"))?;
+    let parsed = parse_tolerant(&trace_bytes).map_err(|e| format!("{trace_path}: {e}"))?;
     if parsed.torn_tail.is_some() {
         eprintln!("warning: telemetry trace has a torn final record (ignored)");
     }

@@ -96,7 +96,9 @@ commands:
   replay   validate a checkpoint against its telemetry log: snapshot
            canonical-bytes check, log coverage, prefix conservation,
            and counter/clock agreement between the two (LOG.jsonl
-           --snapshot CKPT.json, --json; exits 1 on divergence)
+           --snapshot CKPT.json, --json; exits 1 on divergence); the
+           log must be JSONL, since checkpointed runs refuse a .bin
+           telemetry path
   perf     run a pinned scenario with the self-profiler on and print
            the phase flame-table, hot-path counters, and gauges
            (--scenario NAME, --seed S, --json)
@@ -131,7 +133,8 @@ commands:
            trace, span critical paths, burn-rate alerts, and
            scale/brownout/detection-lag/false-suspicion windows into
            ranked root-cause explanations
-           (DECISIONS.jsonl --telemetry TRACE.jsonl, --top N,
+           (DECISIONS.jsonl --telemetry TRACE, JSONL or binary,
+           --top N,
            --budget FRAC, --json); --counterfactual instead re-runs a
            scenario and quantifies exact per-decision regret by
            forced-alternative replay (--max-decisions N,

@@ -251,6 +251,87 @@ fn perf_and_spans_commands() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Runs the CLI binary out of process, capturing its output.
+fn cli(words: &[&str]) -> std::process::Output {
+    std::process::Command::new(env!("CARGO_BIN_EXE_ramsis-cli"))
+        .args(words)
+        .output()
+        .expect("spawn ramsis-cli")
+}
+
+#[test]
+fn gen_rejects_non_positive_loads() {
+    let dir = tempdir("gen_bad_load");
+    let out = dir.to_str().unwrap();
+    for load in ["-5", "0"] {
+        let o = cli(&[
+            "gen", "--task", "text", "--SLO", "100", "--worker", "2", "--d", "8", "--load", load,
+            "--out", out,
+        ]);
+        assert_eq!(o.status.code(), Some(2), "gen --load {load}");
+        let err = String::from_utf8_lossy(&o.stderr);
+        assert!(
+            err.contains(&format!("loads must be positive, got {load}")),
+            "gen --load {load}: {err}"
+        );
+    }
+    assert!(!dir.join("policy_gen").exists(), "no policy may be written");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn why_reads_a_binary_trace_like_its_jsonl_twin() {
+    let dir = tempdir("why_bin");
+    let out = dir.to_str().unwrap();
+    let common = [
+        "--task", "text", "--SLO", "100", "--worker", "2", "--out", out,
+    ];
+    let mut gen_args = vec!["gen", "--load", "400", "--d", "8"];
+    gen_args.extend_from_slice(&common);
+    assert_eq!(run(&gen_args), 0);
+    // 400 QPS on two workers runs near saturation, so some queries miss.
+    let (bin, jsonl, decisions) = (dir.join("t.bin"), dir.join("t.jsonl"), dir.join("d.jsonl"));
+    let (bin, jsonl, decisions) = (
+        bin.to_str().unwrap(),
+        jsonl.to_str().unwrap(),
+        decisions.to_str().unwrap(),
+    );
+    let mut sim_args = vec![
+        "sim",
+        "--m",
+        "RAMSIS",
+        "--trace",
+        "constant",
+        "--load",
+        "400",
+        "--duration",
+        "3",
+        "--telemetry",
+        bin,
+        "--decisions",
+        decisions,
+    ];
+    sim_args.extend_from_slice(&common);
+    assert_eq!(run(&sim_args), 0);
+    assert_eq!(run(&["telemetry", "convert", bin, jsonl, "--quiet"]), 0);
+
+    let from_bin = cli(&["why", decisions, "--telemetry", bin, "--json"]);
+    let from_jsonl = cli(&["why", decisions, "--telemetry", jsonl, "--json"]);
+    assert!(
+        from_bin.status.success(),
+        "why on .bin: {}",
+        String::from_utf8_lossy(&from_bin.stderr)
+    );
+    assert!(from_jsonl.status.success());
+    let report = String::from_utf8_lossy(&from_bin.stdout);
+    assert!(
+        !report.contains("\"violations\": 0,"),
+        "the run must have misses to explain: {report}"
+    );
+    assert_eq!(from_bin.stdout, from_jsonl.stdout);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn bad_invocations_fail_cleanly() {
     assert_ne!(run(&[]), 0);

@@ -106,72 +106,7 @@ pub fn generate_policy_traced(
         ));
     }
     let started = Instant::now();
-
-    let grid = TimeGrid::build(profile, config.slo_s, config.discretization);
-    let nw = config.max_queue.unwrap_or(profile.max_batch() + 3);
-    let space = StateSpace::new(nw, grid.len() as u32);
-
-    let source = match config.balancing {
-        Balancing::RoundRobin => RowSource::RoundRobin(TransitionBuilder::new(
-            profile,
-            &grid,
-            &space,
-            process,
-            config.workers,
-            config.slo_s,
-            config.tail_eps,
-            config.prune_eps,
-        )),
-        Balancing::ShortestQueueFirst => RowSource::Sqf(SqfTransitionBuilder::new(
-            profile,
-            &grid,
-            &space,
-            process.rate(),
-            config.workers,
-            config.slo_s,
-            config.tail_eps,
-            config.prune_eps,
-        )),
-    };
-
-    // Assemble the sparse MDP. Action labels carry the packed action so
-    // the solved policy can be decoded without a side table.
-    let mut builder = MdpBuilder::new(space.len());
-    builder.normalize_rows(true);
-    for (_, st) in space.iter() {
-        builder.start_state();
-        match st {
-            State::Empty => {
-                let row = source.row(st, Action::Arrival);
-                add_action(&mut builder, Action::Arrival, &row, 0.0);
-            }
-            State::Queued { n, slack } => {
-                for action in valid_actions(
-                    profile,
-                    &grid,
-                    n,
-                    slack as usize,
-                    config.batching,
-                    config.on_miss,
-                ) {
-                    let row = source.row(st, action);
-                    let r = reward(profile, &grid, slack as usize, action, config.reward);
-                    add_action(&mut builder, action, &row, r);
-                }
-            }
-            State::Full => {
-                // Slack is exhausted: only the forced action remains.
-                let actions = valid_actions(profile, &grid, nw, 0, config.batching, config.on_miss);
-                debug_assert_eq!(actions.len(), 1, "full state admits only the forced action");
-                for action in actions {
-                    let row = source.row(st, action);
-                    // The forced action never satisfies the deadline.
-                    add_action(&mut builder, action, &row, 0.0);
-                }
-            }
-        }
-    }
-    let mdp = builder.build()?;
+    let (grid, space, mdp) = assemble(profile, process, config)?;
 
     // Solve with the configured exact method.
     let opts = SolveOptions {
@@ -250,13 +185,30 @@ pub fn mdp_dimensions(
     Ok((space.len(), n_actions))
 }
 
-/// Re-export for tests and benches that need the raw MDP.
+/// The worker MDP of a configuration, without solving it (for tests
+/// and benches that time or inspect assembly on its own).
+///
+/// # Errors
+///
+/// Returns [`CoreError`] on invalid configuration or an MDP assembly
+/// failure.
 pub fn assemble_mdp(
     profile: &WorkerProfile,
     process: &dyn ArrivalProcess,
     config: &PolicyConfig,
 ) -> Result<SparseMdp, CoreError> {
     config.validate()?;
+    assemble(profile, process, config).map(|(_, _, mdp)| mdp)
+}
+
+/// Builds the slack grid, the state space, and the sparse MDP of an
+/// already validated configuration. Action labels carry the packed
+/// action so a solved policy decodes without a side table.
+fn assemble(
+    profile: &WorkerProfile,
+    process: &dyn ArrivalProcess,
+    config: &PolicyConfig,
+) -> Result<(TimeGrid, StateSpace, SparseMdp), CoreError> {
     let grid = TimeGrid::build(profile, config.slo_s, config.discretization);
     let nw = config.max_queue.unwrap_or(profile.max_batch() + 3);
     let space = StateSpace::new(nw, grid.len() as u32);
@@ -286,35 +238,32 @@ pub fn assemble_mdp(
     builder.normalize_rows(true);
     for (_, st) in space.iter() {
         builder.start_state();
-        match st {
-            State::Empty => {
-                let row = source.row(st, Action::Arrival);
-                add_action(&mut builder, Action::Arrival, &row, 0.0);
-            }
-            State::Queued { n, slack } => {
-                for action in valid_actions(
-                    profile,
-                    &grid,
-                    n,
-                    slack as usize,
-                    config.batching,
-                    config.on_miss,
-                ) {
-                    let row = source.row(st, action);
-                    let r = reward(profile, &grid, slack as usize, action, config.reward);
-                    add_action(&mut builder, action, &row, r);
-                }
-            }
-            State::Full => {
-                for action in valid_actions(profile, &grid, nw, 0, config.batching, config.on_miss)
-                {
-                    let row = source.row(st, action);
-                    add_action(&mut builder, action, &row, 0.0);
-                }
-            }
+        let Some((n, slack)) = space.effective_queue(st) else {
+            let row = source.row(st, Action::Arrival);
+            add_action(&mut builder, Action::Arrival, &row, 0.0);
+            continue;
+        };
+        let slack = slack as usize;
+        let actions = valid_actions(profile, &grid, n, slack, config.batching, config.on_miss);
+        // Slack is exhausted in Full: only the forced action remains,
+        // and it never satisfies the deadline.
+        debug_assert!(
+            st != State::Full || actions.len() == 1,
+            "full state admits only the forced action"
+        );
+        for action in actions {
+            let row = source.row(st, action);
+            let r = if st == State::Full {
+                0.0
+            } else {
+                reward(profile, &grid, slack, action, config.reward)
+            };
+            add_action(&mut builder, action, &row, r);
         }
     }
-    Ok(builder.build()?)
+    let mdp = builder.build()?;
+    drop(source);
+    Ok((grid, space, mdp))
 }
 
 #[cfg(test)]

@@ -9,6 +9,8 @@
 //! pairs of adjacent policies is below a threshold — 1% in our
 //! experiments" (§6).
 
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
 use serde::{Deserialize, Serialize};
 
 use ramsis_profiles::WorkerProfile;
@@ -25,83 +27,129 @@ pub struct PolicySet {
     policies: Vec<WorkerPolicy>,
 }
 
+/// Threads for solving a load grid: one per available core
+/// ([`PolicySet::generate`] caps it at one per load).
+fn available_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
 impl PolicySet {
     /// The paper's adjacent-accuracy refinement threshold (1%).
     pub const DEFAULT_ACCURACY_GAP: f64 = 1.0;
 
     /// Generates one policy per load in `loads_qps` (Poisson arrivals).
     ///
+    /// The loads are independent MDPs, so they are solved in parallel,
+    /// one thread per available core; the set is the same as serial
+    /// solves give, apart from each policy's `generation_seconds`.
+    ///
     /// # Errors
     ///
-    /// Propagates the first generation failure; also fails on an empty
-    /// or non-positive load list.
+    /// Fails on an empty list, and otherwise reports the failure of the
+    /// lowest-index load that fails: a non-positive load or a
+    /// generation error.
     pub fn generate_poisson(
         profile: &WorkerProfile,
         loads_qps: &[f64],
         config: &PolicyConfig,
     ) -> Result<Self, CoreError> {
-        if loads_qps.is_empty() {
-            return Err(CoreError::InvalidConfig("load list is empty".into()));
-        }
-        let mut policies = Vec::with_capacity(loads_qps.len());
-        for &qps in loads_qps {
-            if !(qps > 0.0 && qps.is_finite()) {
-                return Err(CoreError::InvalidConfig(format!(
-                    "loads must be positive, got {qps}"
-                )));
-            }
-            policies.push(generate_policy(
-                profile,
-                &PoissonProcess::per_second(qps),
-                config,
-            )?);
-        }
-        policies.sort_by(|a, b| {
-            a.design_load_qps
-                .partial_cmp(&b.design_load_qps)
-                .expect("loads are finite")
-        });
-        Ok(Self { policies })
+        Self::generate(loads_qps, available_cores(), |qps| {
+            generate_policy(profile, &PoissonProcess::per_second(qps), config)
+        })
     }
 
     /// Generates one policy per load in `loads_qps` against the
     /// negative-binomial Lévy process with the given count dispersion
     /// (variance-to-mean ratio of the window counts, `> 1`) — the
     /// over-dispersed arrival model the drift detector fits bursty
-    /// traffic to.
+    /// traffic to. Loads are solved in parallel, as in
+    /// [`Self::generate_poisson`].
     ///
     /// # Errors
     ///
-    /// Rejects an empty or non-positive load list and `dispersion <= 1`
-    /// (use [`Self::generate_poisson`] at dispersion 1), and propagates
-    /// the first generation failure.
+    /// Rejects an empty load list and `dispersion <= 1` (use
+    /// [`Self::generate_poisson`] at dispersion 1), and otherwise
+    /// reports the failure of the lowest-index load that fails.
     pub fn generate_negative_binomial(
         profile: &WorkerProfile,
         loads_qps: &[f64],
         dispersion: f64,
         config: &PolicyConfig,
     ) -> Result<Self, CoreError> {
-        if loads_qps.is_empty() {
-            return Err(CoreError::InvalidConfig("load list is empty".into()));
-        }
         if !(dispersion > 1.0 && dispersion.is_finite()) {
             return Err(CoreError::InvalidConfig(format!(
                 "negative-binomial dispersion must be finite and > 1, got {dispersion}"
             )));
         }
-        let mut policies = Vec::with_capacity(loads_qps.len());
-        for &qps in loads_qps {
-            if !(qps > 0.0 && qps.is_finite()) {
-                return Err(CoreError::InvalidConfig(format!(
-                    "loads must be positive, got {qps}"
-                )));
-            }
-            policies.push(generate_policy(
+        Self::generate(loads_qps, available_cores(), |qps| {
+            generate_policy(
                 profile,
                 &NegativeBinomialProcess::new(qps, dispersion),
                 config,
-            )?);
+            )
+        })
+    }
+
+    /// Solves `solve(load)` for every load on up to `threads` scoped
+    /// threads and sorts the result by design load.
+    ///
+    /// Threads take loads from a shared counter and each result lands in
+    /// its load's slot, so the set never depends on scheduling. Once a
+    /// load fails no new load is started; every lower-index load was
+    /// already taken, so the error returned is always the one from the
+    /// lowest-index failing load, as a serial loop would report.
+    pub(crate) fn generate(
+        loads_qps: &[f64],
+        threads: usize,
+        solve: impl Fn(f64) -> Result<WorkerPolicy, CoreError> + Sync,
+    ) -> Result<Self, CoreError> {
+        if loads_qps.is_empty() {
+            return Err(CoreError::InvalidConfig("load list is empty".into()));
         }
+        let n = loads_qps.len();
+        // Relaxed suffices: the counter only hands out distinct indices,
+        // the flag only stops work early, and results reach this thread
+        // through `join`.
+        let next = AtomicUsize::new(0);
+        let failed = AtomicBool::new(false);
+        let work = || {
+            let mut solved = Vec::new();
+            while !failed.load(Ordering::Relaxed) {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(&qps) = loads_qps.get(i) else {
+                    break;
+                };
+                let policy = if qps > 0.0 && qps.is_finite() {
+                    solve(qps)
+                } else {
+                    Err(CoreError::InvalidConfig(format!(
+                        "loads must be positive, got {qps}"
+                    )))
+                };
+                failed.fetch_or(policy.is_err(), Ordering::Relaxed);
+                solved.push((i, policy));
+            }
+            solved
+        };
+        let solved = match threads.clamp(1, n) {
+            1 => work(),
+            threads => std::thread::scope(|s| {
+                let workers: Vec<_> = (0..threads).map(|_| s.spawn(work)).collect();
+                workers
+                    .into_iter()
+                    .flat_map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                    .collect()
+            }),
+        };
+        let mut slots: Vec<Option<Result<WorkerPolicy, CoreError>>> = Vec::new();
+        slots.resize_with(n, || None);
+        for (i, policy) in solved {
+            slots[i] = Some(policy);
+        }
+        let mut policies = slots
+            .into_iter()
+            .map(|slot| slot.expect("every load below the first failure is solved"))
+            .collect::<Result<Vec<_>, _>>()?;
         policies.sort_by(|a, b| {
             a.design_load_qps
                 .partial_cmp(&b.design_load_qps)
@@ -438,6 +486,103 @@ mod tests {
         let cfg = quick_config();
         assert!(DegradablePolicySet::generate_poisson(profile(), &[100.0], &cfg, 0).is_err());
         assert!(DegradablePolicySet::generate_poisson(profile(), &[100.0], &cfg, 5).is_err());
+    }
+
+    /// A policy with its one timing field cleared, for equality checks.
+    fn untimed(p: &WorkerPolicy) -> WorkerPolicy {
+        let mut p = p.clone();
+        p.generation_seconds = 0.0;
+        p
+    }
+
+    #[test]
+    fn parallel_grid_equals_serial_solves() {
+        let loads = [800.0, 100.0, 400.0, 240.0, 1_200.0];
+        let config = quick_config();
+        let mut serial: Vec<WorkerPolicy> = loads
+            .iter()
+            .map(|&qps| {
+                untimed(
+                    &generate_policy(profile(), &PoissonProcess::per_second(qps), &config).unwrap(),
+                )
+            })
+            .collect();
+        serial.sort_by(|a, b| a.design_load_qps.total_cmp(&b.design_load_qps));
+        let solve = |qps| generate_policy(profile(), &PoissonProcess::per_second(qps), &config);
+        for threads in [2, 8] {
+            let set = PolicySet::generate(&loads, threads, solve).unwrap();
+            let got: Vec<WorkerPolicy> = set.policies().iter().map(untimed).collect();
+            assert_eq!(got, serial, "{threads} threads");
+        }
+        let set = PolicySet::generate_poisson(profile(), &loads, &config).unwrap();
+        let got: Vec<WorkerPolicy> = set.policies().iter().map(untimed).collect();
+        assert_eq!(got, serial);
+
+        let bursty =
+            PolicySet::generate_negative_binomial(profile(), &loads, 3.0, &config).unwrap();
+        for p in bursty.policies() {
+            let one = generate_policy(
+                profile(),
+                &NegativeBinomialProcess::new(p.design_load_qps, 3.0),
+                &config,
+            )
+            .unwrap();
+            assert_eq!(untimed(p), untimed(&one));
+        }
+    }
+
+    #[test]
+    fn grid_failure_reports_the_lowest_failing_load() {
+        use std::sync::{Condvar, Mutex};
+        let ok = generate_policy(
+            profile(),
+            &PoissonProcess::per_second(100.0),
+            &quick_config(),
+        )
+        .unwrap();
+        let loads = [10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0];
+        for threads in [1, 2, 8] {
+            // Loads 30 and 70 fail. With several threads, load 30 does
+            // not return until load 70 has failed, so the higher-index
+            // failure always comes first.
+            let seventy_failed = (Mutex::new(false), Condvar::new());
+            let solve = |qps: f64| {
+                let (done, signal) = &seventy_failed;
+                if qps == 70.0 {
+                    *done.lock().unwrap() = true;
+                    signal.notify_all();
+                } else if qps == 30.0 && threads > 1 {
+                    let guard = done.lock().unwrap();
+                    drop(signal.wait_while(guard, |failed| !*failed).unwrap());
+                }
+                if qps == 30.0 || qps == 70.0 {
+                    Err(CoreError::Infeasible(format!("load {qps}")))
+                } else {
+                    Ok(ok.clone())
+                }
+            };
+            assert_eq!(
+                PolicySet::generate(&loads, threads, solve).unwrap_err(),
+                CoreError::Infeasible("load 30".into()),
+                "{threads} threads"
+            );
+        }
+        // An invalid load below the first solve failure is reported
+        // instead, as a serial loop would.
+        let solve = |qps: f64| {
+            if qps == 30.0 {
+                Err(CoreError::Infeasible(format!("load {qps}")))
+            } else {
+                Ok(ok.clone())
+            }
+        };
+        for threads in [1, 2, 8] {
+            assert_eq!(
+                PolicySet::generate(&[10.0, 0.0, 30.0, -5.0], threads, solve).unwrap_err(),
+                CoreError::InvalidConfig("loads must be positive, got 0".into()),
+                "{threads} threads"
+            );
+        }
     }
 
     #[test]

@@ -166,6 +166,7 @@ impl<'a> SqfTransitionBuilder<'a> {
 
     fn row_serve(&self, n: u32, slack: usize, model: u32, batch: u32) -> Vec<(usize, f64)> {
         let (process, cache) = self.process_and_cache(n);
+        cache.scope(n);
         let l = self.profile.latency_extrapolated(model as usize, batch);
         let table_l = cache.table(process, l);
         let nw = self.space.max_queue();

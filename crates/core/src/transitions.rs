@@ -37,8 +37,13 @@
 //!    arrivals whose deadline is already blown (negative slack) land in
 //!    the exhausted-slack bin rather than leaking probability mass.
 //!    (This realizes the paper's "we set T_B = 0" clamping rule.)
-//! 4. Poisson tables are memoized per interval length; the Full-state
-//!    mass is the complement (Eq. 3).
+//! 4. Poisson tables are memoized per interval length, scoped to one
+//!    queue length `n` (see [`TableCache::scope`]); the Full-state mass
+//!    is the complement (Eq. 3).
+//! 5. The `W(u)` and `H(v)` sums walk table windows as contiguous
+//!    slices ([`CountTable::pmf_window`]). Each output element still
+//!    receives the same terms in the same order as the pointwise sums,
+//!    so rows are bit-identical to them.
 //!
 //! Variable batching (`b < n`, §4.3.2) is not derived in the paper
 //! ("follows similar reasoning"); we model it as: the earliest remaining
@@ -46,7 +51,7 @@
 //! deadline can only be later), and worker arrivals during the service
 //! time follow the same phase-conditioned counting.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -65,6 +70,8 @@ use crate::state::{State, StateSpace};
 pub struct TableCache {
     tail_eps: f64,
     tables: RefCell<HashMap<u64, Rc<CountTable>>>,
+    /// The scope key of the tables held (see [`Self::scope`]).
+    scope: Cell<Option<u32>>,
 }
 
 impl TableCache {
@@ -73,6 +80,22 @@ impl TableCache {
         Self {
             tail_eps,
             tables: RefCell::new(HashMap::new()),
+            scope: Cell::new(None),
+        }
+    }
+
+    /// Drops every table when `key` differs from the previous call's.
+    ///
+    /// The row builders scope the cache to the queue length `n` of the
+    /// row being built. MDP assembly visits states n-major, and the
+    /// service-interval tables a row needs derive from `l(m, b ≤ n)`, so
+    /// almost nothing is reused across `n`: scoping bounds a solve's live
+    /// tables to one `n`'s worth instead of the whole grid's. A table is
+    /// a pure function of its interval length, so a rebuilt table is
+    /// bit-identical to the dropped one.
+    pub fn scope(&self, key: u32) {
+        if self.scope.replace(Some(key)) != Some(key) {
+            self.tables.borrow_mut().clear();
         }
     }
 
@@ -224,6 +247,7 @@ impl<'a> TransitionBuilder<'a> {
                     batch >= 1 && batch <= n,
                     "batch {batch} out of range for n={n}"
                 );
+                self.cache.scope(n);
                 if batch == n {
                     self.row_full_batch(n, slack as usize, model)
                 } else {
@@ -235,9 +259,6 @@ impl<'a> TransitionBuilder<'a> {
 
     /// Case 2/3 (§4.4.2–4.4.3) with `b = n` (maximal batching or a
     /// variable-batching full batch).
-    // Index-based loops mirror the paper's summation indices (u, v);
-    // iterator adapters would obscure the derivation.
-    #[allow(clippy::needless_range_loop)]
     fn row_full_batch(&self, n: u32, slack: usize, model: u32) -> Vec<(usize, f64)> {
         let k = self.workers;
         let l = self.service_latency(model, n);
@@ -278,39 +299,52 @@ impl<'a> TransitionBuilder<'a> {
             let table_c = self.cache.table(self.process, t_c);
             let table_d = self.cache.table(self.process, t_d);
 
-            let c_hi = table_c.max_count();
+            // Counts outside a table's window have zero mass, so both
+            // sums below visit only in-window counts. Adding an in-window
+            // zero term leaves a non-negative accumulator's bits
+            // unchanged, so no per-term zero test is needed.
+            let c_hi = table_c.max_count() as usize;
             // W(u): weight of needing exactly u more central arrivals
             // for the next worker delivery at the start of interval C.
-            let u_cap = (c_hi + 1).min(k as u64) as usize;
+            let u_cap = (c_hi + 1).min(k);
             let mut big_w = vec![0.0f64; u_cap + 1];
+            let b_lo = table_b.min_count() as usize;
+            let b_pmf = table_b.pmf_window();
+            let b_hi = b_lo + b_pmf.len() - 1;
             for (r, &wr) in w.iter().enumerate() {
                 if wr == 0.0 {
                     continue;
                 }
-                // k_B = K − r − u ≥ 0 ⇔ u ≤ K − r.
-                let u_max_r = (k - r).min(u_cap);
-                for u in 1..=u_max_r {
-                    let kb = (k - r - u) as u64;
-                    let pb = table_b.pmf(kb);
-                    if pb > 0.0 {
-                        big_w[u] += wr * pb;
-                    }
+                // k_B = K − r − u must be ≥ 0 and inside B's window,
+                // which bounds u to [K − r − b_hi, K − r − b_lo].
+                let span = k - r;
+                let u_lo = span.saturating_sub(b_hi).max(1);
+                let u_hi = span.min(u_cap).min(span.saturating_sub(b_lo));
+                if u_lo > u_hi {
+                    continue;
+                }
+                // As u rises, k_B falls: W's slice meets B's reversed.
+                let pb = &b_pmf[span - u_hi - b_lo..=span - u_lo - b_lo];
+                for (wu, &pb) in big_w[u_lo..=u_hi].iter_mut().zip(pb.iter().rev()) {
+                    *wu += wr * pb;
                 }
             }
 
-            // H(v) = Σ_u W(u) · PF_C(u + v).
-            let v_cap = c_hi as usize;
-            let mut h = vec![0.0f64; v_cap + 1];
-            for u in 1..=u_cap {
-                if big_w[u] == 0.0 {
+            // H(v) = Σ_u W(u) · PF_C(u + v): one axpy per u over the
+            // in-window counts k_C = u + v ∈ [max(u, c_lo), c_hi].
+            let c_lo = table_c.min_count() as usize;
+            let c_pmf = table_c.pmf_window();
+            let mut h = vec![0.0f64; c_hi + 1];
+            for (u, &wu) in big_w.iter().enumerate().skip(1) {
+                let kc_lo = u.max(c_lo);
+                if wu == 0.0 || kc_lo > c_hi {
                     continue;
                 }
-                let wu = big_w[u];
-                for v in 0..=v_cap.saturating_sub(u) {
-                    let pc = table_c.pmf((u + v) as u64);
-                    if pc > 0.0 {
-                        h[v] += wu * pc;
-                    }
+                for (hv, &pc) in h[kc_lo - u..=c_hi - u]
+                    .iter_mut()
+                    .zip(&c_pmf[kc_lo - c_lo..])
+                {
+                    *hv += wu * pc;
                 }
             }
 
@@ -461,6 +495,198 @@ mod tests {
 
     fn row_sum(row: &[(usize, f64)]) -> f64 {
         row.iter().map(|&(_, p)| p).sum()
+    }
+
+    /// The pointwise full-batch row that the slice kernels replaced,
+    /// kept as the bit-identity reference.
+    #[allow(clippy::needless_range_loop)]
+    fn row_full_batch_scalar(
+        b: &TransitionBuilder<'_>,
+        n: u32,
+        slack: usize,
+        model: u32,
+    ) -> Vec<(usize, f64)> {
+        let k = b.workers;
+        let l = b.service_latency(model, n);
+        let w = b.phase_weights(n, slack);
+        let table_l = b.cache.table(b.process, l);
+        let mut row = Vec::new();
+        let mut accounted = 0.0;
+        let mut p_empty = 0.0;
+        for (r, &wr) in w.iter().enumerate() {
+            if wr == 0.0 {
+                continue;
+            }
+            p_empty += wr * table_l.cdf((k - r - 1) as u64);
+        }
+        if p_empty > b.prune_eps {
+            row.push((b.space.index(State::Empty), p_empty));
+        }
+        accounted += p_empty;
+        let nw = b.space.max_queue();
+        for j_next in 0..b.grid.top() {
+            let raw_lo = l + b.grid.value(j_next) - b.slo;
+            let lo_edge = if j_next == 0 { 0.0 } else { raw_lo.max(0.0) };
+            let hi_edge = (l + b.grid.upper_edge(j_next) - b.slo).clamp(0.0, l);
+            if hi_edge <= lo_edge + 1e-15 {
+                continue;
+            }
+            let table_b = b.cache.table(b.process, lo_edge);
+            let table_c = b.cache.table(b.process, hi_edge - lo_edge);
+            let table_d = b.cache.table(b.process, l - hi_edge);
+            let c_hi = table_c.max_count();
+            let u_cap = (c_hi + 1).min(k as u64) as usize;
+            let mut big_w = vec![0.0f64; u_cap + 1];
+            for (r, &wr) in w.iter().enumerate() {
+                if wr == 0.0 {
+                    continue;
+                }
+                for u in 1..=(k - r).min(u_cap) {
+                    let pb = table_b.pmf((k - r - u) as u64);
+                    if pb > 0.0 {
+                        big_w[u] += wr * pb;
+                    }
+                }
+            }
+            let v_cap = c_hi as usize;
+            let mut h = vec![0.0f64; v_cap + 1];
+            for u in 1..=u_cap {
+                if big_w[u] == 0.0 {
+                    continue;
+                }
+                for v in 0..=v_cap.saturating_sub(u) {
+                    let pc = table_c.pmf((u + v) as u64);
+                    if pc > 0.0 {
+                        h[v] += big_w[u] * pc;
+                    }
+                }
+            }
+            for n_next in 1..=nw {
+                let mut p = 0.0;
+                let lo_base = (n_next as i64 - 1) * k as i64;
+                let hi_base = n_next as i64 * k as i64 - 1;
+                for (v, &hv) in h.iter().enumerate() {
+                    if hv == 0.0 {
+                        continue;
+                    }
+                    let hi = hi_base - v as i64;
+                    if hi < 0 {
+                        continue;
+                    }
+                    let lo = (lo_base - v as i64).max(0);
+                    p += hv * table_d.mass_in(lo as u64, hi as u64);
+                }
+                accounted += p;
+                if p > b.prune_eps {
+                    let target = State::Queued {
+                        n: n_next,
+                        slack: j_next as u32,
+                    };
+                    row.push((b.space.index(target), p));
+                }
+            }
+        }
+        let p_full = (1.0 - accounted).max(0.0);
+        if p_full > b.prune_eps {
+            row.push((b.space.index(State::Full), p_full));
+        }
+        if row.is_empty() {
+            row.push((b.space.index(State::Full), 1.0));
+        }
+        row
+    }
+
+    /// A row as the unscoped, pointwise builder produced it: full
+    /// batches through [`row_full_batch_scalar`], everything else through
+    /// the unchanged paths, all against one never-cleared cache.
+    fn reference_row(b: &TransitionBuilder<'_>, state: State, action: Action) -> Vec<(usize, f64)> {
+        match (b.space.effective_queue(state), action) {
+            (Some((n, slack)), Action::Serve { model, batch }) if batch == n => {
+                row_full_batch_scalar(b, n, slack as usize, model)
+            }
+            (Some((n, slack)), Action::Serve { model, batch }) => {
+                b.row_partial_batch(n, slack as usize, model, batch)
+            }
+            _ => b.row(state, action),
+        }
+    }
+
+    fn bits(row: &[(usize, f64)]) -> Vec<(usize, u64)> {
+        row.iter().map(|&(to, p)| (to, p.to_bits())).collect()
+    }
+
+    /// Every row of every state, under every action valid with maximal
+    /// or variable batching, equals the scalar reference bit for bit, at
+    /// loads {200, 2000, 4000} and D ∈ {10, 35}.
+    fn assert_rows_match_scalar(workers: usize) {
+        use crate::action::{valid_actions, Batching};
+        use crate::config::MissPolicy;
+        for d in [10, 35] {
+            for qps in [200.0, 2_000.0, 4_000.0] {
+                let f = Fixture::new(qps, workers, d);
+                let (fast, reference) = (f.builder(), f.builder());
+                for (_, st) in f.space.iter() {
+                    let mut actions = vec![];
+                    match f.space.effective_queue(st) {
+                        None => actions.push(Action::Arrival),
+                        Some((n, slack)) => {
+                            for batching in [Batching::Maximal, Batching::Variable] {
+                                for a in valid_actions(
+                                    profile(),
+                                    &f.grid,
+                                    n,
+                                    slack as usize,
+                                    batching,
+                                    MissPolicy::ServeLate,
+                                ) {
+                                    if !actions.contains(&a) {
+                                        actions.push(a);
+                                    }
+                                }
+                            }
+                        }
+                    }
+                    for a in actions {
+                        assert_eq!(
+                            bits(&fast.row(st, a)),
+                            bits(&reference_row(&reference, st, a)),
+                            "D={d} K={workers} qps={qps} {st:?} {a:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rows_match_scalar_reference_with_one_worker() {
+        assert_rows_match_scalar(1);
+    }
+
+    #[test]
+    fn rows_match_scalar_reference_with_four_workers() {
+        assert_rows_match_scalar(4);
+    }
+
+    #[test]
+    fn rows_match_scalar_reference_with_sixty_workers() {
+        assert_rows_match_scalar(60);
+    }
+
+    #[test]
+    fn cache_scope_drops_tables_only_when_the_key_changes() {
+        let process = PoissonProcess::per_second(500.0);
+        let cache = TableCache::new(1e-12);
+        cache.scope(2);
+        let first = cache.table(&process, 0.01);
+        let _ = cache.table(&process, 0.02);
+        assert_eq!(cache.len(), 2);
+        cache.scope(2);
+        assert_eq!(cache.len(), 2, "the same key keeps its tables");
+        cache.scope(3);
+        assert!(cache.is_empty(), "a new key drops every table");
+        // A rebuilt table reproduces the dropped one exactly.
+        assert_eq!(*cache.table(&process, 0.01), *first);
     }
 
     #[test]

@@ -356,8 +356,11 @@ impl SparseMdp {
             let mut q = self.action_reward[a];
             let range = self.action_trans_start[a]..self.action_trans_start[a + 1];
             let mut future = 0.0;
-            for (i, &to) in self.trans_to[range.clone()].iter().enumerate() {
-                future += self.trans_prob[range.start + i] * values[to as usize];
+            for (&to, &p) in self.trans_to[range.clone()]
+                .iter()
+                .zip(&self.trans_prob[range])
+            {
+                future += p * values[to as usize];
             }
             q += discount * future;
             if q > best {

@@ -273,6 +273,14 @@ impl CountTable {
             .unwrap_or(0.0)
     }
 
+    /// The stored pmf window as one contiguous slice: element `i` is
+    /// `PF(min_count() + i, t)`. Hot loops that sweep a count range
+    /// index it directly instead of paying [`Self::pmf`]'s bounds
+    /// checks per count.
+    pub fn pmf_window(&self) -> &[f64] {
+        &self.pmf
+    }
+
     /// `P(X ≤ k)`; zero below the window, saturating above it.
     pub fn cdf(&self, k: u64) -> f64 {
         if k < self.offset {
@@ -442,6 +450,19 @@ mod tests {
         for (k, p) in window {
             assert!((8..=12).contains(&k));
             assert_eq!(p, table.pmf(k));
+        }
+    }
+
+    #[test]
+    fn pmf_window_matches_pointwise_pmf() {
+        let table = PoissonProcess::new(250.0).table(0.08, 1e-12);
+        let window = table.pmf_window();
+        assert_eq!(
+            window.len() as u64,
+            table.max_count() - table.min_count() + 1
+        );
+        for (i, &p) in window.iter().enumerate() {
+            assert_eq!(p, table.pmf(table.min_count() + i as u64));
         }
     }
 

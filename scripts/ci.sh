@@ -21,6 +21,10 @@ stage "cargo clippy (warnings are errors)" \
 stage "cargo doc (warnings are errors)" \
     env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 stage "cargo test" cargo test --workspace -q
+# The end-to-end benchmark is a package of its own, outside the
+# workspace, so the stage above does not reach its unit tests.
+stage "e2e benchmark unit tests" \
+    cargo test --release --offline --manifest-path e2e_bench/Cargo.toml
 # Randomized resilience smoke: 25 seeded chaos runs, invariants checked
 # (determinism, conservation, counter agreement, hedge + admission
 # bounds, scale-event accounting, autoscaler-off bit-identity). The
