@@ -40,9 +40,8 @@ use ramsis_bench::{render_table, write_json};
 use ramsis_profiles::Task;
 use ramsis_sim::{
     CheckpointPolicy, CheckpointRecorder, EngineSnapshot, FaultPlan, FileRecorder, Profiler,
-    Simulation, SimulationConfig, SimulationReport,
+    RunSpec, Simulation, SimulationConfig, SimulationReport,
 };
-use ramsis_telemetry::NullSink;
 use ramsis_workload::{OracleMonitor, Trace};
 use serde::Serialize;
 
@@ -133,9 +132,11 @@ fn main() {
         let mut scheme = JellyfishPlus::new(&profile, workers);
         let mut monitor = OracleMonitor::new(trace.clone());
         let start = Instant::now();
+        let spec = RunSpec::trace(&trace).faults(&plan);
         let report = sim
-            .run_faulted_traced(&trace, &plan, &mut scheme, &mut monitor, &mut NullSink)
-            .expect("empty fault plan always validates");
+            .execute(&mut scheme, &mut monitor, spec)
+            .expect("empty fault plan always validates")
+            .report();
         (start.elapsed().as_secs_f64(), report)
     };
     // One profiled durable run; the recorder tier is the only variable.
@@ -146,17 +147,14 @@ fn main() {
         let mut scheme = JellyfishPlus::new(&profile, workers);
         let mut monitor = OracleMonitor::new(trace.clone());
         let mut prof = Profiler::on();
+        let spec = RunSpec::trace(&trace)
+            .faults(&plan)
+            .recorder(recorder)
+            .profiler(&mut prof);
         let report = sim
-            .run_durable_profiled(
-                &trace,
-                &plan,
-                &mut scheme,
-                &mut monitor,
-                &mut NullSink,
-                recorder,
-                &mut prof,
-            )
+            .execute(&mut scheme, &mut monitor, spec)
             .expect("empty fault plan always validates")
+            .completed()
             .expect("no recorder tier stops the run");
         let p = prof.report();
         let ckpt_ns = p

@@ -42,10 +42,8 @@ use ramsis_baselines::JellyfishPlus;
 use ramsis_bench::harness::{build_profile, constant_load_workers};
 use ramsis_bench::{render_table, write_json};
 use ramsis_profiles::Task;
-use ramsis_sim::{FaultPlan, Profiler, Simulation, SimulationConfig, SimulationReport};
-use ramsis_telemetry::{
-    DecisionSink, JsonlDecisionSink, NullDecisionSink, NullSink, VecDecisionSink,
-};
+use ramsis_sim::{FaultPlan, Profiler, RunSpec, Simulation, SimulationConfig, SimulationReport};
+use ramsis_telemetry::{DecisionSink, JsonlDecisionSink, NullDecisionSink, VecDecisionSink};
 use ramsis_workload::{OracleMonitor, Trace};
 use serde::Serialize;
 
@@ -132,9 +130,11 @@ fn main() {
         let mut scheme = JellyfishPlus::new(&profile, workers);
         let mut monitor = OracleMonitor::new(trace.clone());
         let start = Instant::now();
+        let spec = RunSpec::trace(&trace).faults(&plan);
         let report = sim
-            .run_faulted_traced(&trace, &plan, &mut scheme, &mut monitor, &mut NullSink)
-            .expect("empty fault plan always validates");
+            .execute(&mut scheme, &mut monitor, spec)
+            .expect("empty fault plan always validates")
+            .report();
         (start.elapsed().as_secs_f64(), report)
     };
     // One profiled run; the decision sink is the only variable.
@@ -144,17 +144,14 @@ fn main() {
         let mut scheme = JellyfishPlus::new(&profile, workers);
         let mut monitor = OracleMonitor::new(trace.clone());
         let mut prof = Profiler::on();
+        let spec = RunSpec::trace(&trace)
+            .faults(&plan)
+            .decisions(decisions)
+            .profiler(&mut prof);
         let report = sim
-            .run_faulted_traced_decisions_profiled(
-                &trace,
-                &plan,
-                &mut scheme,
-                &mut monitor,
-                &mut NullSink,
-                decisions,
-                &mut prof,
-            )
-            .expect("empty fault plan always validates");
+            .execute(&mut scheme, &mut monitor, spec)
+            .expect("empty fault plan always validates")
+            .report();
         let p = prof.report();
         let dec_ns = p
             .phases

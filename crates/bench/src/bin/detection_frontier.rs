@@ -33,7 +33,8 @@ use ramsis_bench::harness::build_profile;
 use ramsis_bench::{render_table, write_json};
 use ramsis_profiles::Task;
 use ramsis_sim::{
-    FastestFixed, FaultPlan, HealthPolicy, Routing, Simulation, SimulationConfig, SimulationReport,
+    FastestFixed, FaultPlan, HealthPolicy, Routing, RunSpec, Simulation, SimulationConfig,
+    SimulationReport,
 };
 use ramsis_workload::{LoadMonitor, Trace};
 use serde::Serialize;
@@ -107,8 +108,10 @@ fn main() {
         let sim = Simulation::new(&profile, config).expect("valid simulation config");
         let mut scheme = FastestFixed::new(profile.fastest_model(), Routing::PerWorkerRoundRobin);
         let mut monitor = LoadMonitor::new();
-        sim.run_faulted(&trace, &plan, &mut scheme, &mut monitor)
+        let spec = RunSpec::trace(&trace).faults(&plan);
+        sim.execute(&mut scheme, &mut monitor, spec)
             .expect("canonical fault plan validates")
+            .report()
     };
 
     println!(

@@ -15,7 +15,7 @@ use ramsis_baselines::JellyfishPlus;
 use ramsis_bench::harness::{build_profile, constant_load_workers};
 use ramsis_bench::{render_table, write_csv, write_json, ExperimentArgs};
 use ramsis_profiles::Task;
-use ramsis_sim::{Simulation, SimulationConfig, SimulationReport};
+use ramsis_sim::{RunSpec, Simulation, SimulationConfig, SimulationReport};
 use ramsis_telemetry::{JsonlSink, NullSink, RingSink, TelemetrySink};
 use ramsis_workload::{OracleMonitor, Trace};
 use serde::Serialize;
@@ -58,7 +58,14 @@ fn main() {
         let start = Instant::now();
         let report = match sink {
             None => sim.run(&trace, &mut scheme, &mut monitor),
-            Some(s) => sim.run_traced(&trace, &mut scheme, &mut monitor, s),
+            Some(s) => sim
+                .execute(
+                    &mut scheme,
+                    &mut monitor,
+                    RunSpec::trace(&trace).telemetry(s),
+                )
+                .unwrap()
+                .report(),
         };
         (start.elapsed().as_secs_f64(), report)
     };

@@ -28,7 +28,8 @@ use ramsis_baselines::FixedModel;
 use ramsis_core::{PolicyLibrary, ShedPolicy};
 use ramsis_profiles::WorkerProfile;
 use ramsis_sim::{
-    AdaptiveRamsis, RamsisScheme, ServingScheme, Simulation, SimulationConfig, SimulationReport,
+    AdaptiveRamsis, RamsisScheme, RunSpec, ServingScheme, Simulation, SimulationConfig,
+    SimulationReport,
 };
 use ramsis_workload::{
     sample_gamma_renewal_arrivals, sample_poisson_arrivals, DispersionClass, DriftDetector,
@@ -170,7 +171,9 @@ fn run_one(
     )
     .expect("valid drift config");
     let mut monitor = LoadMonitor::new();
-    sim.run_arrivals(arrivals, scheme, &mut monitor)
+    sim.execute(scheme, &mut monitor, RunSpec::arrivals(arrivals))
+        .unwrap()
+        .report()
 }
 
 /// Runs all three systems over the same drifting stream. The returned

@@ -32,9 +32,8 @@ use ramsis_mdp::{value_iteration_gauss_seidel_profiled, value_iteration_profiled
 use ramsis_profiles::{Task, WorkerProfile};
 use ramsis_sim::{
     AdaptiveRamsis, FastestFixed, FaultPlan, ProfileReport, Profiler, ResiliencePolicy, Routing,
-    Simulation, SimulationConfig, SimulationReport,
+    RunSpec, Simulation, SimulationConfig, SimulationReport,
 };
-use ramsis_telemetry::NullSink;
 use ramsis_workload::{DriftDetector, DriftDetectorConfig, LoadMonitor, Trace};
 
 use crate::drift::DriftConfig;
@@ -220,7 +219,10 @@ fn run_constant(
     .expect("valid constant-load config");
     let mut scheme = FastestFixed::new(profile.fastest_model(), Routing::PerWorkerRoundRobin);
     let mut monitor = LoadMonitor::new();
-    sim.run_profiled(&trace, &mut scheme, &mut monitor, prof)
+    let spec = RunSpec::trace(&trace).profiler(prof);
+    sim.execute(&mut scheme, &mut monitor, spec)
+        .unwrap()
+        .report()
 }
 
 fn run_surge(
@@ -239,15 +241,11 @@ fn run_surge(
     .expect("valid surge config");
     let mut scheme = FastestFixed::new(profile.fastest_model(), Routing::PerWorkerRoundRobin);
     let mut monitor = LoadMonitor::new();
-    sim.run_faulted_traced_profiled(
-        &trace,
-        &cfg.surge_plan(),
-        &mut scheme,
-        &mut monitor,
-        &mut NullSink,
-        prof,
-    )
-    .expect("surge plan validates")
+    let plan = cfg.surge_plan();
+    let spec = RunSpec::trace(&trace).faults(&plan).profiler(prof);
+    sim.execute(&mut scheme, &mut monitor, spec)
+        .expect("surge plan validates")
+        .report()
 }
 
 fn run_drift_scenario(
@@ -285,15 +283,10 @@ fn run_drift_scenario(
     )
     .expect("valid drift config");
     let mut monitor = LoadMonitor::new();
-    sim.run_arrivals_faulted_traced_profiled(
-        &arrivals,
-        &FaultPlan::none(),
-        &mut scheme,
-        &mut monitor,
-        &mut NullSink,
-        prof,
-    )
-    .expect("empty fault plan validates")
+    let spec = RunSpec::arrivals(&arrivals).profiler(prof);
+    sim.execute(&mut scheme, &mut monitor, spec)
+        .expect("empty fault plan validates")
+        .report()
 }
 
 /// Times both exact solvers on one pinned policy MDP via the profiled

@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 
 use ramsis_profiles::WorkerProfile;
 use ramsis_sim::{
-    FastestFixed, FaultPlan, ResiliencePolicy, Routing, Simulation, SimulationConfig,
+    FastestFixed, FaultPlan, ResiliencePolicy, Routing, RunSpec, Simulation, SimulationConfig,
     SimulationReport,
 };
 use ramsis_workload::{LoadMonitor, Trace};
@@ -100,8 +100,11 @@ fn run_one(
     .expect("valid resilience-surge config");
     let mut scheme = FastestFixed::new(profile.fastest_model(), Routing::PerWorkerRoundRobin);
     let mut monitor = LoadMonitor::new();
-    sim.run_faulted(&trace, &cfg.plan(), &mut scheme, &mut monitor)
+    let plan = cfg.plan();
+    let spec = RunSpec::trace(&trace).faults(&plan);
+    sim.execute(&mut scheme, &mut monitor, spec)
         .expect("surge plan validates")
+        .report()
 }
 
 /// Runs the baseline (resilience disabled) and the fully-enabled

@@ -26,7 +26,7 @@ use ramsis_baselines::{FixedModel, InfaasStyle};
 use ramsis_core::{DegradablePolicySet, FallbackPolicy, PolicySet};
 use ramsis_profiles::WorkerProfile;
 use ramsis_sim::{
-    CrashPolicy, DegradingRamsis, FaultPlan, RamsisScheme, ServingScheme, Simulation,
+    CrashPolicy, DegradingRamsis, FaultPlan, RamsisScheme, RunSpec, ServingScheme, Simulation,
     SimulationConfig, SimulationReport,
 };
 use ramsis_workload::{LoadMonitor, Trace};
@@ -133,8 +133,11 @@ fn run_one(
     )
     .expect("valid robustness config");
     let mut monitor = LoadMonitor::new();
-    sim.run_faulted(&trace, &cfg.plan(), scheme, &mut monitor)
+    let plan = cfg.plan();
+    let spec = RunSpec::trace(&trace).faults(&plan);
+    sim.execute(scheme, &mut monitor, spec)
         .expect("canonical plan validates")
+        .report()
 }
 
 /// Runs all four systems under the canonical fault schedule. The

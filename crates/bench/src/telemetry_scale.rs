@@ -25,7 +25,7 @@ use std::time::Instant;
 
 use ramsis_baselines::JellyfishPlus;
 use ramsis_profiles::Task;
-use ramsis_sim::{Simulation, SimulationConfig, SimulationReport};
+use ramsis_sim::{RunSpec, Simulation, SimulationConfig, SimulationReport};
 use ramsis_telemetry::{
     BinSink, Event, JsonlSink, NullSink, SamplePolicy, SamplingSink, TelemetrySink, VecSink,
 };
@@ -232,7 +232,11 @@ pub fn run_telemetry_scale(cfg: &TelemetryScaleConfig, smoke: bool) -> BenchTele
         let mut scheme = JellyfishPlus::new(&profile, cfg.workers);
         let mut monitor = OracleMonitor::new(trace.clone());
         let start = Instant::now();
-        let report = sim.run_traced(&trace, &mut scheme, &mut monitor, sink);
+        let spec = RunSpec::trace(&trace).telemetry(sink);
+        let report = sim
+            .execute(&mut scheme, &mut monitor, spec)
+            .unwrap()
+            .report();
         (start.elapsed().as_secs_f64(), report)
     };
 

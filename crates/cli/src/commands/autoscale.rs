@@ -22,7 +22,7 @@
 use ramsis_bench::elastic::{frontier_claim, run_elastic_frontier, ElasticFrontierConfig};
 use ramsis_bench::render_table;
 use ramsis_profiles::{ModelCatalog, ProfilerConfig, Task, WorkerProfile};
-use ramsis_sim::{FastestFixed, Routing, Simulation, SimulationConfig};
+use ramsis_sim::{FastestFixed, Routing, RunSpec, Simulation, SimulationConfig};
 use ramsis_telemetry::{Event, VecSink};
 use ramsis_workload::LoadMonitor;
 
@@ -172,7 +172,11 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let mut scheme = FastestFixed::new(profile.fastest_model(), Routing::PerWorkerRoundRobin);
     let mut monitor = LoadMonitor::new();
     let mut sink = VecSink::new();
-    let report = sim.run_traced(&trace, &mut scheme, &mut monitor, &mut sink);
+    let spec = RunSpec::trace(&trace).telemetry(&mut sink);
+    let report = sim
+        .execute(&mut scheme, &mut monitor, spec)
+        .unwrap()
+        .report();
     let events = sink.into_events();
 
     if json {

@@ -27,7 +27,10 @@
 //! ```
 
 use ramsis_profiles::{ModelCatalog, ProfilerConfig, Task, WorkerProfile};
-use ramsis_sim::{FastestFixed, FaultPlan, HealthPolicy, Routing, Simulation, SimulationConfig};
+use ramsis_sim::{
+    FastestFixed, FaultPlan, HealthPolicy, Routing, RunOutcome, RunSpec, Simulation,
+    SimulationConfig,
+};
 use ramsis_telemetry::{Event, VecSink};
 use ramsis_workload::{LoadMonitor, Trace};
 
@@ -133,8 +136,10 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let mut scheme = FastestFixed::new(profile.fastest_model(), Routing::PerWorkerRoundRobin);
     let mut monitor = LoadMonitor::new();
     let mut sink = VecSink::new();
+    let spec = RunSpec::trace(&trace).faults(&plan).telemetry(&mut sink);
     let report = sim
-        .run_faulted_traced(&trace, &plan, &mut scheme, &mut monitor, &mut sink)
+        .execute(&mut scheme, &mut monitor, spec)
+        .map(RunOutcome::report)
         .map_err(|e| e.to_string())?;
     let events = sink.into_events();
 

@@ -16,7 +16,7 @@ use ramsis_baselines::{JellyfishPlus, ModelSwitching, ResponseLatencyTable};
 use ramsis_core::{PolicySet, WorkerPolicy};
 use ramsis_sim::{
     CheckpointPolicy, EngineSnapshot, FaultPlan, FileRecorder, LatencyMode, RamsisScheme,
-    ServingScheme, Simulation, SimulationConfig, SimulationReport,
+    RunOutcome, RunSpec, ServingScheme, Simulation, SimulationConfig, SimulationReport,
 };
 use ramsis_telemetry::{
     BinSink, DecisionSink, JsonlDecisionSink, JsonlSink, NullDecisionSink, NullSink, SamplePolicy,
@@ -184,10 +184,27 @@ pub fn run(args: &[String]) -> Result<(), String> {
         };
         let mut recorder = FileRecorder::new(ckpt);
         let outcome = match &snapshot {
-            Some(snap) => {
-                sim.resume_durable(&trace, &plan, scheme, estimator, sink, snap, &mut recorder)
-            }
-            None => sim.run_durable(&trace, &plan, scheme, estimator, sink, &mut recorder),
+            Some(snap) => sim
+                .execute(
+                    scheme,
+                    estimator,
+                    RunSpec::trace(&trace)
+                        .faults(&plan)
+                        .telemetry(sink)
+                        .resume(snap)
+                        .recorder(&mut recorder),
+                )
+                .map(RunOutcome::completed),
+            None => sim
+                .execute(
+                    scheme,
+                    estimator,
+                    RunSpec::trace(&trace)
+                        .faults(&plan)
+                        .telemetry(sink)
+                        .recorder(&mut recorder),
+                )
+                .map(RunOutcome::completed),
         }
         .map_err(|e| e.to_string())?;
         match outcome {

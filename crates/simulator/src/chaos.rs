@@ -59,7 +59,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::autoscale::AutoscalePolicy;
 use crate::checkpoint::{CheckpointPolicy, MemoryRecorder};
-use crate::engine::{ForcedDecision, Simulation, SimulationConfig};
+use crate::engine::{ForcedDecision, RunOutcome, RunSpec, Simulation, SimulationConfig};
 use crate::faults::{CrashPolicy, FaultEvent, FaultPlan};
 use crate::health::HealthPolicy;
 use crate::metrics::SimulationReport;
@@ -282,7 +282,8 @@ impl ChaosConfig {
             let mut scheme = FastestFixed::new(profile.fastest_model(), routing);
             let mut monitor = LoadMonitor::new();
             let mut sink = VecSink::new();
-            let r = sim.run_faulted_traced(&trace, &plan, &mut scheme, &mut monitor, &mut sink)?;
+            let spec = RunSpec::trace(&trace).faults(&plan).telemetry(&mut sink);
+            let r = sim.execute(&mut scheme, &mut monitor, spec)?.report();
             Ok((r, sink.into_events()))
         };
         let run_once = || run_with(&sim);
@@ -425,14 +426,14 @@ impl ChaosConfig {
                 let mut scheme = FastestFixed::new(profile.fastest_model(), routing);
                 let mut monitor = LoadMonitor::new();
                 let mut sink = VecSink::new();
-                match sim.replay_counterfactual(
-                    &trace,
-                    &plan,
-                    &mut scheme,
-                    &mut monitor,
-                    &mut sink,
-                    ForcedDecision { k: rec.k, action },
-                ) {
+                let spec = RunSpec::trace(&trace)
+                    .faults(&plan)
+                    .telemetry(&mut sink)
+                    .forced(ForcedDecision { k: rec.k, action });
+                match sim
+                    .execute(&mut scheme, &mut monitor, spec)
+                    .map(RunOutcome::report)
+                {
                     Err(e) => fail("decisions:counterfactual-baseline", e.to_string()),
                     Ok(cf) => {
                         if serde_json::to_string(&cf).expect("reports serialize") != j_rd {
@@ -473,8 +474,10 @@ impl ChaosConfig {
             let mut scheme = FastestFixed::new(profile.fastest_model(), routing);
             let mut monitor = LoadMonitor::new();
             let mut sampling = SamplingSink::new(VecSink::new(), policy);
-            let rs =
-                sim.run_faulted_traced(&trace, &plan, &mut scheme, &mut monitor, &mut sampling)?;
+            let spec = RunSpec::trace(&trace)
+                .faults(&plan)
+                .telemetry(&mut sampling);
+            let rs = sim.execute(&mut scheme, &mut monitor, spec)?.report();
             let withheld = sampling.sampled_out_events();
             let sampled = sampling.finish().into_events();
             if serde_json::to_string(&rs).expect("reports serialize")
@@ -578,16 +581,11 @@ impl ChaosConfig {
             let mut monitor = LoadMonitor::new();
             let mut sink = VecSink::new();
             let mut rec = MemoryRecorder::new();
-            let full = durable
-                .run_durable(
-                    &trace,
-                    &plan,
-                    &mut scheme,
-                    &mut monitor,
-                    &mut sink,
-                    &mut rec,
-                )?
-                .expect("no stop requested");
+            let spec = RunSpec::trace(&trace)
+                .faults(&plan)
+                .telemetry(&mut sink)
+                .recorder(&mut rec);
+            let full = durable.execute(&mut scheme, &mut monitor, spec)?.report();
             let full_events = sink.into_events();
             let full_json = serde_json::to_string(&full).expect("reports serialize");
             // Checkpointing on must not perturb the run at all.
@@ -627,14 +625,14 @@ impl ChaosConfig {
                         let mut scheme = FastestFixed::new(profile.fastest_model(), routing);
                         let mut monitor = LoadMonitor::new();
                         let mut sink = VecSink::new();
-                        match durable.resume(
-                            &trace,
-                            &plan,
-                            &mut scheme,
-                            &mut monitor,
-                            &mut sink,
-                            &back,
-                        ) {
+                        let spec = RunSpec::trace(&trace)
+                            .faults(&plan)
+                            .telemetry(&mut sink)
+                            .resume(&back);
+                        match durable
+                            .execute(&mut scheme, &mut monitor, spec)
+                            .map(RunOutcome::report)
+                        {
                             Err(e) => fail("kill-resume:resume", e.to_string()),
                             Ok(resumed) => {
                                 let resumed_json =

@@ -11,8 +11,8 @@
 //! rename), [`MemoryRecorder`] keeps snapshots in memory for tests and
 //! the chaos harness's kill–resume dimension.
 //!
-//! The durability invariant: [`crate::Simulation::resume`] from *any*
-//! snapshot continues to a final report and telemetry event stream
+//! The durability invariant: resuming ([`crate::RunSpec::resume`]) from
+//! *any* snapshot continues to a final report and telemetry event stream
 //! byte-identical to the uninterrupted run's suffix. With the policy
 //! disabled (the default) the engine takes one predictable branch per
 //! event and is bit-identical to the pre-checkpoint engine.
@@ -153,8 +153,8 @@ pub struct HeapEntry {
     pub b: u64,
 }
 
-/// An in-flight dispatch, externalized from the engine's private
-/// representation.
+/// An in-flight dispatch: the batch a worker is currently serving (the
+/// engine's own representation, so a checkpoint is a plain clone).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct InFlightState {
     /// Catalog index of the model being run.
@@ -165,11 +165,14 @@ pub struct InFlightState {
     pub started: Nanos,
     /// The other side of a hedged pair, while both run.
     pub twin: Option<usize>,
-    /// True for the duplicate side of a hedged pair.
+    /// True for the duplicate side of a hedged pair (first-wins
+    /// accounting credits a hedge win only when this side finishes
+    /// first).
     pub is_hedge: bool,
 }
 
-/// Per-worker cluster state at the checkpoint.
+/// Per-worker cluster state, live in the engine and captured as is at
+/// a checkpoint.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClusterState {
     /// Serving an in-flight batch right now.

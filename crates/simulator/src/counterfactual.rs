@@ -3,7 +3,7 @@
 //! A factual run is recorded with decision provenance
 //! ([`Simulation::run_faulted_traced_decisions`]); a sample of its
 //! selection-site decisions is then replayed with one forced
-//! alternative action each ([`Simulation::replay_counterfactual`]), and
+//! alternative action each ([`crate::RunSpec::forced`]), and
 //! the exact objective delta — the *regret* of the chosen action
 //! against that alternative — is aggregated by regime, reason code, and
 //! fault-window membership. Replays are full deterministic re-runs, so
@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 use ramsis_telemetry::{ChosenAction, DecisionRecord, NullSink, VecDecisionSink};
 use ramsis_workload::{LoadEstimator, Trace};
 
-use crate::engine::{ForcedDecision, Simulation};
+use crate::engine::{ForcedDecision, RunSpec, Simulation};
 use crate::faults::{FaultEvent, FaultPlan};
 use crate::metrics::SimulationReport;
 use crate::query::Nanos;
@@ -262,17 +262,14 @@ pub fn regret_study(
                 .expect("selection-site records always map to a selection");
             let mut scheme = make_scheme();
             let mut estimator = make_estimator();
-            let replayed = sim.replay_counterfactual(
-                trace,
-                plan,
-                scheme.as_mut(),
-                estimator.as_mut(),
-                &mut NullSink,
-                ForcedDecision {
-                    k: rec.k,
-                    action: own,
-                },
-            )?;
+            let forced = ForcedDecision {
+                k: rec.k,
+                action: own,
+            };
+            let spec = RunSpec::trace(trace).faults(plan).forced(forced);
+            let replayed = sim
+                .execute(scheme.as_mut(), estimator.as_mut(), spec)?
+                .report();
             let json = serde_json::to_string(&replayed).map_err(|e| {
                 SimError::InvalidConfig(format!("baseline report serialization: {e}"))
             })?;
@@ -288,17 +285,14 @@ pub fn regret_study(
         for alt in alternatives_of(rec, cfg.alternatives_per_decision) {
             let mut scheme = make_scheme();
             let mut estimator = make_estimator();
-            let cf = sim.replay_counterfactual(
-                trace,
-                plan,
-                scheme.as_mut(),
-                estimator.as_mut(),
-                &mut NullSink,
-                ForcedDecision {
-                    k: rec.k,
-                    action: alt,
-                },
-            )?;
+            let forced = ForcedDecision {
+                k: rec.k,
+                action: alt,
+            };
+            let spec = RunSpec::trace(trace).faults(plan).forced(forced);
+            let cf = sim
+                .execute(scheme.as_mut(), estimator.as_mut(), spec)?
+                .report();
             entries.push(RegretEntry {
                 k: rec.k,
                 at: rec.at,
@@ -426,9 +420,8 @@ mod tests {
         let (sim, trace, plan) = scenario();
         let mut s = scheme();
         let mut est = LoadMonitor::new();
-        let report = sim
-            .run_faulted(&trace, &plan, s.as_mut(), &mut est)
-            .unwrap();
+        let spec = RunSpec::trace(&trace).faults(&plan);
+        let report = sim.execute(s.as_mut(), &mut est, spec).unwrap().report();
         let obj = run_objective(&report);
         assert!((0.0..=1.0).contains(&obj), "objective {obj} out of range");
     }

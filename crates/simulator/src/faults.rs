@@ -40,7 +40,7 @@ pub enum FaultEvent {
     },
     /// Offered load is scaled by `factor` during `[from_s, to_s)`.
     /// Applied to the trace before arrival sampling, so it only takes
-    /// effect through [`crate::Simulation::run_faulted`] (explicit
+    /// effect on trace-driven runs ([`crate::RunSpec::trace`]; explicit
     /// arrival arrays are replayed as given).
     ArrivalSurge { from_s: f64, to_s: f64, factor: f64 },
     /// Worker `worker` flaps during `[from_s, to_s)`: a square wave of

@@ -45,9 +45,8 @@ pub mod scheme;
 /// handle one error family across the stack).
 pub use ramsis_core::CoreError as SimError;
 
-/// Profiling support (DESIGN.md §10): callers pass a [`Profiler`] to the
-/// `*_profiled` engine entry points and snapshot a [`ProfileReport`]
-/// afterwards. Re-exported so downstream crates need not depend on
+/// Profiling support (DESIGN.md §10): callers attach a [`Profiler`] with
+/// [`RunSpec::profiler`] and snapshot a [`ProfileReport`] afterwards. Re-exported so downstream crates need not depend on
 /// `ramsis-telemetry` directly just to profile a run.
 pub use ramsis_telemetry::{ProfileReport, Profiler};
 
@@ -61,7 +60,7 @@ pub use checkpoint::{
     CheckpointPolicy, CheckpointRecorder, EngineSnapshot, FileRecorder, MemoryRecorder,
 };
 pub use counterfactual::{regret_study, RegretBucket, RegretEntry, RegretStudy, RegretStudyConfig};
-pub use engine::{ForcedDecision, Simulation, SimulationConfig};
+pub use engine::{Arrivals, ForcedDecision, RunOutcome, RunSpec, Simulation, SimulationConfig};
 pub use faults::{CrashPolicy, FaultEvent, FaultPlan};
 pub use health::{BreakerState, HealthMonitor, HealthPolicy, HealthState, WorkerHealth};
 pub use latency::LatencyMode;

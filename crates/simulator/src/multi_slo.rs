@@ -14,7 +14,7 @@ use rand_chacha::ChaCha8Rng;
 use ramsis_profiles::WorkerProfile;
 use ramsis_workload::{sample_poisson_arrivals, LoadEstimator, Trace};
 
-use crate::engine::{Simulation, SimulationConfig};
+use crate::engine::{RunSpec, Simulation, SimulationConfig};
 use crate::latency::LatencyMode;
 use crate::metrics::SimulationReport;
 use crate::scheme::ServingScheme;
@@ -93,7 +93,11 @@ pub fn run_multi_slo(
             config.latency = latency;
             let sim = Simulation::new(class.profile, config)
                 .expect("class configs are asserted valid above");
-            let mut report = sim.run_arrivals(&class_arrivals, scheme.as_mut(), estimator.as_mut());
+            let spec = RunSpec::arrivals(&class_arrivals);
+            let mut report = sim
+                .execute(scheme.as_mut(), estimator.as_mut(), spec)
+                .expect("explicit arrivals with no faults always validate")
+                .report();
             report.scheme = format!("{} @ {}", report.scheme, class.name);
             report
         })

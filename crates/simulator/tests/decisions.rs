@@ -8,7 +8,7 @@ use std::time::Duration;
 use ramsis_core::{Discretization, PolicyConfig, PolicySet};
 use ramsis_profiles::{ModelCatalog, ProfilerConfig, WorkerProfile};
 use ramsis_sim::{
-    FaultPlan, ForcedDecision, ResiliencePolicy, RetryPolicy, Selection, Simulation,
+    FaultPlan, ForcedDecision, ResiliencePolicy, RetryPolicy, RunSpec, Selection, Simulation,
     SimulationConfig, TimeoutPolicy,
 };
 use ramsis_telemetry::{
@@ -66,9 +66,10 @@ fn disabled_recording_is_byte_identical() {
     let mut plain_sink = VecSink::new();
     let mut s = scheme();
     let mut est = LoadMonitor::new();
-    let plain = sim
-        .run_faulted_traced(&trace, &plan, &mut s, &mut est, &mut plain_sink)
-        .unwrap();
+    let spec = RunSpec::trace(&trace)
+        .faults(&plan)
+        .telemetry(&mut plain_sink);
+    let plain = sim.execute(&mut s, &mut est, spec).unwrap().report();
 
     let mut null_dec = NullDecisionSink;
     let mut dec_sink = VecSink::new();
@@ -108,7 +109,8 @@ fn recording_emits_coherent_records_without_perturbing_the_run() {
 
     let mut s = scheme();
     let mut est = LoadMonitor::new();
-    let plain = sim.run_faulted(&trace, &plan, &mut s, &mut est).unwrap();
+    let spec = RunSpec::trace(&trace).faults(&plan);
+    let plain = sim.execute(&mut s, &mut est, spec).unwrap().report();
 
     let mut recorder = VecDecisionSink::new();
     let mut s2 = scheme();
@@ -209,16 +211,11 @@ fn replaying_the_chosen_action_reproduces_the_run() {
         let mut replay_sink = VecSink::new();
         let mut s2 = scheme();
         let mut est2 = LoadMonitor::new();
-        let replayed = sim
-            .replay_counterfactual(
-                &trace,
-                &plan,
-                &mut s2,
-                &mut est2,
-                &mut replay_sink,
-                ForcedDecision { k: rec.k, action },
-            )
-            .unwrap();
+        let spec = RunSpec::trace(&trace)
+            .faults(&plan)
+            .telemetry(&mut replay_sink)
+            .forced(ForcedDecision { k: rec.k, action });
+        let replayed = sim.execute(&mut s2, &mut est2, spec).unwrap().report();
         assert_eq!(
             serde_json::to_string(&factual).unwrap(),
             serde_json::to_string(&replayed).unwrap(),
@@ -261,22 +258,14 @@ fn forcing_an_alternative_yields_a_valid_run() {
     let alt_model = if model == 0 { 1 } else { 0 };
     let mut s2 = scheme();
     let mut est2 = LoadMonitor::new();
-    let cf = sim
-        .replay_counterfactual(
-            &trace,
-            &plan,
-            &mut s2,
-            &mut est2,
-            &mut NullSink,
-            ForcedDecision {
-                k: rec.k,
-                action: Selection::Serve {
-                    model: alt_model as usize,
-                    batch,
-                },
-            },
-        )
-        .unwrap();
+    let spec = RunSpec::trace(&trace).faults(&plan).forced(ForcedDecision {
+        k: rec.k,
+        action: Selection::Serve {
+            model: alt_model as usize,
+            batch,
+        },
+    });
+    let cf = sim.execute(&mut s2, &mut est2, spec).unwrap().report();
     assert_eq!(cf.total_arrivals, factual.total_arrivals);
     assert!(cf.served + cf.dropped <= cf.total_arrivals + cf.resilience.retries);
 }
@@ -288,19 +277,11 @@ fn forcing_an_unreached_decision_errors() {
     let (sim, trace, plan) = scenario();
     let mut s = scheme();
     let mut est = LoadMonitor::new();
-    let err = sim
-        .replay_counterfactual(
-            &trace,
-            &plan,
-            &mut s,
-            &mut est,
-            &mut NullSink,
-            ForcedDecision {
-                k: u64::MAX,
-                action: Selection::Idle,
-            },
-        )
-        .unwrap_err();
+    let spec = RunSpec::trace(&trace).faults(&plan).forced(ForcedDecision {
+        k: u64::MAX,
+        action: Selection::Idle,
+    });
+    let err = sim.execute(&mut s, &mut est, spec).unwrap_err();
     assert!(
         format!("{err}").contains("never applied"),
         "unexpected error: {err}"
@@ -313,22 +294,14 @@ fn forcing_an_unknown_model_errors() {
     let (sim, trace, plan) = scenario();
     let mut s = scheme();
     let mut est = LoadMonitor::new();
-    let err = sim
-        .replay_counterfactual(
-            &trace,
-            &plan,
-            &mut s,
-            &mut est,
-            &mut NullSink,
-            ForcedDecision {
-                k: 0,
-                action: Selection::Serve {
-                    model: 10_000,
-                    batch: 1,
-                },
-            },
-        )
-        .unwrap_err();
+    let spec = RunSpec::trace(&trace).faults(&plan).forced(ForcedDecision {
+        k: 0,
+        action: Selection::Serve {
+            model: 10_000,
+            batch: 1,
+        },
+    });
+    let err = sim.execute(&mut s, &mut est, spec).unwrap_err();
     assert!(
         format!("{err}").contains("out of range"),
         "unexpected error: {err}"

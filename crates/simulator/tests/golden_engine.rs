@@ -19,8 +19,8 @@ use ramsis_core::{Discretization, PolicyConfig, PolicySet};
 use ramsis_profiles::{ModelCatalog, ProfilerConfig, WorkerProfile};
 use ramsis_sim::{
     AutoscalePolicy, CheckpointPolicy, CrashPolicy, FastestFixed, FaultPlan, ForcedDecision,
-    HealthPolicy, MemoryRecorder, RamsisScheme, ResiliencePolicy, Routing, Selection, Simulation,
-    SimulationConfig, SimulationReport,
+    HealthPolicy, MemoryRecorder, RamsisScheme, ResiliencePolicy, Routing, RunSpec, Selection,
+    Simulation, SimulationConfig, SimulationReport,
 };
 use ramsis_telemetry::{ChosenAction, JsonlDecisionSink, JsonlSink, ReasonCode, VecDecisionSink};
 use ramsis_workload::{LoadMonitor, Trace, TraceKind};
@@ -143,12 +143,15 @@ fn plain(d: &mut Digests) {
     let sim = Simulation::new(profile(), SimulationConfig::new(3, 0.15).seeded(1)).unwrap();
     let trace = Trace::constant(120.0, 6.0);
     let mut sink = JsonlSink::new(Vec::new());
-    let report = sim.run_traced(
-        &trace,
-        &mut fastest(Routing::PerWorkerRoundRobin),
-        &mut LoadMonitor::new(),
-        &mut sink,
-    );
+    let spec = RunSpec::trace(&trace).telemetry(&mut sink);
+    let report = sim
+        .execute(
+            &mut fastest(Routing::PerWorkerRoundRobin),
+            &mut LoadMonitor::new(),
+            spec,
+        )
+        .unwrap()
+        .report();
     d.add("plain.report", &report_json(&report));
     d.add("plain.telemetry", &sink.finish().unwrap());
 }
@@ -171,15 +174,13 @@ fn explicit_arrivals_under_faults(d: &mut Digests) {
         ("arrivals.drop_sq", &drop, Routing::PerWorkerShortestQueue),
     ] {
         let mut sink = JsonlSink::new(Vec::new());
+        let spec = RunSpec::arrivals(&arrivals)
+            .faults(plan)
+            .telemetry(&mut sink);
         let report = sim
-            .run_arrivals_faulted_traced(
-                &arrivals,
-                plan,
-                &mut fastest(routing),
-                &mut LoadMonitor::new(),
-                &mut sink,
-            )
-            .unwrap();
+            .execute(&mut fastest(routing), &mut LoadMonitor::new(), spec)
+            .unwrap()
+            .report();
         d.add(&format!("{name}.report"), &report_json(&report));
         d.add(&format!("{name}.telemetry"), &sink.finish().unwrap());
     }
@@ -208,15 +209,11 @@ fn resilience_stack(d: &mut Digests) {
         ("resilience.central", Routing::Central),
     ] {
         let mut sink = JsonlSink::new(Vec::new());
+        let spec = RunSpec::trace(&trace).faults(&plan).telemetry(&mut sink);
         let report = sim
-            .run_faulted_traced(
-                &trace,
-                &plan,
-                &mut fastest(routing),
-                &mut LoadMonitor::new(),
-                &mut sink,
-            )
-            .unwrap();
+            .execute(&mut fastest(routing), &mut LoadMonitor::new(), spec)
+            .unwrap()
+            .report();
         let res = &report.resilience;
         assert!(res.retries > 0 && res.hedges_issued > 0 && res.admission_shed > 0);
         d.add(&format!("{name}.report"), &report_json(&report));
@@ -235,15 +232,15 @@ fn autoscale_brownout(d: &mut Digests) {
     let trace = Trace::from_interval_qps(&[320.0, 15.0, 300.0, 15.0], 2.5, TraceKind::Custom);
     let plan = FaultPlan::none().crash(0, 3.0).recover(0, 6.0);
     let mut sink = JsonlSink::new(Vec::new());
+    let spec = RunSpec::trace(&trace).faults(&plan).telemetry(&mut sink);
     let report = sim
-        .run_faulted_traced(
-            &trace,
-            &plan,
+        .execute(
             &mut slowest(Routing::PerWorkerRoundRobin),
             &mut LoadMonitor::new(),
-            &mut sink,
+            spec,
         )
-        .unwrap();
+        .unwrap()
+        .report();
     let stats = report.autoscale.as_ref().unwrap();
     assert!(stats.brownout_enters > 0 && stats.scale_ups > 0 && stats.scale_downs > 0);
     d.add("autoscale.report", &report_json(&report));
@@ -267,15 +264,11 @@ fn health_gray_faults(d: &mut Digests) {
         ("health.central", Routing::Central),
     ] {
         let mut sink = JsonlSink::new(Vec::new());
+        let spec = RunSpec::trace(&trace).faults(&plan).telemetry(&mut sink);
         let report = sim
-            .run_faulted_traced(
-                &trace,
-                &plan,
-                &mut fastest(routing),
-                &mut LoadMonitor::new(),
-                &mut sink,
-            )
-            .unwrap();
+            .execute(&mut fastest(routing), &mut LoadMonitor::new(), spec)
+            .unwrap()
+            .report();
         assert!(report.health.as_ref().unwrap().suspects > 0);
         d.add(&format!("{name}.report"), &report_json(&report));
         d.add(&format!("{name}.telemetry"), &sink.finish().unwrap());
@@ -344,22 +337,20 @@ fn decisions_and_counterfactual(d: &mut Digests) {
         .expect("a policy-lookup serve past k=200");
     let other = (0..profile().n_models()).find(|&m| m != own).unwrap();
     let mut sink = JsonlSink::new(Vec::new());
-    let cf = sim
-        .replay_counterfactual(
-            &trace,
-            &plan,
-            &mut ramsis(),
-            &mut LoadMonitor::new(),
-            &mut sink,
-            ForcedDecision {
-                k,
-                action: Selection::Serve {
-                    model: other,
-                    batch: 1,
-                },
+    let spec = RunSpec::trace(&trace)
+        .faults(&plan)
+        .telemetry(&mut sink)
+        .forced(ForcedDecision {
+            k,
+            action: Selection::Serve {
+                model: other,
+                batch: 1,
             },
-        )
-        .unwrap();
+        });
+    let cf = sim
+        .execute(&mut ramsis(), &mut LoadMonitor::new(), spec)
+        .unwrap()
+        .report();
     assert_ne!(report_json(&cf), report_json(&report), "the branch bit");
     d.add("counterfactual.report", &report_json(&cf));
     d.add("counterfactual.telemetry", &sink.finish().unwrap());
@@ -378,29 +369,25 @@ fn kill_resume(
 ) {
     let mut rec = MemoryRecorder::stop_after(3);
     let mut prefix = JsonlSink::new(Vec::new());
+    let spec = RunSpec::trace(trace)
+        .faults(plan)
+        .telemetry(&mut prefix)
+        .recorder(&mut rec);
     let killed = sim
-        .run_durable(
-            trace,
-            plan,
-            &mut fastest(routing),
-            &mut LoadMonitor::new(),
-            &mut prefix,
-            &mut rec,
-        )
-        .unwrap();
+        .execute(&mut fastest(routing), &mut LoadMonitor::new(), spec)
+        .unwrap()
+        .completed();
     assert!(killed.is_none(), "the recorder stops the run");
     let snap = rec.snapshots.last().unwrap();
     let mut suffix = JsonlSink::new(Vec::new());
+    let spec = RunSpec::trace(trace)
+        .faults(plan)
+        .telemetry(&mut suffix)
+        .resume(snap);
     let resumed = sim
-        .resume(
-            trace,
-            plan,
-            &mut fastest(routing),
-            &mut LoadMonitor::new(),
-            &mut suffix,
-            snap,
-        )
-        .unwrap();
+        .execute(&mut fastest(routing), &mut LoadMonitor::new(), spec)
+        .unwrap()
+        .report();
     d.add(&format!("{name}.snapshot"), snap.to_json().as_bytes());
     d.add(&format!("{name}.report"), &report_json(&resumed));
     d.add(&format!("{name}.suffix"), &suffix.finish().unwrap());

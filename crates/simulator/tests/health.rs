@@ -6,7 +6,8 @@
 
 use ramsis_profiles::{ModelCatalog, ProfilerConfig, WorkerProfile};
 use ramsis_sim::{
-    AutoscalePolicy, FastestFixed, FaultPlan, HealthPolicy, Routing, Simulation, SimulationConfig,
+    AutoscalePolicy, FastestFixed, FaultPlan, HealthPolicy, Routing, RunSpec, Simulation,
+    SimulationConfig,
 };
 use ramsis_telemetry::{conservation, Event, VecSink};
 use ramsis_workload::{LoadMonitor, Trace, TraceKind};
@@ -39,9 +40,11 @@ fn run_plan(
     let mut scheme = FastestFixed::new(profile.fastest_model(), Routing::PerWorkerRoundRobin);
     let mut monitor = LoadMonitor::new();
     let mut sink = VecSink::new();
+    let spec = RunSpec::trace(trace).faults(plan).telemetry(&mut sink);
     let report = sim
-        .run_faulted_traced(trace, plan, &mut scheme, &mut monitor, &mut sink)
-        .expect("plan validates");
+        .execute(&mut scheme, &mut monitor, spec)
+        .expect("plan validates")
+        .report();
     (report, sink.into_events())
 }
 

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 
 use ramsis_profiles::{ModelCatalog, ProfilerConfig, WorkerProfile};
 use ramsis_sim::{
-    AutoscalePolicy, Autoscaler, FastestFixed, HysteresisController, Routing, ScaleSignal,
+    AutoscalePolicy, Autoscaler, FastestFixed, HysteresisController, Routing, RunSpec, ScaleSignal,
     Simulation, SimulationConfig,
 };
 use ramsis_telemetry::VecSink;
@@ -172,7 +172,8 @@ proptest! {
                 FastestFixed::new(profile().fastest_model(), Routing::PerWorkerRoundRobin);
             let mut monitor = LoadMonitor::new();
             let mut sink = VecSink::new();
-            let report = sim.run_traced(&trace, &mut scheme, &mut monitor, &mut sink);
+            let spec = RunSpec::trace(&trace).telemetry(&mut sink);
+            let report = sim.execute(&mut scheme, &mut monitor, spec).unwrap().report();
             (report, sink.into_events())
         };
         let (r1, e1) = run();

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use ramsis_profiles::{ModelCatalog, ProfilerConfig, WorkerProfile};
 use ramsis_sim::{
     AutoscalePolicy, CheckpointPolicy, EngineSnapshot, FastestFixed, FaultPlan, MemoryRecorder,
-    ResiliencePolicy, Routing, Simulation, SimulationConfig,
+    ResiliencePolicy, Routing, RunSpec, Simulation, SimulationConfig,
 };
 use ramsis_telemetry::VecSink;
 use ramsis_workload::{LoadMonitor, Trace};
@@ -80,16 +80,15 @@ proptest! {
 
         let mut rec = MemoryRecorder::new();
         let mut full_sink = VecSink::new();
+        let spec = RunSpec::trace(&trace)
+            .faults(&plan)
+            .telemetry(&mut full_sink)
+            .recorder(&mut rec);
+        let mut scheme = FastestFixed::new(fastest, routing);
         let full = sim
-            .run_durable(
-                &trace,
-                &plan,
-                &mut FastestFixed::new(fastest, routing),
-                &mut LoadMonitor::new(),
-                &mut full_sink,
-                &mut rec,
-            )
+            .execute(&mut scheme, &mut LoadMonitor::new(), spec)
             .unwrap()
+            .completed()
             .expect("no stop requested");
         let full_json = serde_json::to_string(&full).unwrap();
         let full_events = full_sink.into_events();
@@ -108,16 +107,15 @@ proptest! {
         if !rec.snapshots.is_empty() {
             let snap = &rec.snapshots[kill_ix % rec.snapshots.len()];
             let mut sink = VecSink::new();
+            let spec = RunSpec::trace(&trace)
+                .faults(&plan)
+                .telemetry(&mut sink)
+                .resume(snap);
+            let mut scheme = FastestFixed::new(fastest, routing);
             let resumed = sim
-                .resume(
-                    &trace,
-                    &plan,
-                    &mut FastestFixed::new(fastest, routing),
-                    &mut LoadMonitor::new(),
-                    &mut sink,
-                    snap,
-                )
-                .unwrap();
+                .execute(&mut scheme, &mut LoadMonitor::new(), spec)
+                .unwrap()
+                .report();
             prop_assert_eq!(&serde_json::to_string(&resumed).unwrap(), &full_json);
             let suffix = &full_events[snap.meta.events_emitted as usize..];
             prop_assert_eq!(sink.into_events().as_slice(), suffix);
@@ -149,16 +147,18 @@ fn pinned_run_resumes_identically_from_every_checkpoint() {
 
     let mut rec = MemoryRecorder::new();
     let mut full_sink = VecSink::new();
+    let spec = RunSpec::trace(&trace)
+        .faults(&plan)
+        .telemetry(&mut full_sink)
+        .recorder(&mut rec);
     let full = sim
-        .run_durable(
-            &trace,
-            &plan,
+        .execute(
             &mut FastestFixed::new(fastest, Routing::PerWorkerShortestQueue),
             &mut LoadMonitor::new(),
-            &mut full_sink,
-            &mut rec,
+            spec,
         )
         .unwrap()
+        .completed()
         .expect("no stop requested");
     let full_json = serde_json::to_string(&full).unwrap();
     let full_events = full_sink.into_events();
@@ -170,16 +170,18 @@ fn pinned_run_resumes_identically_from_every_checkpoint() {
 
     for snap in &rec.snapshots {
         let mut sink = VecSink::new();
+        let spec = RunSpec::trace(&trace)
+            .faults(&plan)
+            .telemetry(&mut sink)
+            .resume(snap);
         let resumed = sim
-            .resume(
-                &trace,
-                &plan,
+            .execute(
                 &mut FastestFixed::new(fastest, Routing::PerWorkerShortestQueue),
                 &mut LoadMonitor::new(),
-                &mut sink,
-                snap,
+                spec,
             )
-            .unwrap();
+            .unwrap()
+            .report();
         assert_eq!(
             serde_json::to_string(&resumed).unwrap(),
             full_json,

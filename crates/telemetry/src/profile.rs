@@ -70,11 +70,15 @@ pub enum Phase {
     /// Decision-provenance recording: building a `DecisionRecord`
     /// (candidate enumeration included) and handing it to the sink.
     Decision,
+    /// An autoscaler controller tick or a warm-up completion.
+    Autoscale,
+    /// A health-probe tick (heartbeats and failure detection).
+    Health,
 }
 
 impl Phase {
     /// Number of phases (array sizing).
-    pub const COUNT: usize = 14;
+    pub const COUNT: usize = 16;
 
     /// All phases, in declaration order.
     pub const ALL: [Phase; Phase::COUNT] = [
@@ -92,6 +96,8 @@ impl Phase {
         Phase::Solve,
         Phase::Checkpoint,
         Phase::Decision,
+        Phase::Autoscale,
+        Phase::Health,
     ];
 
     /// Stable snake-case name (JSON key and flame-table label).
@@ -111,6 +117,8 @@ impl Phase {
             Phase::Solve => "solve",
             Phase::Checkpoint => "checkpoint",
             Phase::Decision => "decision",
+            Phase::Autoscale => "autoscale",
+            Phase::Health => "health",
         }
     }
 

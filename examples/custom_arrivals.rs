@@ -57,7 +57,11 @@ fn main() {
         // Bursty traffic (same mean rate, CV = 2 inter-arrivals).
         let mut scheme = RamsisScheme::new(set);
         let mut monitor = OracleMonitor::new(trace.clone());
-        let r_bursty = sim.run_arrivals(&bursty_arrivals, &mut scheme, &mut monitor);
+        let spec = RunSpec::arrivals(&bursty_arrivals);
+        let r_bursty = sim
+            .execute(&mut scheme, &mut monitor, spec)
+            .unwrap()
+            .report();
         println!(
             "{policy_label:<14} on Poisson traffic: acc {:.2}% viol {:.4}% | \
              on bursty traffic: acc {:.2}% viol {:.4}%",

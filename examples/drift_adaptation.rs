@@ -81,7 +81,10 @@ fn main() {
         )
         .expect("valid simulation config");
         let mut monitor = LoadMonitor::new();
-        let report = sim.run_arrivals(&arrivals, scheme, &mut monitor);
+        let report = sim
+            .execute(scheme, &mut monitor, RunSpec::arrivals(&arrivals))
+            .unwrap()
+            .report();
         println!(
             "{:>16}: miss-or-loss {:.2}%, violations {:.2}%, accuracy {:.2}%",
             scheme.name(),

@@ -58,9 +58,11 @@ fn main() {
         )
         .expect("valid simulation config");
         let mut monitor = LoadMonitor::new();
+        let spec = RunSpec::trace(&trace).faults(&plan);
         let report = sim
-            .run_faulted(&trace, &plan, scheme, &mut monitor)
-            .expect("canonical plan validates");
+            .execute(scheme, &mut monitor, spec)
+            .expect("canonical plan validates")
+            .report();
         println!(
             "{:>18}: miss-or-loss {:.2}%, violations inside fault windows \
              {:.2}% vs {:.2}% outside, worker downtime {:.1} s, \

@@ -53,6 +53,6 @@ pub mod prelude {
         generate_policy, Discretization, PoissonArrivals, PolicyConfig, PolicySet, WorkerPolicy,
     };
     pub use ramsis_profiles::{ModelCatalog, ProfilerConfig, WorkerProfile};
-    pub use ramsis_sim::{Simulation, SimulationConfig, SimulationReport};
+    pub use ramsis_sim::{RunOutcome, RunSpec, Simulation, SimulationConfig, SimulationReport};
     pub use ramsis_workload::{LoadMonitor, Trace, TraceKind};
 }

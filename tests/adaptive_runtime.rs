@@ -123,7 +123,11 @@ fn adaptive_stats_serialize_byte_identically_across_reruns() {
         let sim = Simulation::new(&profile, SimulationConfig::new(WORKERS, SLO_S).seeded(SEED))
             .expect("valid simulation config");
         let mut monitor = LoadMonitor::new();
-        reports.push(sim.run_arrivals(&arrivals, &mut scheme, &mut monitor));
+        reports.push(
+            sim.execute(&mut scheme, &mut monitor, RunSpec::arrivals(&arrivals))
+                .unwrap()
+                .report(),
+        );
     }
 
     let stats = reports[0].adaptive.as_ref().expect("adaptive stats");

@@ -16,7 +16,7 @@ use std::time::Duration;
 use ramsis_core::{DegradablePolicySet, Discretization, FallbackPolicy, PolicyConfig, PolicySet};
 use ramsis_profiles::{ModelCatalog, ProfilerConfig, WorkerProfile};
 use ramsis_sim::{
-    CrashPolicy, DegradingRamsis, FaultPlan, RamsisScheme, ServingScheme, Simulation,
+    CrashPolicy, DegradingRamsis, FaultPlan, RamsisScheme, RunSpec, ServingScheme, Simulation,
     SimulationConfig, SimulationReport,
 };
 use ramsis_workload::{LoadMonitor, Trace};
@@ -63,8 +63,10 @@ fn run(scheme: &mut dyn ServingScheme, policy: CrashPolicy) -> SimulationReport 
     )
     .expect("valid config");
     let mut monitor = LoadMonitor::new();
-    sim.run_faulted(&trace, &plan, scheme, &mut monitor)
+    let spec = RunSpec::trace(&trace).faults(&plan);
+    sim.execute(scheme, &mut monitor, spec)
         .expect("canonical plan validates")
+        .report()
 }
 
 fn degrading_scheme() -> DegradingRamsis {
@@ -173,9 +175,11 @@ fn fallback_keeps_serving_below_the_presolved_floor() {
     .expect("valid config");
     let mut scheme = degrading_scheme();
     let mut monitor = LoadMonitor::new();
+    let spec = RunSpec::trace(&trace).faults(&plan);
     let report = sim
-        .run_faulted(&trace, &plan, &mut scheme, &mut monitor)
-        .expect("plan validates");
+        .execute(&mut scheme, &mut monitor, spec)
+        .expect("plan validates")
+        .report();
     assert_eq!(report.served, report.total_arrivals);
     assert_eq!(report.dropped, 0);
     assert!(

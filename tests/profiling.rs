@@ -3,10 +3,20 @@
 //! the unprofiled engine, an enabled profiler observes without
 //! perturbing the run, and the span reconstructor's critical path
 //! conserves every completed query's measured response time exactly.
+//! Phase accounting is uniform: arrival sampling is set-up work in
+//! every run mode, and autoscale and health ticks get phases of their
+//! own.
 
 use ramsis::prelude::*;
-use ramsis::sim::{FastestFixed, FaultPlan, ResiliencePolicy, Routing};
-use ramsis::telemetry::{critical_path, reconstruct_spans, JsonlSink, Profiler};
+use ramsis::sim::{
+    AutoscalePolicy, CheckpointPolicy, FastestFixed, FaultPlan, HealthPolicy, MemoryRecorder,
+    ResiliencePolicy, Routing,
+};
+use ramsis::telemetry::{
+    critical_path, reconstruct_spans, JsonlSink, ProfileReport, Profiler, VecDecisionSink,
+};
+use ramsis::workload::sample_poisson_arrivals;
+use rand::SeedableRng;
 
 fn profile() -> &'static WorkerProfile {
     use std::sync::OnceLock;
@@ -42,8 +52,8 @@ fn resilience_fixture() -> (SimulationConfig, FaultPlan, Trace) {
     (config, plan, Trace::constant(80.0, 18.0))
 }
 
-/// One traced run; `prof: None` uses the unprofiled entry point, so the
-/// comparison spans two genuinely different code paths.
+/// One traced run; `prof: None` attaches no profiler at all, so the
+/// comparison covers the engine's own default as well.
 fn traced_run(prof: Option<&mut Profiler>) -> (SimulationReport, Vec<u8>) {
     let (config, plan, trace) = resilience_fixture();
     let sim = Simulation::new(profile(), config).expect("valid simulation config");
@@ -52,11 +62,24 @@ fn traced_run(prof: Option<&mut Profiler>) -> (SimulationReport, Vec<u8>) {
     let mut sink = JsonlSink::new(Vec::new());
     let report = match prof {
         None => sim
-            .run_faulted_traced(&trace, &plan, &mut scheme, &mut monitor, &mut sink)
-            .expect("plan validates"),
+            .execute(
+                &mut scheme,
+                &mut monitor,
+                RunSpec::trace(&trace).faults(&plan).telemetry(&mut sink),
+            )
+            .expect("plan validates")
+            .report(),
         Some(p) => sim
-            .run_faulted_traced_profiled(&trace, &plan, &mut scheme, &mut monitor, &mut sink, p)
-            .expect("plan validates"),
+            .execute(
+                &mut scheme,
+                &mut monitor,
+                RunSpec::trace(&trace)
+                    .faults(&plan)
+                    .telemetry(&mut sink)
+                    .profiler(p),
+            )
+            .expect("plan validates")
+            .report(),
     };
     (report, sink.finish().expect("in-memory sink flushes"))
 }
@@ -131,4 +154,89 @@ fn critical_path_conserves_measured_response_times() {
         cp.retried,
         cp.hedged
     );
+}
+
+/// Calls and total wall time of phase `name` (zeros when it never ran).
+fn phase(p: &ProfileReport, name: &str) -> (u64, u64) {
+    p.phases
+        .iter()
+        .find(|s| s.phase == name)
+        .map_or((0, 0), |s| (s.calls, s.total_ns))
+}
+
+/// Sampling the arrivals from a trace is set-up work whether the run is
+/// plain, durable, or recording decisions: each mode opens exactly one
+/// `setup` scope, and it is at least as long as a fraction of what the
+/// sampling alone costs (without it, set-up is a few allocations).
+#[test]
+fn arrival_sampling_is_setup_in_every_mode() {
+    let config = SimulationConfig::new(4, 0.15)
+        .seeded(99)
+        .with_checkpoints(CheckpointPolicy::every_events(u64::MAX / 2));
+    let sim = Simulation::new(profile(), config).expect("valid simulation config");
+    let trace = Trace::constant(300.0, 150.0);
+    let started = std::time::Instant::now();
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(config.arrival_seed);
+    let arrivals = sample_poisson_arrivals(&trace, &mut rng);
+    let sampling_ns = started.elapsed().as_nanos() as u64;
+    assert!(arrivals.len() > 40_000);
+
+    for mode in ["plain", "durable", "decisions"] {
+        let mut scheme = FastestFixed::new(profile().fastest_model(), Routing::Central);
+        let mut monitor = LoadMonitor::new();
+        let mut prof = Profiler::on();
+        let mut rec = MemoryRecorder::new();
+        let mut decisions = VecDecisionSink::new();
+        let spec = RunSpec::trace(&trace).profiler(&mut prof);
+        let spec = match mode {
+            "plain" => spec,
+            "durable" => spec.recorder(&mut rec),
+            _ => spec.decisions(&mut decisions),
+        };
+        let report = sim
+            .execute(&mut scheme, &mut monitor, spec)
+            .expect("valid run")
+            .report();
+        assert_eq!(report.total_arrivals, arrivals.len() as u64, "{mode}");
+        let (calls, setup_ns) = phase(&prof.report(), "setup");
+        assert_eq!(calls, 1, "{mode}: one set-up scope per run");
+        assert!(
+            setup_ns >= sampling_ns / 20,
+            "{mode}: set-up took {setup_ns} ns, sampling alone {sampling_ns} ns"
+        );
+    }
+}
+
+/// Autoscale ticks and warm-ups, health probes, and fault actions are
+/// charged to three separate phases.
+#[test]
+fn membership_machinery_has_phases_of_its_own() {
+    let mut autoscale = AutoscalePolicy::elastic(1, 5, 50.0);
+    autoscale.warmup_s = 0.5;
+    let config = SimulationConfig::new(2, 0.15)
+        .seeded(3)
+        .with_autoscale(autoscale)
+        .with_health(HealthPolicy::probing(0.05));
+    let sim = Simulation::new(profile(), config).expect("valid simulation config");
+    let trace = Trace::from_interval_qps(&[250.0, 20.0], 3.0, TraceKind::Custom);
+    let plan = FaultPlan::none().crash(1, 1.0).recover(1, 2.0);
+    let mut scheme = FastestFixed::new(profile().fastest_model(), Routing::PerWorkerRoundRobin);
+    let mut monitor = LoadMonitor::new();
+    let mut prof = Profiler::on();
+    let spec = RunSpec::trace(&trace).faults(&plan).profiler(&mut prof);
+    let report = sim
+        .execute(&mut scheme, &mut monitor, spec)
+        .expect("valid run")
+        .report();
+    let stats = report.autoscale.expect("autoscale is on");
+    assert!(stats.scale_ups > 0, "{stats:?}");
+    let p = prof.report();
+    assert_eq!(phase(&p, "fault").0, 2, "the crash and the recovery");
+    assert!(stats.ticks > 0);
+    assert!(
+        phase(&p, "autoscale").0 >= stats.ticks + stats.warmups_completed,
+        "{:?} vs {stats:?}",
+        phase(&p, "autoscale")
+    );
+    assert!(phase(&p, "health").0 >= 100, "{:?}", phase(&p, "health"));
 }

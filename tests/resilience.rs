@@ -31,9 +31,11 @@ fn traced_run(
     let mut scheme = FastestFixed::new(profile().fastest_model(), routing);
     let mut monitor = LoadMonitor::new();
     let mut sink = VecSink::new();
+    let spec = RunSpec::trace(&trace).faults(plan).telemetry(&mut sink);
     let report = sim
-        .run_faulted_traced(&trace, plan, &mut scheme, &mut monitor, &mut sink)
-        .expect("plan validates");
+        .execute(&mut scheme, &mut monitor, spec)
+        .expect("plan validates")
+        .report();
     (report, sink.into_events())
 }
 

@@ -36,7 +36,11 @@ fn traced_jf_run(seed: u64) -> (SimulationReport, Vec<Event>) {
     let mut scheme = JellyfishPlus::new(profile(), 8);
     let mut monitor = OracleMonitor::new(trace.clone());
     let mut sink = VecSink::new();
-    let report = sim.run_traced(&trace, &mut scheme, &mut monitor, &mut sink);
+    let spec = RunSpec::trace(&trace).telemetry(&mut sink);
+    let report = sim
+        .execute(&mut scheme, &mut monitor, spec)
+        .unwrap()
+        .report();
     (report, sink.into_events())
 }
 
@@ -56,7 +60,11 @@ fn traced_shedding_run() -> (SimulationReport, Vec<Event>) {
     let mut scheme = RamsisScheme::new(set);
     let mut monitor = OracleMonitor::new(trace.clone());
     let mut sink = VecSink::new();
-    let report = sim.run_traced(&trace, &mut scheme, &mut monitor, &mut sink);
+    let spec = RunSpec::trace(&trace).telemetry(&mut sink);
+    let report = sim
+        .execute(&mut scheme, &mut monitor, spec)
+        .unwrap()
+        .report();
     (report, sink.into_events())
 }
 
@@ -199,9 +207,11 @@ fn traced_resilient_run(seed: u64) -> (SimulationReport, Vec<Event>) {
     let mut scheme = FastestFixed::new(profile().fastest_model(), Routing::PerWorkerRoundRobin);
     let mut monitor = LoadMonitor::new();
     let mut sink = VecSink::new();
+    let spec = RunSpec::trace(&trace).faults(&plan).telemetry(&mut sink);
     let report = sim
-        .run_faulted_traced(&trace, &plan, &mut scheme, &mut monitor, &mut sink)
-        .expect("plan validates");
+        .execute(&mut scheme, &mut monitor, spec)
+        .expect("plan validates")
+        .report();
     (report, sink.into_events())
 }
 
@@ -296,7 +306,11 @@ fn empty_run_report_and_trace_are_empty() {
     let mut scheme = JellyfishPlus::new(profile(), 2);
     let mut monitor = LoadMonitor::new();
     let mut sink = VecSink::new();
-    let report = sim.run_arrivals_traced(&[], &mut scheme, &mut monitor, &mut sink);
+    let spec = RunSpec::arrivals(&[]).telemetry(&mut sink);
+    let report = sim
+        .execute(&mut scheme, &mut monitor, spec)
+        .unwrap()
+        .report();
     assert_eq!(report.served, 0);
     assert_eq!(report.mean_response_s, 0.0);
     assert_eq!(report.p50_response_s, 0.0);
@@ -334,9 +348,11 @@ fn traced_resilient_sampled(seed: u64, rate: f64) -> (SimulationReport, Vec<Even
     let mut monitor = LoadMonitor::new();
     let policy = SamplePolicy::new(rate, seed).expect("valid sampling rate");
     let mut sink = SamplingSink::new(VecSink::new(), policy);
+    let spec = RunSpec::trace(&trace).faults(&plan).telemetry(&mut sink);
     let report = sim
-        .run_faulted_traced(&trace, &plan, &mut scheme, &mut monitor, &mut sink)
-        .expect("plan validates");
+        .execute(&mut scheme, &mut monitor, spec)
+        .expect("plan validates")
+        .report();
     let withheld = sink.sampled_out_events();
     (report, sink.finish().into_events(), withheld)
 }
