@@ -15,8 +15,8 @@ use std::path::Path;
 use ramsis_baselines::{JellyfishPlus, ModelSwitching, ResponseLatencyTable};
 use ramsis_core::{PolicySet, WorkerPolicy};
 use ramsis_sim::{
-    CheckpointPolicy, EngineSnapshot, FaultPlan, FileRecorder, LatencyMode, RamsisScheme,
-    RunOutcome, RunSpec, ServingScheme, Simulation, SimulationConfig, SimulationReport,
+    CheckpointPolicy, EngineSnapshot, FaultPlan, FileRecorder, LatencyMode, RamsisScheme, RunSpec,
+    ServingScheme, Simulation, SimulationConfig, SimulationReport,
 };
 use ramsis_telemetry::{
     BinSink, DecisionSink, JsonlDecisionSink, JsonlSink, NullDecisionSink, NullSink, SamplePolicy,
@@ -183,31 +183,17 @@ pub fn run(args: &[String]) -> Result<(), String> {
                 .map_err(|e| e.to_string());
         };
         let mut recorder = FileRecorder::new(ckpt);
-        let outcome = match &snapshot {
-            Some(snap) => sim
-                .execute(
-                    scheme,
-                    estimator,
-                    RunSpec::trace(&trace)
-                        .faults(&plan)
-                        .telemetry(sink)
-                        .resume(snap)
-                        .recorder(&mut recorder),
-                )
-                .map(RunOutcome::completed),
-            None => sim
-                .execute(
-                    scheme,
-                    estimator,
-                    RunSpec::trace(&trace)
-                        .faults(&plan)
-                        .telemetry(sink)
-                        .recorder(&mut recorder),
-                )
-                .map(RunOutcome::completed),
+        let mut spec = RunSpec::trace(&trace)
+            .faults(&plan)
+            .telemetry(sink)
+            .recorder(&mut recorder);
+        if let Some(snap) = &snapshot {
+            spec = spec.resume(snap);
         }
-        .map_err(|e| e.to_string())?;
-        match outcome {
+        let outcome = sim
+            .execute(scheme, estimator, spec)
+            .map_err(|e| e.to_string())?;
+        match outcome.completed() {
             Some(report) => {
                 println!("checkpoints: {} written -> {ckpt}", recorder.written());
                 Ok(report)

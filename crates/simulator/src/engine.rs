@@ -1147,7 +1147,7 @@ static NO_FAULTS: FaultPlan = FaultPlan {
 
 /// Where a run's arrivals come from.
 #[derive(Debug, Clone, Copy)]
-pub enum Arrivals<'r> {
+enum Arrivals<'r> {
     /// Poisson arrivals sampled from the trace with the config's
     /// arrival seed; the fault plan's surges scale the trace first.
     Trace(&'r Trace),
@@ -1354,6 +1354,7 @@ impl<'a> EngineState<'a> {
         let config = sim.config;
         let tracer = Tracer::new(sink);
         scheme.set_audit(tracer.on);
+        let routing = scheme.routing();
         let n_workers = if config.autoscale.enabled {
             config.autoscale.max_workers.max(config.workers)
         } else {
@@ -1375,7 +1376,7 @@ impl<'a> EngineState<'a> {
             dec: DecisionTracer::new(None, None),
             prof,
             recorder: None,
-            routing: Routing::Central,
+            routing,
             slo: nanos_from_secs(config.slo_s),
             actions: expand_fault_actions(plan),
             has_batch_errors: plan
@@ -1401,7 +1402,6 @@ impl<'a> EngineState<'a> {
             arrivals_hash: 0,
             arrivals,
         };
-        state.routing = state.scheme.routing();
         for i in 0..state.actions.len() {
             state.schedule(state.actions[i].0, EventKind::Fault(i as u32));
         }

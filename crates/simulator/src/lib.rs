@@ -60,7 +60,7 @@ pub use checkpoint::{
     CheckpointPolicy, CheckpointRecorder, EngineSnapshot, FileRecorder, MemoryRecorder,
 };
 pub use counterfactual::{regret_study, RegretBucket, RegretEntry, RegretStudy, RegretStudyConfig};
-pub use engine::{Arrivals, ForcedDecision, RunOutcome, RunSpec, Simulation, SimulationConfig};
+pub use engine::{ForcedDecision, RunOutcome, RunSpec, Simulation, SimulationConfig};
 pub use faults::{CrashPolicy, FaultEvent, FaultPlan};
 pub use health::{BreakerState, HealthMonitor, HealthPolicy, HealthState, WorkerHealth};
 pub use latency::LatencyMode;
