@@ -1,10 +1,10 @@
 //! Experiment harness regenerating every table and figure of the paper.
 //!
-//! Each evaluation artifact has a dedicated binary (see DESIGN.md §3 for
-//! the full index):
+//! Each evaluation artifact has a dedicated binary (see DESIGN.md §3):
 //!
 //! | Binary | Paper artifact |
 //! |---|---|
+//! | `fig2_motivation` | Fig. 2 — the motivating two-model example |
 //! | `fig3_image_profiles` | Fig. 3 — image model profiles |
 //! | `fig9_text_profiles` | Fig. 9 — text model profiles |
 //! | `table1_features` | Table 1 — ISS feature comparison |
@@ -18,8 +18,19 @@
 //! | `fig12_fewer_models` | Fig. 12 (§E) — 3-model ablation |
 //! | `appendix_h_infaas` | §H — INFaaS-style comparison |
 //! | `appendix_i_sqf` | §I — shortest-queue-first balancing |
-//! | `robustness_faults` | fault injection + graceful degradation (EXPERIMENTS.md) |
-//! | `drift_adaptation` | arrival drift + policy hot-swap + shedding (EXPERIMENTS.md) |
+//!
+//! The rest go beyond the paper (EXPERIMENTS.md):
+//!
+//! | Binary | Experiment |
+//! |---|---|
+//! | `ablation_design` | design-choice ablations (greedy vs MDP and others) |
+//! | `timeline_production` | per-window accuracy over the production trace |
+//! | `robustness_faults` | fault injection + graceful degradation |
+//! | `drift_adaptation` | arrival drift + policy hot-swap + shedding |
+//! | `resilience_surge` | timeouts, retries, hedges and admission under a surge |
+//! | `elastic_frontier` | autoscaled vs fixed pools on a diurnal trace |
+//! | `detection_frontier` | probe cadence vs detection lag vs probe cost |
+//! | `perf_baseline` | profiled scenarios, the layer-overhead matrix and its gates (`BENCH_perf.json`) |
 //!
 //! Binaries default to *quick* parameter grids sized for a small
 //! machine; pass `--full` for the paper's grids. All output lands under
@@ -35,7 +46,6 @@ pub mod perf;
 pub mod report;
 pub mod resilience;
 pub mod robustness;
-pub mod telemetry_scale;
 
 pub use args::ExperimentArgs;
 pub use drift::{run_drift, DriftConfig, DriftOutcome};
@@ -52,7 +62,3 @@ pub use perf::{
 };
 pub use resilience::{run_resilience_surge, ResilienceSurgeConfig, ResilienceSurgeOutcome};
 pub use robustness::{run_robustness, RobustnessConfig, RobustnessOutcome};
-pub use telemetry_scale::{
-    run_telemetry_scale, BenchTelemetry, TelemetryScaleConfig, BIN_SPEEDUP_GATE, SAMPLED_NS_GATE,
-    SAMPLED_OVERHEAD_GATE,
-};

@@ -1,8 +1,8 @@
 //! Trace analysis: conservation accounting, event-derived aggregates,
 //! and per-window breakdowns.
 //!
-//! These run over a recorded [`Event`] stream (from a [`crate::VecSink`],
-//! a parsed JSONL log, or a ring tail) and reconstruct what the engine's
+//! These run over a recorded [`Event`] stream (from a [`crate::VecSink`]
+//! or a parsed JSONL or binary log) and reconstruct what the engine's
 //! own counters report — the integration tests pin that the two agree
 //! exactly, which is what makes the trace trustworthy for
 //! miss-attribution.

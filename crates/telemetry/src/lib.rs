@@ -11,8 +11,8 @@
 //!   solves, fallback engagements), all stamped with deterministic
 //!   simulation time — a seeded run replays to a byte-identical stream;
 //! - the [`TelemetrySink`] trait with a zero-cost [`NullSink`] default,
-//!   an unbounded [`VecSink`], a bounded [`RingSink`], and a
-//!   deterministic [`JsonlSink`] event log;
+//!   an unbounded [`VecSink`], and a deterministic [`JsonlSink`] event
+//!   log;
 //! - trace analysis: [`conservation`] accounting (every arrival ends in
 //!   exactly one terminal state), event-derived [`aggregates`] that
 //!   must match the engine's own counters, and a per-window
@@ -68,8 +68,8 @@ pub use profile::{
 };
 pub use sample::{query_weights, SamplePolicy, SamplingSink};
 pub use sink::{
-    parse_jsonl, parse_jsonl_tolerant, JsonlSink, NullSink, ParsedLog, RingSink, StreamHeader,
-    TelemetrySink, VecSink, JSONL_SCHEMA_VERSION, TELEMETRY_STREAM, UNKNOWN_SAMPLE_CAP,
+    parse_jsonl, parse_jsonl_tolerant, JsonlSink, NullSink, ParsedLog, StreamHeader, TelemetrySink,
+    VecSink, JSONL_SCHEMA_VERSION, TELEMETRY_STREAM, UNKNOWN_SAMPLE_CAP,
 };
 pub use spans::{
     critical_path, reconstruct_spans, reconstruct_spans_sampled, CriticalPathReport, QuerySpan,

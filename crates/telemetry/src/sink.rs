@@ -4,9 +4,9 @@
 //! [`TelemetrySink::enabled`] once per run; with the default
 //! [`NullSink`] every emission site is skipped entirely, so an
 //! untraced run pays nothing beyond one branch per site (the
-//! `telemetry_overhead` bench pins this contract).
+//! `null_sink` row of the `perf_baseline` layer matrix pins this
+//! contract).
 
-use std::collections::VecDeque;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -121,67 +121,6 @@ impl VecSink {
 impl TelemetrySink for VecSink {
     fn record(&mut self, event: &Event) {
         self.events.push(event.clone());
-    }
-}
-
-/// A bounded ring sink: keeps the most recent `capacity` events,
-/// counting everything it saw. Memory stays constant no matter how
-/// long the run is — the production default for always-on tracing.
-#[derive(Debug, Clone)]
-pub struct RingSink {
-    capacity: usize,
-    buf: VecDeque<Event>,
-    seen: u64,
-}
-
-impl RingSink {
-    /// Creates a ring holding at most `capacity` events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "ring capacity must be positive");
-        Self {
-            capacity,
-            buf: VecDeque::with_capacity(capacity),
-            seen: 0,
-        }
-    }
-
-    /// Total events recorded, including evicted ones.
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// Events currently retained, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &Event> {
-        self.buf.iter()
-    }
-
-    /// Number of retained events (`<= capacity`).
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing was recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Consumes the ring, returning the retained tail, oldest first.
-    pub fn into_events(self) -> Vec<Event> {
-        self.buf.into_iter().collect()
-    }
-}
-
-impl TelemetrySink for RingSink {
-    fn record(&mut self, event: &Event) {
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-        }
-        self.buf.push_back(event.clone());
-        self.seen += 1;
     }
 }
 
@@ -537,26 +476,6 @@ mod tests {
         let ats: Vec<u64> = s.events().iter().map(Event::at).collect();
         assert_eq!(ats, [0, 1, 2, 3, 4]);
         assert_eq!(s.into_events().len(), 5);
-    }
-
-    #[test]
-    fn ring_sink_bounds_memory_and_counts_everything() {
-        let mut s = RingSink::new(3);
-        assert!(s.is_empty());
-        for t in 0..10 {
-            s.record(&ev(t));
-        }
-        assert_eq!(s.seen(), 10);
-        assert_eq!(s.len(), 3);
-        let ats: Vec<u64> = s.events().map(Event::at).collect();
-        assert_eq!(ats, [7, 8, 9]);
-        assert_eq!(s.into_events().len(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn ring_rejects_zero_capacity() {
-        let _ = RingSink::new(0);
     }
 
     #[test]

@@ -39,9 +39,13 @@ autoscale_smoke() {
     cargo run -q -p ramsis-cli -- chaos --runs 10 --seed 88 --max-workers 6
 }
 stage "autoscale-smoke" autoscale_smoke
-# Perf-regression smoke: the pinned scenario matrix + solver stage under
-# the self-profiler. The run itself asserts profiling-off bit-identity;
-# --validate re-checks the written document's schema.
+# Perf-regression smoke, and every overhead gate in one process: the
+# pinned scenario matrix + solver stage under the self-profiler, then the
+# layer matrix (telemetry, decision and checkpoint layers each switched
+# on alone) and the in-memory sink replay. The run asserts profiling-off,
+# report, decision-count, snapshot and sampling identities and fails on
+# any failed gate (decision and checkpoint cost, binary vs JSONL sink
+# speed, 1%-sampling cost); --validate re-checks the written document.
 perf_smoke() {
     # No RETURN trap here: one set inside a function stays installed
     # globally and re-fires on the *caller's* return, where the local
@@ -56,22 +60,16 @@ stage "perf-smoke" perf_smoke
 # Durability smoke: 25 randomized chaos runs with the kill–resume
 # dimension on (each scenario also runs durably, is killed at a random
 # checkpoint, and must resume to a byte-identical report and telemetry
-# suffix), then the checkpoint-overhead gate in smoke mode (report
-# byte-identity across recorder tiers + the capture-cost ceiling).
+# suffix). The checkpoint-cost gate runs in perf-smoke.
 durability_smoke() {
-    local out
-    out="$(mktemp -d)"
     cargo run -q -p ramsis-cli -- chaos --runs 25 --seed 11 --kill-resume
-    cargo run --release -q -p ramsis-bench --bin checkpoint_overhead -- --smoke --out "${out}"
-    rm -rf "${out}"
 }
 stage "durability-smoke" durability_smoke
 # Decision-provenance smoke: record a run's decision log, explain its
 # violations (text + JSON), quantify exact regret by counterfactual
-# replay (baseline replays asserted byte-identical inside the run),
-# demand a loud failure on a missing log, then the decision-overhead
-# gate in smoke mode (report byte-identity + off-by-default and
-# per-record cost ceilings).
+# replay (baseline replays asserted byte-identical inside the run), and
+# demand a loud failure on a missing log. The decision-cost gates run in
+# perf-smoke.
 why_smoke() {
     local out
     out="$(mktemp -d)"
@@ -94,7 +92,6 @@ why_smoke() {
         echo "why accepted a missing decision log" >&2
         return 1
     fi
-    cargo run --release -q -p ramsis-bench --bin decision_overhead -- --smoke --out "${out}"
     rm -rf "${out}"
 }
 stage "why-smoke" why_smoke
@@ -113,18 +110,13 @@ health_smoke() {
     rm -rf "${out}"
 }
 stage "health-smoke" health_smoke
-# Telemetry-at-scale smoke: the sink scalability gates in smoke mode
-# (binary ≥ 3x JSONL events/sec, 1%-sampling overhead and per-event
-# ceilings, report + sampling-off identity), --validate re-checks the
-# written document, then an end-to-end encoding round-trip through the
-# CLI: record a binary sampled trace, convert binary → JSONL → binary,
-# and demand the final bytes equal the original recording.
+# Telemetry-at-scale smoke: an end-to-end encoding round-trip through
+# the CLI: record a binary sampled trace, convert binary → JSONL →
+# binary, and demand the final bytes equal the original recording. The
+# sink speed and sampling-cost gates run in perf-smoke.
 telemetry_smoke() {
     local out
     out="$(mktemp -d)"
-    cargo run --release -q -p ramsis-bench --bin telemetry_scale -- --smoke --out "${out}"
-    cargo run --release -q -p ramsis-bench --bin telemetry_scale -- \
-        --validate "${out}/BENCH_telemetry.json"
     cargo run --release -q -p ramsis-cli -- sim --m JF --trace constant --load 100 \
         --duration 8 --task image --SLO 150 --worker 2 --out "${out}" \
         --telemetry "${out}/t.bin" --telemetry-sample 0.1
