@@ -24,7 +24,7 @@
 //!   lands on all rows alike.
 //! - **Sink replay.** The warm-up run's event stream fed through the
 //!   JSONL, binary and 1%-sampled binary sinks in memory: codec cost
-//!   with the engine left out.
+//!   with the engine left out, and what a 1% sample saves in bytes.
 //!
 //! Every overhead contract is a [`Gate`] on those rows, and
 //! [`BenchPerf::validate`] fails a document with any failed gate.
@@ -112,6 +112,11 @@ const BIN_SPEEDUP: f64 = 3.0;
 const SAMPLED_SERVING_SHARE: f64 = 0.01;
 /// The same extra min wall per offered event, nanoseconds.
 const SAMPLED_NS_PER_EVENT: (f64, f64) = (400.0, 800.0);
+/// Bytes of the `sampled_binary` replay over the `binary_mem` replay's:
+/// a 1% sample must cost about 1% of the stream.
+const SAMPLED_BYTES_SHARE: f64 = 0.03;
+/// The gate every document must carry, whatever its size.
+const BYTES_GATE: &str = "sampled_bytes_share";
 
 const VEC_WRITE: &str = "writes to a Vec never fail";
 
@@ -346,9 +351,10 @@ pub struct BenchPerf {
 impl BenchPerf {
     /// The check behind the binary's `--validate` mode and the run
     /// itself: pinned row orders, every field the trajectory tooling
-    /// keys on, every recorded identity, and at least one gate, every
-    /// one of them passed. (Type mismatches are already rejected by
-    /// deserialization into this struct.)
+    /// keys on, every recorded identity, and the gates, the sampled
+    /// bytes gate among them, every one of them passed. (Type
+    /// mismatches are already rejected by deserialization into this
+    /// struct.)
     ///
     /// # Errors
     ///
@@ -357,6 +363,9 @@ impl BenchPerf {
         self.validate_shape()?;
         if self.gates.is_empty() {
             return Err("no gates evaluated".into());
+        }
+        if !self.gates.iter().any(|g| g.name == BYTES_GATE) {
+            return Err(format!("gate {BYTES_GATE} missing"));
         }
         match self.gates.iter().find(|g| !g.passed) {
             Some(g) => Err(format!(
@@ -614,7 +623,7 @@ enum Tap {
     Null(NullSink),
     Jsonl(JsonlSink<Vec<u8>>),
     Bin(BinSink<Vec<u8>>),
-    Sampled(SamplingSink<BinSink<Vec<u8>>>),
+    Sampled(Box<SamplingSink<BinSink<Vec<u8>>>>),
     DecisionsOff(NullDecisionSink),
     DecisionsMem(VecDecisionSink),
     DecisionsFile(JsonlDecisionSink<BufWriter<File>>, PathBuf),
@@ -629,7 +638,10 @@ impl Tap {
             "null_sink" => Tap::Null(NullSink),
             "jsonl_mem" => Tap::Jsonl(JsonlSink::new(Vec::new())),
             "binary_mem" => Tap::Bin(BinSink::new(Vec::new())),
-            "sampled_binary" => Tap::Sampled(SamplingSink::new(BinSink::new(Vec::new()), policy)),
+            "sampled_binary" => Tap::Sampled(Box::new(SamplingSink::new(
+                BinSink::new(Vec::new()),
+                policy,
+            ))),
             "decisions_off" => Tap::DecisionsOff(NullDecisionSink),
             "decisions_mem" => Tap::DecisionsMem(VecDecisionSink::new()),
             "decisions_jsonl" => {
@@ -663,7 +675,7 @@ impl Tap {
             Tap::Null(s) => spec.telemetry(s),
             Tap::Jsonl(s) => spec.telemetry(s),
             Tap::Bin(s) => spec.telemetry(s),
-            Tap::Sampled(s) => spec.telemetry(s),
+            Tap::Sampled(s) => spec.telemetry(s.as_mut()),
             Tap::DecisionsOff(s) => spec.decisions(s),
             Tap::DecisionsMem(s) => spec.decisions(s),
             Tap::DecisionsFile(s, _) => spec.decisions(s),
@@ -677,7 +689,7 @@ impl Tap {
         match self {
             Tap::Jsonl(s) => s,
             Tap::Bin(s) => s,
-            Tap::Sampled(s) => s,
+            Tap::Sampled(s) => s.as_mut(),
             _ => unreachable!("not a sink tier"),
         }
     }
@@ -691,7 +703,7 @@ impl Tap {
             Tap::Jsonl(s) => (s.lines(), Some(s.finish().expect(VEC_WRITE).len() as u64)),
             Tap::Bin(s) => (s.records(), Some(s.finish().expect(VEC_WRITE).len() as u64)),
             Tap::Sampled(s) => {
-                let inner = s.finish();
+                let inner = (*s).finish();
                 let kept = inner.records();
                 (kept, Some(inner.finish().expect(VEC_WRITE).len() as u64))
             }
@@ -1003,6 +1015,11 @@ fn evaluate_gates(layers: &LayerMatrix, sinks: &SinkReplay, smoke: bool) -> Vec<
         1e9 * extra_s / sinks.stream_events as f64,
         limit(SAMPLED_NS_PER_EVENT),
     ));
+    gates.push(Gate::at_most(
+        BYTES_GATE,
+        sinks.tier("sampled_binary").bytes as f64 / sinks.tier("binary_mem").bytes as f64,
+        SAMPLED_BYTES_SHARE,
+    ));
     gates
 }
 
@@ -1079,7 +1096,7 @@ mod tests {
         bench.validate_shape().expect("micro document validates");
         let names: Vec<&str> = bench.gates.iter().map(|g| g.name.as_str()).collect();
         assert!(!names.contains(&"null_sink_wall_ratio"), "full-size gate");
-        assert_eq!(names.len(), 7, "every smoke gate is evaluated: {names:?}");
+        assert_eq!(names.len(), 8, "every smoke gate is evaluated: {names:?}");
         // Round-trips through JSON without loss.
         let json = serde_json::to_string(bench).expect("serializes");
         let back: BenchPerf = serde_json::from_str(&json).expect("parses");
@@ -1106,7 +1123,7 @@ mod tests {
             g.passed = true;
         }
         good.validate().expect("all gates passed");
-        let broken: [Breakage; 9] = [
+        let broken: [Breakage; 10] = [
             ("wrong version", |b| b.schema_version += 1),
             ("reordered scenarios", |b| b.scenarios.swap(0, 1)),
             ("reordered layers", |b| b.layers.rows.swap(0, 1)),
@@ -1122,6 +1139,9 @@ mod tests {
                 b.sinks.rate_one_identical = false;
             }),
             ("failed gate", |b| b.gates[0].passed = false),
+            ("missing bytes gate", |b| {
+                b.gates.retain(|g| g.name != BYTES_GATE);
+            }),
         ];
         for (what, break_it) in broken {
             let mut doc = good.clone();

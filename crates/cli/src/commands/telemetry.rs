@@ -6,7 +6,9 @@
 //! magic), verifies the per-query conservation invariant, reconstructs
 //! run aggregates from lifecycle events, and prints a per-window
 //! breakdown of arrivals, dispatches, misses, sheds, and audit
-//! activity — the miss-attribution view. Sampled streams additionally
+//! activity — the miss-attribution view. A per-kind table gives the
+//! events of each kind in the file and, for a sampled stream, `≈` the
+//! weighted estimate of the full stream's count; sampled streams also
 //! print which counters are exact and which are weighted estimates.
 //!
 //! ```text
@@ -21,8 +23,8 @@
 
 use ramsis_bench::render_table;
 use ramsis_telemetry::{
-    aggregates, conservation, is_binary_stream, parse_tolerant, sampled_aggregates,
-    window_breakdown, write_bin, write_jsonl, Conservation, ParsedLog, WindowStats,
+    aggregates, conservation, is_binary_stream, kind_counts, parse_tolerant, sampled_aggregates,
+    window_breakdown, write_bin, write_jsonl, Conservation, KindCount, ParsedLog, WindowStats,
 };
 use serde::Serialize;
 
@@ -81,6 +83,16 @@ struct TraceSummary {
     est_mean_response_s: Option<f64>,
     /// One standard error on the estimated boring-query count.
     est_std_error: Option<f64>,
+    /// Estimated full-stream dispatches (batch-weighted) and one
+    /// standard error.
+    est_dispatches: Option<f64>,
+    est_dispatches_std_error: Option<f64>,
+    /// Estimated full-stream policy decisions and one standard error.
+    est_decisions: Option<f64>,
+    est_decisions_std_error: Option<f64>,
+    /// Events per kind in the file, with the full stream's estimated
+    /// count (equal to the kept count on an unsampled trace).
+    kinds: Vec<KindCount>,
     conservation: Conservation,
     arrivals: u64,
     served: u64,
@@ -150,13 +162,7 @@ pub fn run(args: &[String]) -> Result<i32, String> {
     let events = parsed.events;
 
     let cons = conservation(&events);
-    let agg = aggregates(&events);
-    let samp = sample_rate.map(|r| sampled_aggregates(&events, r));
-    let window_ns = (window_ms * 1e6).round() as u64;
-    let windows = window_breakdown(&events, window_ns.max(1));
-    let pctl = |p: f64| agg.response.percentile(p).map_or(0.0, |ns| ns as f64 / 1e9);
     let exit_code = if cons.holds() { 0 } else { 1 };
-
     if quiet {
         // Violations only: a clean trace prints nothing, so CI logs
         // stay silent unless something is actually wrong.
@@ -175,6 +181,15 @@ pub fn run(args: &[String]) -> Result<i32, String> {
         return Ok(exit_code);
     }
 
+    let agg = aggregates(&events);
+    let samp = sample_rate.map(|r| sampled_aggregates(&events, r));
+    let kinds = samp
+        .as_ref()
+        .map_or_else(|| kind_counts(&events), |s| s.kinds.clone());
+    let window_ns = (window_ms * 1e6).round() as u64;
+    let windows = window_breakdown(&events, window_ns.max(1));
+    let pctl = |p: f64| agg.response.percentile(p).map_or(0.0, |ns| ns as f64 / 1e9);
+
     if json {
         let summary = TraceSummary {
             events: events.len() as u64,
@@ -190,6 +205,11 @@ pub fn run(args: &[String]) -> Result<i32, String> {
             est_served: samp.as_ref().map(|s| s.est_served),
             est_mean_response_s: samp.as_ref().map(|s| s.est_mean_response_s()),
             est_std_error: samp.as_ref().map(|s| s.est_std_error),
+            est_dispatches: samp.as_ref().map(|s| s.est_dispatches),
+            est_dispatches_std_error: samp.as_ref().map(|s| s.est_dispatches_std_error),
+            est_decisions: samp.as_ref().map(|s| s.est_decisions),
+            est_decisions_std_error: samp.as_ref().map(|s| s.est_decisions_std_error),
+            kinds,
             conservation: cons,
             arrivals: agg.arrivals,
             served: agg.served,
@@ -281,10 +301,61 @@ pub fn run(args: &[String]) -> Result<i32, String> {
         pctl(99.0) * 1e3
     );
 
+    // Per-kind table: what the file holds and, when sampled, what the
+    // full stream held.
+    let sampled = samp.as_ref().is_some_and(|s| !s.is_exact());
+    println!(
+        "\nevents by kind ({}):",
+        if sampled {
+            "kept, and the full stream's estimated count"
+        } else {
+            "complete stream, counts exact"
+        }
+    );
+    let total = |f: fn(&KindCount) -> f64| kinds.iter().map(f).sum::<f64>();
+    let (kept_total, est_total) = (total(|k| k.kept as f64), total(|k| k.est));
+    let share = |kept: f64, est: f64| {
+        if est > 0.0 {
+            format!("{:.2}%", 100.0 * kept / est)
+        } else {
+            "-".to_string()
+        }
+    };
+    let mut rows: Vec<Vec<String>> = kinds
+        .iter()
+        .map(|k| {
+            vec![
+                k.kind.clone(),
+                k.kept.to_string(),
+                format!("{:.0}", k.est),
+                format!("{:.1}", k.std_error),
+                share(k.kept as f64, k.est),
+            ]
+        })
+        .collect();
+    rows.push(vec![
+        "total".into(),
+        format!("{kept_total:.0}"),
+        format!("{est_total:.0}"),
+        String::new(),
+        share(kept_total, est_total),
+    ]);
+    println!(
+        "{}",
+        render_table(&["kind", "kept", "≈ full", "± 1σ", "kept share"], &rows)
+    );
+
     // Per-window miss-attribution table. Long traces print the first
     // windows only; --json carries the full breakdown.
     const MAX_ROWS: usize = 40;
-    println!("\nper-window breakdown ({window_ms:.0} ms windows):");
+    println!(
+        "\nper-window breakdown ({window_ms:.0} ms windows{}):",
+        if sampled {
+            ", counts of the kept substream"
+        } else {
+            ""
+        }
+    );
     let table: Vec<Vec<String>> = windows
         .iter()
         .take(MAX_ROWS)
@@ -329,7 +400,10 @@ pub fn run(args: &[String]) -> Result<i32, String> {
     let (swaps, solves, fallbacks) = windows.iter().fold((0, 0, 0), |(a, b, c), w| {
         (a + w.swaps, b + w.lazy_solves, c + w.fallbacks)
     });
-    println!("decisions: {serve} serve, {drop} drop, {idle} idle");
+    println!(
+        "decisions{}: {serve} serve, {drop} drop, {idle} idle",
+        if sampled { " kept" } else { "" }
+    );
     if swaps + solves + fallbacks > 0 {
         println!("adaptation: {swaps} regime swaps, {solves} lazy solves, {fallbacks} fallback decisions");
     }

@@ -461,8 +461,9 @@ impl ChaosConfig {
         // through a query-coherent sampling sink at a seeded random
         // rate and hold it to the exactness contract — bit-identical
         // report, exact-subsequence stream, every interesting query
-        // fully retained, per-query conservation intact, and rate 1.0
-        // indistinguishable from sampling off.
+        // fully retained, per-query conservation intact, rate 1.0
+        // indistinguishable from sampling off, and batch events kept
+        // with their members.
         {
             let rate = match rng.gen_range(0..4u32) {
                 0 => 1.0,
@@ -490,11 +491,14 @@ impl ChaosConfig {
             }
             // Exact subsequence: same events, same order, nothing
             // reordered or invented; the withheld counter accounts for
-            // every removed event.
-            let mut rest = e1.as_slice();
+            // every removed event. `kept[i]` marks the full-stream
+            // events the sampled stream keeps.
+            let mut kept = vec![false; e1.len()];
+            let mut next = 0;
             let subsequence = sampled.iter().all(|s| {
-                rest.iter().position(|f| f == s).is_some_and(|i| {
-                    rest = &rest[i + 1..];
+                e1[next..].iter().position(|f| f == s).is_some_and(|i| {
+                    kept[next + i] = true;
+                    next += i + 1;
                     true
                 })
             });
@@ -563,6 +567,11 @@ impl ChaosConfig {
                     "sampling:conservation",
                     format!("conservation broken on the sampled stream at rate {rate}"),
                 );
+            }
+            if subsequence {
+                if let Err(detail) = batch_coherence(&e1, &kept) {
+                    fail("sampling:batch-coherence", format!("rate {rate}: {detail}"));
+                }
             }
         }
 
@@ -874,6 +883,106 @@ fn mechanisms_label(p: &ResiliencePolicy, autoscaled: bool, detected: bool) -> S
         s.push('-');
     }
     s
+}
+
+/// One batch of the full stream, for [`batch_coherence`].
+struct BatchSeen {
+    /// Stream index of its `Dispatch`.
+    dispatch: usize,
+    members: u32,
+    /// Member ends seen on its worker (or its hedge side).
+    ended: u32,
+    kept_member: bool,
+    /// Hedged, crash-displaced or still in flight: kept with no member
+    /// needed.
+    excused: bool,
+}
+
+/// The batch half of sampling coherence, on the full stream `full` and
+/// its kept flags: every kept `Complete`/`Timeout` has its batch's
+/// `Dispatch` kept, and every kept `Dispatch` has a kept member or was
+/// hedged, crash-displaced or in flight. A completion or timeout on a
+/// worker belongs to the worker's latest dispatch, or to the primary's
+/// after a hedge issued to it.
+fn batch_coherence(full: &[Event], kept: &[bool]) -> Result<(), String> {
+    type Current = std::collections::BTreeMap<u32, usize>;
+    /// Points `worker` at batch `b`. A worker that moves on before all
+    /// its batch's members ended there had that batch displaced.
+    fn switch_to(current: &mut Current, batches: &mut [BatchSeen], worker: u32, b: usize) {
+        if let Some(old) = current.insert(worker, b) {
+            let old = &mut batches[old];
+            old.excused |= old.ended < old.members;
+        }
+    }
+    let mut batches: Vec<BatchSeen> = Vec::new();
+    // Worker -> index of the batch its member ends belong to.
+    let mut current = Current::new();
+    for (i, event) in full.iter().enumerate() {
+        match *event {
+            Event::Dispatch { worker, batch, .. } => {
+                let b = batches.len();
+                batches.push(BatchSeen {
+                    dispatch: i,
+                    members: batch,
+                    ended: 0,
+                    kept_member: false,
+                    excused: false,
+                });
+                switch_to(&mut current, &mut batches, worker, b);
+            }
+            Event::HedgeIssued { primary, hedge, .. } => {
+                if let Some(&b) = current.get(&primary) {
+                    batches[b].excused = true;
+                    switch_to(&mut current, &mut batches, hedge, b);
+                }
+            }
+            Event::Complete { worker, .. } | Event::Timeout { worker, .. } => {
+                let Some(&b) = current.get(&worker) else {
+                    continue;
+                };
+                let batch = &mut batches[b];
+                batch.ended += 1;
+                if kept[i] {
+                    if !kept[batch.dispatch] {
+                        return Err(format!(
+                            "kept {event:?} lost its batch's dispatch (event {})",
+                            batch.dispatch
+                        ));
+                    }
+                    batch.kept_member = true;
+                }
+            }
+            // A crash loss does not name its worker: every batch still
+            // waiting on members may be the one it displaced.
+            Event::Drop { .. } => {
+                for &b in current.values() {
+                    let batch = &mut batches[b];
+                    batch.excused |= batch.ended < batch.members;
+                }
+            }
+            Event::CrashRequeue { from, .. } => {
+                if let Some(&b) = current.get(&from) {
+                    let batch = &mut batches[b];
+                    if batch.ended < batch.members {
+                        batch.ended += 1;
+                        batch.excused = true;
+                        batch.kept_member |= kept[i];
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+    match batches.iter().find(|b| {
+        let in_flight = b.ended < b.members;
+        kept[b.dispatch] && !b.kept_member && !b.excused && !in_flight
+    }) {
+        Some(b) => Err(format!(
+            "kept {:?} (event {}) has no kept member and was neither hedged, displaced nor in flight",
+            full[b.dispatch], b.dispatch
+        )),
+        None => Ok(()),
+    }
 }
 
 /// Runs the invariant battery over one run's two executions.
@@ -1645,10 +1754,48 @@ mod tests {
         // ≥50 randomized scenarios, each re-run through the
         // query-coherent sampling sink at a seeded rate drawn from
         // {1.0, 0.5, 0.1, 0.01}: report identity, exact-subsequence,
-        // query coherence, and conservation all hold.
+        // query coherence, conservation, and batch coherence all hold.
         let report = tiny(0x5A_4D71, 50).run_sweep().unwrap();
         assert_eq!(report.runs.len(), 50);
         report.expect_pass();
+    }
+
+    #[test]
+    fn batch_coherence_rejects_orphaned_batch_events() {
+        let dispatch = |at, worker| Event::Dispatch {
+            at,
+            worker,
+            model: 0,
+            batch: 1,
+            depth: 1,
+        };
+        let complete = |at, query, worker| Event::Complete {
+            at,
+            query,
+            worker,
+            model: 0,
+            response_ns: 5,
+            violated: false,
+        };
+        let full = [
+            dispatch(1, 0),
+            complete(6, 0, 0),
+            dispatch(7, 0),
+            complete(9, 1, 0),
+        ];
+        // Both batches and their members kept, or both dropped: fine.
+        assert!(batch_coherence(&full, &[true; 4]).is_ok());
+        assert!(batch_coherence(&full, &[false; 4]).is_ok());
+        // A kept completion whose dispatch was dropped.
+        let err = batch_coherence(&full, &[false, true, false, false]).unwrap_err();
+        assert!(err.contains("lost its batch's dispatch"), "{err}");
+        // A kept dispatch whose only member was dropped, neither
+        // hedged, displaced nor in flight.
+        let err = batch_coherence(&full, &[true, false, false, false]).unwrap_err();
+        assert!(err.contains("no kept member"), "{err}");
+        // The same dispatch with its member never ending (in flight) is
+        // fine.
+        assert!(batch_coherence(&full[..1], &[true]).is_ok());
     }
 
     #[test]

@@ -13,7 +13,7 @@ use ramsis_stats::LogHistogram;
 use serde::{Deserialize, Serialize};
 
 use crate::event::{Action, Event, Nanos};
-use crate::sample::query_weights;
+use crate::sample::{batch_weights, query_weights};
 
 /// Per-query conservation accounting over a trace: every arrival must
 /// end in exactly one terminal state (complete, shed, dropped) or still
@@ -191,17 +191,76 @@ pub fn aggregates(events: &[Event]) -> EventAggregates {
     a
 }
 
+/// The rows of the per-kind event table, in print order: the four
+/// kinds sampling thins, then everything else.
+pub const EVENT_KINDS: [&str; 6] = [
+    "arrival",
+    "enqueue",
+    "dispatch",
+    "complete",
+    "policy_decision",
+    "other",
+];
+
+/// The [`EVENT_KINDS`] row an event counts in.
+fn kind_row(event: &Event) -> usize {
+    match event {
+        Event::Arrival { .. } => 0,
+        Event::Enqueue { .. } => 1,
+        Event::Dispatch { .. } => 2,
+        Event::Complete { .. } => 3,
+        Event::PolicyDecision { .. } => 4,
+        _ => 5,
+    }
+}
+
+/// One row of the per-kind event table.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct KindCount {
+    /// One of [`EVENT_KINDS`].
+    pub kind: String,
+    /// Events of this kind in the stream.
+    pub kept: u64,
+    /// Estimated events of this kind in the full stream (equal to
+    /// `kept` when the stream is complete).
+    pub est: f64,
+    /// Standard error of `est` (zero when it is exact).
+    pub std_error: f64,
+}
+
+/// Per-kind event counts of a complete stream: every estimate is the
+/// count itself.
+pub fn kind_counts(events: &[Event]) -> Vec<KindCount> {
+    let mut kept = [0u64; 6];
+    for e in events {
+        kept[kind_row(e)] += 1;
+    }
+    kind_table(kept, kept.map(|n| n as f64), [0.0; 6])
+}
+
+fn kind_table(kept: [u64; 6], est: [f64; 6], std_error: [f64; 6]) -> Vec<KindCount> {
+    (0..EVENT_KINDS.len())
+        .map(|k| KindCount {
+            kind: EVENT_KINDS[k].to_owned(),
+            kept: kept[k],
+            est: est[k],
+            std_error: std_error[k],
+        })
+        .collect()
+}
+
 /// Aggregates over a query-coherently sampled stream, split into what
 /// is exact and what is a Horvitz-Thompson estimate (DESIGN.md §15).
 ///
 /// Query-coherent sampling only ever removes boring on-time
-/// completions, so everything rare — violations, sheds, drops,
-/// admission rejections, crash requeues, timeouts, retries, hedges —
-/// is present in full and reported *exactly*. The removed population
-/// is reconstructed by weighting each hash-kept boring query by
-/// `1/rate`; those estimates carry an explicit standard error so
-/// tooling can print `≈ N ± σ` instead of passing an estimate off as a
-/// count.
+/// completions and the batches made only of them, so everything rare —
+/// violations, sheds, drops, admission rejections, crash requeues,
+/// timeouts, retries, hedges — is present in full and reported
+/// *exactly*. The removed population is reconstructed by weighting
+/// each hash-kept boring query by `1/rate` and each kept batch by its
+/// [`batch_weights`] entry; those estimates carry an explicit standard
+/// error so tooling can print `≈ N ± σ` instead of passing an estimate
+/// off as a count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SampledAggregates {
     /// Exact aggregates of the kept substream (what [`aggregates`]
@@ -228,6 +287,21 @@ pub struct SampledAggregates {
     /// `sqrt(boring · (1 − rate)) / rate`. Zero when the stream is
     /// complete.
     pub est_std_error: f64,
+    /// Estimated full-stream dispatches: each kept dispatch weighs its
+    /// batch weight.
+    pub est_dispatches: f64,
+    /// Standard error of [`Self::est_dispatches`]:
+    /// `sqrt(Σ w · (w − 1))` over kept dispatches.
+    pub est_dispatches_std_error: f64,
+    /// Estimated full-stream policy decisions: a `Serve` decision
+    /// weighs its dispatch's batch weight, `Idle` and `Drop` decisions
+    /// (always kept) weigh 1.
+    pub est_decisions: f64,
+    /// Standard error of [`Self::est_decisions`].
+    pub est_decisions_std_error: f64,
+    /// Kept and estimated full-stream counts per event kind, one row
+    /// per [`EVENT_KINDS`] entry.
+    pub kinds: Vec<KindCount>,
 }
 
 impl SampledAggregates {
@@ -252,42 +326,68 @@ impl SampledAggregates {
 /// 1 and the estimates coincide with the exact counts).
 pub fn sampled_aggregates(events: &[Event], sample_rate: f64) -> SampledAggregates {
     let weights = query_weights(events, sample_rate);
-    let mut s = SampledAggregates {
-        kept: aggregates(events),
-        sample_rate,
-        interesting_queries: 0,
-        boring_queries: 0,
-        est_arrivals: 0.0,
-        est_served: 0.0,
-        est_response_sum_ns: 0.0,
-        est_std_error: 0.0,
-    };
-    for &w in weights.values() {
-        if w == 1.0 {
-            s.interesting_queries += 1;
-        } else {
-            s.boring_queries += 1;
-        }
-    }
-    for e in events {
-        match *e {
-            Event::Arrival { query, .. } => {
-                s.est_arrivals += weights.get(&query).copied().unwrap_or(1.0);
-            }
+    let batches = batch_weights(events, &weights, sample_rate);
+    let boring_queries = weights.values().filter(|&&w| w != 1.0).count() as u64;
+    let query_weight = |q: u64| weights.get(&q).copied().unwrap_or(1.0);
+    // Per kind: events kept, their weight sum, and the sum of
+    // w·(w − 1) — the Horvitz-Thompson variance estimate.
+    let mut kept = [0u64; 6];
+    let mut est = [0.0f64; 6];
+    let mut var = [0.0f64; 6];
+    let mut est_response_sum_ns = 0.0;
+    // Index of the next dispatch's batch weight.
+    let mut next_batch = 0;
+    for (i, e) in events.iter().enumerate() {
+        let w = match *e {
+            Event::Arrival { query, .. } | Event::Enqueue { query, .. } => query_weight(query),
             Event::Complete {
                 query, response_ns, ..
             } => {
-                let w = weights.get(&query).copied().unwrap_or(1.0);
-                s.est_served += w;
-                s.est_response_sum_ns += w * response_ns as f64;
+                let w = query_weight(query);
+                est_response_sum_ns += w * response_ns as f64;
+                w
             }
-            _ => {}
-        }
+            Event::Dispatch { .. } => {
+                next_batch += 1;
+                batches[next_batch - 1]
+            }
+            // A `Serve` decision shares its dispatch's fate: the
+            // dispatch right after it on the same worker.
+            Event::PolicyDecision {
+                worker,
+                action: Action::Serve { .. },
+                ..
+            } => match events.get(i + 1) {
+                Some(&Event::Dispatch { worker: d, .. }) if d == worker => batches[next_batch],
+                _ => 1.0,
+            },
+            _ => 1.0,
+        };
+        let k = kind_row(e);
+        kept[k] += 1;
+        est[k] += w;
+        var[k] += w * (w - 1.0);
     }
-    if sample_rate < 1.0 {
-        s.est_std_error = (s.boring_queries as f64 * (1.0 - sample_rate)).sqrt() / sample_rate;
+    let std_error = var.map(f64::sqrt);
+    SampledAggregates {
+        kept: aggregates(events),
+        sample_rate,
+        interesting_queries: weights.len() as u64 - boring_queries,
+        boring_queries,
+        est_arrivals: est[0],
+        est_served: est[3],
+        est_response_sum_ns,
+        est_std_error: if sample_rate < 1.0 {
+            (boring_queries as f64 * (1.0 - sample_rate)).sqrt() / sample_rate
+        } else {
+            0.0
+        },
+        est_dispatches: est[2],
+        est_dispatches_std_error: std_error[2],
+        est_decisions: est[4],
+        est_decisions_std_error: std_error[4],
+        kinds: kind_table(kept, est, std_error),
     }
-    s
 }
 
 /// One fixed-length window of a trace's per-window breakdown.

@@ -46,8 +46,10 @@ pub mod sample;
 pub mod sink;
 pub mod spans;
 
-pub use analyze::{aggregates, conservation, sampled_aggregates, window_breakdown};
-pub use analyze::{Conservation, EventAggregates, SampledAggregates, WindowStats};
+pub use analyze::{aggregates, conservation, kind_counts, sampled_aggregates, window_breakdown};
+pub use analyze::{
+    Conservation, EventAggregates, KindCount, SampledAggregates, WindowStats, EVENT_KINDS,
+};
 pub use burn::{
     burn_analysis, sampled_burn_analysis, BurnAlert, BurnAlertKind, BurnConfig, BurnMonitor,
     BurnSummary, SampledBurnSummary,
@@ -66,7 +68,7 @@ pub use profile::{
     CounterStat, GaugeId, GaugeStat, HotCounter, Phase, PhaseStat, ProfileReport, Profiler,
     SolverProfile,
 };
-pub use sample::{query_weights, SamplePolicy, SamplingSink};
+pub use sample::{batch_weights, query_weights, SamplePolicy, SamplingSink};
 pub use sink::{
     parse_jsonl, parse_jsonl_tolerant, JsonlSink, NullSink, ParsedLog, StreamHeader, TelemetrySink,
     VecSink, JSONL_SCHEMA_VERSION, TELEMETRY_STREAM, UNKNOWN_SAMPLE_CAP,

@@ -1,8 +1,8 @@
 //! Deterministic query-coherent sampling: keep a hash-selected
 //! fraction of queries — every event of a kept query, no event of a
-//! dropped one — plus *all* interesting queries and *all* audit
-//! events, so spans reconstruct fully and the rare tail never goes
-//! dark (DESIGN.md §15).
+//! dropped one — plus *all* interesting queries, and keep a batch's
+//! events exactly when one of its members is kept, so spans
+//! reconstruct fully and the rare tail never goes dark (DESIGN.md §15).
 //!
 //! Head-sampling decides per query id: `splitmix64(seed ^ query)`
 //! under a rate-derived threshold keeps the query. The decision
@@ -13,23 +13,47 @@
 //! Tail-keep rules promote a query regardless of its hash the moment
 //! it stops being boring: a shed, drop, crash requeue, timeout, retry,
 //! admission rejection, SLO-violating completion, or a completion on a
-//! hedged worker pair. Promotion must beat the hash decision, so a
+//! hedged worker. Promotion must beat the hash decision, so a
 //! query's events are withheld in an order-preserving FIFO until its
 //! fate is known; the sampled stream is therefore an exact
 //! *subsequence* of the full stream — same events, same order — and
 //! every analysis that works on full logs works unchanged on sampled
 //! ones.
 //!
+//! Batch events carry no query id, so each batch gets a sampling
+//! identity of its own. A worker serves one batch at a time: its
+//! `Dispatch` opens the worker's batch, sized by the event's `batch`
+//! field, and the `Serve` `PolicyDecision` immediately before it on the
+//! same worker belongs to the same batch. Both wait in the FIFO until
+//! the batch resolves:
+//!
+//! - **kept** at the first member end whose query is kept or promoted —
+//!   a `Complete` or `Timeout` on the worker, or a `CrashRequeue` from
+//!   it — or at a `HedgeIssued` naming the worker as primary;
+//! - **dropped** once all `batch` members have ended as boring drops;
+//! - **kept** when the worker dispatches again first (the batch ended
+//!   without its members ending there: a crash displaced it) or the
+//!   run finishes with it open (it is in flight);
+//! - **kept**, every open batch at once, at a crash `Drop`: the event
+//!   does not name the crashed worker, so any open batch may be the one
+//!   the crash lost.
+//!
+//! `Idle` and `Drop` decisions, and every other audit event, pass
+//! through. A kept query's batch is always kept, so its span still
+//! finds its dispatch.
+//!
 //! Because kept queries keep all their events, per-query conservation
 //! holds *exactly* on the sampled substream, and in-flight queries
-//! (undecided at end of run) are always kept. The only thing sampling
-//! removes is boring, on-time completions — precisely the population
-//! whose counts a Horvitz-Thompson estimate (weight `1/rate`)
-//! reconstructs; see [`query_weights`].
+//! (undecided at end of run) are always kept. The only things sampling
+//! removes are boring, on-time completions and the batch events of
+//! batches made only of them — precisely the populations whose counts
+//! a Horvitz-Thompson estimate reconstructs; see [`query_weights`] and
+//! [`batch_weights`].
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::mem::{discriminant, Discriminant};
 
-use crate::event::Event;
+use crate::event::{Action, Event, Nanos};
 use crate::sink::TelemetrySink;
 
 /// Per-worker hedge flags as a dense bit table: worker ids are small
@@ -227,12 +251,39 @@ fn track_hedges(event: &Event, hedged: &mut HedgeFlags) {
     }
 }
 
-/// A slot in the order-preserving FIFO: either already decided keep,
-/// or waiting on its query's fate.
+/// A slot in the order-preserving FIFO: already decided keep, waiting
+/// on its query's fate, or a batch event waiting on its batch's fate.
 #[derive(Debug, Clone)]
 enum Slot {
     Keep(Event),
     Await(u64, Event),
+    Batch(Event),
+    /// A batch event whose batch resolved dropped (already counted).
+    Gone,
+}
+
+/// A worker's open batch: where its events sit in the FIFO and how
+/// many members have yet to end.
+#[derive(Debug, Clone, Copy)]
+struct OpenBatch {
+    /// FIFO position of the batch's first event.
+    first: u64,
+    /// Its events: the `Serve` decision (when present) and the dispatch.
+    len: u64,
+    /// Members still to end before the batch can resolve dropped.
+    remaining: u32,
+}
+
+/// The worker a batch member's end event belongs to, and its query: a
+/// completion or timeout on the worker, or a crash requeue from it.
+fn member_end(event: &Event) -> Option<(u32, u64)> {
+    match *event {
+        Event::Complete { worker, query, .. } | Event::Timeout { worker, query, .. } => {
+            Some((worker, query))
+        }
+        Event::CrashRequeue { from, query, .. } => Some((from, query)),
+        _ => None,
+    }
 }
 
 /// A sink adapter applying query-coherent sampling before an inner
@@ -243,21 +294,29 @@ enum Slot {
 /// ahead of them; otherwise they queue behind the undecided events so
 /// the sampled stream stays an exact subsequence of the full stream.
 /// An undecided query resolves at its terminal event — promotion (any
-/// interesting outcome) or drop (a boring on-time completion) — which
-/// is at most one SLO away, so the FIFO stays shallow.
+/// interesting outcome) or drop (a boring on-time completion) — and an
+/// undecided batch when its members end, so both are at most one SLO
+/// away and the FIFO stays shallow.
 ///
-/// [`SamplingSink::finish`] resolves every still-undecided query as
-/// kept (they are in-flight — interesting by definition), drains the
-/// FIFO, and returns the inner sink.
+/// [`SamplingSink::finish`] resolves every still-undecided query and
+/// batch as kept (they are in-flight — interesting by definition),
+/// drains the FIFO, and returns the inner sink.
 #[derive(Debug)]
 pub struct SamplingSink<S: TelemetrySink> {
     inner: S,
     policy: SamplePolicy,
     queue: VecDeque<Slot>,
+    /// FIFO position of the queue's front slot (slots popped so far).
+    front: u64,
     /// Per-query keep/drop fates — one dense byte per engine query id,
     /// so the hot path never walks an ordered set.
     fates: QueryFates,
     hedged: HedgeFlags,
+    /// Each worker's unresolved batch, indexed by worker id.
+    batches: Vec<Option<OpenBatch>>,
+    /// A `Serve` decision waiting for its dispatch: worker and FIFO
+    /// position.
+    serve: Option<(u32, u64)>,
     sampled_out_queries: u64,
     sampled_out_events: u64,
 }
@@ -269,8 +328,11 @@ impl<S: TelemetrySink> SamplingSink<S> {
             inner,
             policy,
             queue: VecDeque::new(),
+            front: 0,
             fates: QueryFates::default(),
             hedged: HedgeFlags::default(),
+            batches: Vec::new(),
+            serve: None,
             sampled_out_queries: 0,
             sampled_out_events: 0,
         }
@@ -296,13 +358,14 @@ impl<S: TelemetrySink> SamplingSink<S> {
         &self.inner
     }
 
-    /// Resolves all still-undecided queries as kept (they are
-    /// in-flight at end of run), drains the FIFO, flushes the inner
+    /// Resolves all still-undecided queries and batches as kept (they
+    /// are in-flight at end of run), drains the FIFO, flushes the inner
     /// sink, and returns it.
     pub fn finish(mut self) -> S {
         while let Some(slot) = self.queue.pop_front() {
             match slot {
-                Slot::Keep(e) => self.inner.record(&e),
+                Slot::Keep(e) | Slot::Batch(e) => self.inner.record(&e),
+                Slot::Gone => {}
                 Slot::Await(q, e) => {
                     if self.fates.get(q) == FATE_DROPPED {
                         self.sampled_out_events += 1;
@@ -317,8 +380,99 @@ impl<S: TelemetrySink> SamplingSink<S> {
         self.inner
     }
 
+    /// Queues `slot`, returning its FIFO position.
+    fn push(&mut self, slot: Slot) -> u64 {
+        self.queue.push_back(slot);
+        self.front + self.queue.len() as u64 - 1
+    }
+
+    /// Resolves the `len` batch slots from FIFO position `first`. They
+    /// are still queued: an unresolved batch slot blocks the drain.
+    fn settle(&mut self, first: u64, len: u64, keep: bool) {
+        for pos in first..first + len {
+            let slot = &mut self.queue[(pos - self.front) as usize];
+            let Slot::Batch(e) = std::mem::replace(slot, Slot::Gone) else {
+                unreachable!("an open batch's slots wait until it resolves")
+            };
+            if keep {
+                *slot = Slot::Keep(e);
+            } else {
+                self.sampled_out_events += 1;
+            }
+        }
+    }
+
+    /// Removes `worker`'s open batch, if any.
+    fn take_batch(&mut self, worker: u32) -> Option<OpenBatch> {
+        self.batches.get_mut(worker as usize).and_then(Option::take)
+    }
+
+    /// Resolves `worker`'s open batch as kept; returns whether it had
+    /// one.
+    fn keep_batch(&mut self, worker: u32) -> bool {
+        match self.take_batch(worker) {
+            Some(b) => {
+                self.settle(b.first, b.len, true);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Resolves every open batch as kept; returns whether there was
+    /// one.
+    fn keep_all_batches(&mut self) -> bool {
+        let mut any = false;
+        for worker in 0..self.batches.len() as u32 {
+            any |= self.keep_batch(worker);
+        }
+        any
+    }
+
+    /// Counts one member end of `worker`'s open batch, whose query `q`
+    /// is already decided; returns whether the batch resolved.
+    fn end_member(&mut self, worker: u32, q: u64) -> bool {
+        let kept = self.fates.get(q) == FATE_KEPT;
+        let Some(b) = self
+            .batches
+            .get_mut(worker as usize)
+            .and_then(Option::as_mut)
+        else {
+            return false;
+        };
+        if kept {
+            return self.keep_batch(worker);
+        }
+        b.remaining -= 1;
+        if b.remaining > 0 {
+            return false;
+        }
+        let b = self.take_batch(worker).expect("just counted");
+        self.settle(b.first, b.len, false);
+        true
+    }
+
+    /// Opens `worker`'s batch over the FIFO slots `first..=last`.
+    fn open_batch(&mut self, worker: u32, first: u64, last: u64, members: u32) {
+        let len = last + 1 - first;
+        if members == 0 {
+            // Nothing to judge it by.
+            self.settle(first, len, true);
+            return;
+        }
+        let i = worker as usize;
+        if self.batches.len() <= i {
+            self.batches.resize(i + 1, None);
+        }
+        self.batches[i] = Some(OpenBatch {
+            first,
+            len,
+            remaining: members,
+        });
+    }
+
     /// Forwards every slot whose fate is known, stopping at the first
-    /// still-undecided query.
+    /// still-undecided query or batch.
     fn drain_decided(&mut self) {
         while let Some(front) = self.queue.front() {
             match front {
@@ -328,6 +482,10 @@ impl<S: TelemetrySink> SamplingSink<S> {
                     };
                     self.inner.record(&e);
                 }
+                Slot::Gone => {
+                    self.queue.pop_front();
+                }
+                Slot::Batch(_) => break,
                 Slot::Await(q, _) => match self.fates.get(*q) {
                     FATE_KEPT => {
                         let Some(Slot::Await(_, e)) = self.queue.pop_front() else {
@@ -342,6 +500,7 @@ impl<S: TelemetrySink> SamplingSink<S> {
                     _ => break,
                 },
             }
+            self.front += 1;
         }
     }
 }
@@ -361,11 +520,33 @@ impl<S: TelemetrySink> TelemetrySink for SamplingSink<S> {
             Promote,
             Drop,
             Await(u64),
+            /// A batch event: waits on its batch.
+            Batch,
+        }
+        let mut resolved = false;
+        // A `Serve` decision belongs to the dispatch right after it; one
+        // followed by anything else has no batch and is kept.
+        let mut serve_pos = None;
+        if let Some((w, pos)) = self.serve.take() {
+            match *event {
+                Event::Dispatch { worker, .. } if worker == w => serve_pos = Some(pos),
+                _ => {
+                    self.settle(pos, 1, true);
+                    resolved = true;
+                }
+            }
         }
         let decision = match event.query() {
-            // Audit / fault / scale / health events (and dispatches)
-            // are always kept.
-            None => Decision::Keep,
+            None => match *event {
+                Event::PolicyDecision {
+                    action: Action::Serve { .. },
+                    ..
+                }
+                | Event::Dispatch { .. } => Decision::Batch,
+                // Other audit / fault / scale / health events are
+                // always kept.
+                _ => Decision::Keep,
+            },
             Some(q) => match self.fates.get(q) {
                 FATE_KEPT => Decision::Keep,
                 FATE_DROPPED => Decision::Drop,
@@ -383,7 +564,24 @@ impl<S: TelemetrySink> TelemetrySink for SamplingSink<S> {
                 }
             },
         };
+        // Batch fates: a member end counts toward its worker's batch, a
+        // hedge keeps the primary's, a new dispatch keeps a batch its
+        // members never ended on (a crash displaced it), and a crash
+        // loss keeps every open batch.
+        match *event {
+            Event::HedgeIssued { primary, .. } => resolved |= self.keep_batch(primary),
+            Event::Dispatch { worker, .. } => resolved |= self.keep_batch(worker),
+            Event::Drop { .. } => resolved |= self.keep_all_batches(),
+            _ => {
+                if let Some((worker, q)) = member_end(event) {
+                    resolved |= self.end_member(worker, q);
+                }
+            }
+        }
         track_hedges(event, &mut self.hedged);
+        if resolved {
+            self.drain_decided();
+        }
         match decision {
             Decision::Keep if self.queue.is_empty() => self.inner.record(event),
             Decision::Keep => {
@@ -400,6 +598,19 @@ impl<S: TelemetrySink> TelemetrySink for SamplingSink<S> {
             }
             Decision::Await(q) => {
                 self.queue.push_back(Slot::Await(q, event.clone()));
+            }
+            Decision::Batch => {
+                let pos = self.push(Slot::Batch(event.clone()));
+                match *event {
+                    Event::Dispatch { worker, batch, .. } => {
+                        self.open_batch(worker, serve_pos.unwrap_or(pos), pos, batch);
+                        if batch == 0 {
+                            self.drain_decided();
+                        }
+                    }
+                    Event::PolicyDecision { worker, .. } => self.serve = Some((worker, pos)),
+                    _ => unreachable!("only decisions and dispatches are batch events"),
+                }
             }
         }
     }
@@ -452,6 +663,92 @@ pub fn query_weights(events: &[Event], rate: f64) -> BTreeMap<u64, f64> {
                 1.0 / rate
             };
             (q, weight)
+        })
+        .collect()
+}
+
+/// Per-batch Horvitz-Thompson weights for a (possibly sampled) event
+/// stream, one per `Dispatch` in stream order: the offline mirror of
+/// the live batch decisions.
+///
+/// A batch's member ends are attributed the way the live sink counts
+/// them — completions and timeouts on its worker, crash requeues from
+/// it — up to the worker's next dispatch. Members end together, in one
+/// run of one kind of end event, so attribution stops at the first
+/// member end of another kind or at a later instant (a suspicion's
+/// requeues right after a completion are not the batch's), and a
+/// `HedgeIssued` naming the worker as the hedge side stops it too (the
+/// hedge's completions are another batch's).
+///
+/// A kept batch was kept with probability 1 — weight `1.0` — when a
+/// member it saw is interesting (its weight in `queries` is 1), when it
+/// was hedged, when a crash `Drop` came before any member end, or when
+/// no member end follows it at all (crash-displaced or in flight).
+/// Otherwise every member was a boring completion and the batch
+/// survived because one of its `n` members was hash-kept, with
+/// probability `1 − (1 − rate)^n`; its weight is the inverse. On an
+/// unsampled stream (`rate` 1.0) every weight is 1.
+pub fn batch_weights(events: &[Event], queries: &BTreeMap<u64, f64>, rate: f64) -> Vec<f64> {
+    // Per dispatch: (members, kept with certainty, saw a member end).
+    let mut batches: Vec<(u32, bool, bool)> = Vec::new();
+    // Per worker: the batch its member ends count toward, and the
+    // instant and kind of its first member end.
+    type FirstEnd = Option<(Nanos, Discriminant<Event>)>;
+    let mut current: Vec<Option<(usize, FirstEnd)>> = Vec::new();
+    fn slot<T>(v: &mut Vec<Option<T>>, worker: u32) -> &mut Option<T> {
+        let i = worker as usize;
+        if v.len() <= i {
+            v.resize_with(i + 1, || None);
+        }
+        &mut v[i]
+    }
+    for event in events {
+        match *event {
+            Event::Dispatch { worker, batch, .. } => {
+                *slot(&mut current, worker) = Some((batches.len(), None));
+                batches.push((batch, batch == 0, false));
+            }
+            Event::HedgeIssued { primary, hedge, .. } => {
+                if let Some((b, _)) = *slot(&mut current, primary) {
+                    batches[b].1 = true;
+                }
+                *slot(&mut current, hedge) = None;
+            }
+            Event::Drop { .. } => {
+                for &(b, first) in current.iter().flatten() {
+                    if first.is_none() {
+                        batches[b].1 = true;
+                    }
+                }
+            }
+            _ => {
+                let Some((worker, q)) = member_end(event) else {
+                    continue;
+                };
+                let end = (event.at(), discriminant(event));
+                let cur = slot(&mut current, worker);
+                match *cur {
+                    Some((_, Some(first))) if first != end => *cur = None,
+                    Some((b, _)) => {
+                        *cur = Some((b, Some(end)));
+                        batches[b].2 = true;
+                        if queries.get(&q).copied().unwrap_or(1.0) == 1.0 {
+                            batches[b].1 = true;
+                        }
+                    }
+                    None => {}
+                }
+            }
+        }
+    }
+    batches
+        .into_iter()
+        .map(|(n, exact, ended)| {
+            if exact || !ended {
+                1.0
+            } else {
+                1.0 / (1.0 - (1.0 - rate).powi(n as i32))
+            }
         })
         .collect()
 }
@@ -556,11 +853,11 @@ mod tests {
             complete(q, 9, 0, false),
         ];
         let (kept, out_q, out_e) = run_through(&events, 0.01, 9);
-        // The dispatch (no query id) survives; the query's three
-        // events do not.
-        assert_eq!(kept, vec![events[2].clone()], "audit events always survive");
+        // The dispatch's only member was dropped, so the dispatch goes
+        // with the query's three events.
+        assert!(kept.is_empty(), "kept {kept:?}");
         assert_eq!(out_q, 1);
-        assert_eq!(out_e, 3);
+        assert_eq!(out_e, 4);
     }
 
     #[test]
@@ -712,6 +1009,304 @@ mod tests {
         assert_eq!(w[&inflight], 1.0, "in-flight: exact");
         // On the full stream at rate 1.0 every weight is 1.
         assert!(query_weights(&events, 1.0).values().all(|&w| w == 1.0));
+    }
+
+    fn serve(at: u64, worker: u32, batch: u32) -> Event {
+        Event::PolicyDecision {
+            at,
+            worker,
+            queued: batch,
+            slack_ns: 0,
+            action: Action::Serve { model: 0, batch },
+        }
+    }
+
+    fn dispatch(at: u64, worker: u32, batch: u32) -> Event {
+        Event::Dispatch {
+            at,
+            worker,
+            model: 0,
+            batch,
+            depth: batch,
+        }
+    }
+
+    /// `n` query ids the hash drops at `rate` under `seed`.
+    fn hash_dropped(rate: f64, seed: u64, n: usize) -> Vec<u64> {
+        let policy = SamplePolicy::new(rate, seed).unwrap();
+        (0..1000).filter(|&q| !policy.keeps(q)).take(n).collect()
+    }
+
+    #[test]
+    fn one_hash_kept_member_keeps_the_decision_and_the_dispatch() {
+        let policy = SamplePolicy::new(0.25, 5).unwrap();
+        let kept_q = (0..1000).find(|&q| policy.keeps(q)).unwrap();
+        let dropped_q = (0..1000).find(|&q| !policy.keeps(q)).unwrap();
+        let events = vec![
+            arrival(dropped_q, 1),
+            arrival(kept_q, 2),
+            serve(3, 0, 2),
+            dispatch(3, 0, 2),
+            complete(dropped_q, 9, 0, false),
+            complete(kept_q, 9, 0, false),
+        ];
+        let (kept, out_q, out_e) = run_through(&events, 0.25, 5);
+        assert_eq!(
+            kept,
+            vec![
+                events[1].clone(),
+                events[2].clone(),
+                events[3].clone(),
+                events[5].clone()
+            ]
+        );
+        assert_eq!((out_q, out_e), (1, 2));
+    }
+
+    #[test]
+    fn an_all_boring_batch_is_withheld_whole() {
+        let qs = hash_dropped(0.01, 9, 3);
+        let mut events: Vec<Event> = qs.iter().map(|&q| arrival(q, 1)).collect();
+        events.push(serve(2, 1, 3));
+        events.push(dispatch(2, 1, 3));
+        events.extend(qs.iter().map(|&q| complete(q, 8, 1, false)));
+        // An Idle decision after the batch is audit and survives.
+        let idle = Event::PolicyDecision {
+            at: 8,
+            worker: 1,
+            queued: 0,
+            slack_ns: 0,
+            action: Action::Idle,
+        };
+        events.push(idle.clone());
+        let (kept, out_q, out_e) = run_through(&events, 0.01, 9);
+        assert_eq!(kept, vec![idle]);
+        assert_eq!(out_q, 3);
+        assert_eq!(
+            out_e,
+            3 + 2 + 3,
+            "arrivals, decision + dispatch, completions"
+        );
+    }
+
+    #[test]
+    fn a_hedged_batch_is_kept() {
+        let [q] = hash_dropped(0.01, 9, 1)[..] else {
+            panic!()
+        };
+        let events = vec![
+            arrival(q, 1),
+            serve(2, 0, 1),
+            dispatch(2, 0, 1),
+            Event::HedgeIssued {
+                at: 4,
+                primary: 0,
+                hedge: 1,
+                model: 0,
+                batch: 1,
+            },
+            Event::HedgeCancelled {
+                at: 6,
+                worker: 0,
+                winner: 1,
+            },
+            complete(q, 6, 1, false),
+        ];
+        let (kept, _, out_e) = run_through(&events, 0.01, 9);
+        assert_eq!(
+            kept, events,
+            "the hedge keeps the batch; the win promotes q"
+        );
+        assert_eq!(out_e, 0);
+    }
+
+    #[test]
+    fn a_crash_displaced_batch_is_kept() {
+        let [a, b] = hash_dropped(0.01, 9, 2)[..] else {
+            panic!()
+        };
+        // Requeued from the crashed worker: both queries promote, and
+        // their requeues end the batch kept.
+        let requeued = vec![
+            arrival(a, 1),
+            arrival(b, 1),
+            serve(2, 0, 2),
+            dispatch(2, 0, 2),
+            Event::CrashRequeue {
+                at: 5,
+                query: a,
+                from: 0,
+            },
+            Event::CrashRequeue {
+                at: 5,
+                query: b,
+                from: 0,
+            },
+        ];
+        let (kept, _, out_e) = run_through(&requeued, 0.01, 9);
+        assert_eq!(kept, requeued);
+        assert_eq!(out_e, 0);
+        // Displaced with no member end on the worker at all (the batch
+        // went back to the worker's queue): its next dispatch keeps it,
+        // while the re-dispatch of the boring query is withheld.
+        let silent = vec![
+            arrival(a, 1),
+            serve(2, 0, 1),
+            dispatch(2, 0, 1),
+            serve(7, 0, 1),
+            dispatch(7, 0, 1),
+            complete(a, 9, 0, false),
+        ];
+        let (kept, out_q, out_e) = run_through(&silent, 0.01, 9);
+        assert_eq!(kept, vec![silent[1].clone(), silent[2].clone()]);
+        assert_eq!((out_q, out_e), (1, 4));
+    }
+
+    #[test]
+    fn idle_and_drop_decisions_are_kept() {
+        let [q] = hash_dropped(0.01, 9, 1)[..] else {
+            panic!()
+        };
+        let decision = |at, action| Event::PolicyDecision {
+            at,
+            worker: 0,
+            queued: 1,
+            slack_ns: -5,
+            action,
+        };
+        let events = vec![
+            arrival(q, 1),
+            decision(2, Action::Idle),
+            decision(3, Action::Drop { count: 1 }),
+            Event::Shed {
+                at: 3,
+                query: q,
+                cause: ShedCause::Policy,
+            },
+        ];
+        let (kept, _, out_e) = run_through(&events, 0.01, 9);
+        assert_eq!(kept, events);
+        assert_eq!(out_e, 0);
+    }
+
+    #[test]
+    fn a_batch_open_at_finish_is_kept() {
+        let [q] = hash_dropped(0.01, 9, 1)[..] else {
+            panic!()
+        };
+        let events = vec![arrival(q, 1), serve(2, 3, 1), dispatch(2, 3, 1)];
+        let mut sink = SamplingSink::new(VecSink::new(), SamplePolicy::new(0.01, 9).unwrap());
+        for e in &events {
+            sink.record(e);
+        }
+        assert!(sink.inner().events().is_empty(), "in flight: withheld");
+        assert_eq!(sink.finish().into_events(), events);
+    }
+
+    /// A seeded synthetic run: four workers dispatching batches of 1–4
+    /// queries in turn, each batch completing at its worker's next
+    /// turn, one completion in 50 violating.
+    fn synthetic_stream(batches: usize, seed: u64) -> Vec<Event> {
+        let mut state = seed;
+        let mut draw = || {
+            state = splitmix64(state);
+            state
+        };
+        let mut in_flight: Vec<Vec<(u64, u64)>> = vec![Vec::new(); 4];
+        let mut events = Vec::new();
+        let mut next_q = 0;
+        for i in 0..batches {
+            let (w, at) = (i % 4, 10 * i as u64 + 10);
+            for (q, arrived) in in_flight[w].drain(..) {
+                events.push(Event::Complete {
+                    at,
+                    query: q,
+                    worker: w as u32,
+                    model: 0,
+                    response_ns: at - arrived,
+                    violated: draw() % 50 == 0,
+                });
+            }
+            let n = 1 + (draw() % 4) as u32;
+            for _ in 0..n {
+                events.push(arrival(next_q, at));
+                in_flight[w].push((next_q, at));
+                next_q += 1;
+            }
+            events.push(serve(at, w as u32, n));
+            events.push(dispatch(at, w as u32, n));
+        }
+        events
+    }
+
+    #[test]
+    fn est_dispatches_is_unbiased_and_exact_at_rate_one() {
+        let full = synthetic_stream(20_000, 3);
+        let dispatches = full
+            .iter()
+            .filter(|e| matches!(e, Event::Dispatch { .. }))
+            .count() as f64;
+        let (all, _, withheld) = run_through(&full, 1.0, 3);
+        assert_eq!(all, full, "rate 1.0 is sampling off");
+        assert_eq!(withheld, 0);
+        let exact = crate::analyze::sampled_aggregates(&all, 1.0);
+        assert_eq!(exact.est_dispatches, dispatches);
+        assert_eq!(exact.est_decisions, dispatches);
+        assert_eq!(exact.est_dispatches_std_error, 0.0);
+
+        let (sampled, _, _) = run_through(&full, 0.1, 3);
+        let kept = sampled
+            .iter()
+            .filter(|e| matches!(e, Event::Dispatch { .. }))
+            .count() as f64;
+        assert!(kept < dispatches / 2.0, "kept {kept} of {dispatches}");
+        let s = crate::analyze::sampled_aggregates(&sampled, 0.1);
+        assert!(s.est_dispatches_std_error > 0.0);
+        assert!(
+            (s.est_dispatches - dispatches).abs() < 5.0 * s.est_dispatches_std_error,
+            "≈{} ± {} vs {dispatches}",
+            s.est_dispatches,
+            s.est_dispatches_std_error
+        );
+        assert_eq!(s.est_decisions, s.est_dispatches, "one Serve per dispatch");
+    }
+
+    #[test]
+    fn batch_weights_mirror_live_decisions() {
+        let policy = SamplePolicy::new(0.25, 11).unwrap();
+        let kept_q = (0..1000).find(|&q| policy.keeps(q)).unwrap();
+        let [v, open] = (0..1000)
+            .filter(|&q| !policy.keeps(q))
+            .take(2)
+            .collect::<Vec<_>>()[..]
+        else {
+            panic!()
+        };
+        let events = vec![
+            arrival(kept_q, 1),
+            arrival(v, 1),
+            arrival(open, 1),
+            dispatch(2, 0, 1), // one boring hash-kept member
+            dispatch(2, 1, 1), // a violating member
+            dispatch(2, 2, 1), // in flight at the end
+            complete(kept_q, 5, 0, false),
+            complete(v, 5, 1, true),
+        ];
+        let (kept, _, _) = run_through(&events, 0.25, 11);
+        assert_eq!(kept, events);
+        let w = batch_weights(&kept, &query_weights(&kept, 0.25), 0.25);
+        assert_eq!(w, vec![4.0, 1.0, 1.0]);
+        // A batch of 2 boring members, one hash-kept: 1/(1 - 0.75²).
+        let events = vec![
+            arrival(kept_q, 1),
+            arrival(v, 1),
+            dispatch(2, 0, 2),
+            complete(kept_q, 5, 0, false),
+            complete(v, 5, 0, false),
+        ];
+        let (kept, _, _) = run_through(&events, 0.25, 11);
+        let w = batch_weights(&kept, &query_weights(&kept, 0.25), 0.25);
+        assert_eq!(w, vec![1.0 / (1.0 - 0.75 * 0.75)]);
     }
 
     #[test]

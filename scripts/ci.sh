@@ -112,10 +112,13 @@ health_smoke() {
 stage "health-smoke" health_smoke
 # Telemetry-at-scale smoke: an end-to-end encoding round-trip through
 # the CLI: record a binary sampled trace, convert binary → JSONL →
-# binary, and demand the final bytes equal the original recording. The
-# sink speed and sampling-cost gates run in perf-smoke.
+# binary, and demand the final bytes equal the original recording.
+# Then the byte budget of 1% sampling end to end: a 23.8k-arrival run
+# with no violations, recorded whole and at rate 0.01; the sampled
+# file must be at most 3% of the full one. The sink speed and
+# sampling-cost gates run in perf-smoke.
 telemetry_smoke() {
-    local out
+    local out full sampled
     out="$(mktemp -d)"
     cargo run --release -q -p ramsis-cli -- sim --m JF --trace constant --load 100 \
         --duration 8 --task image --SLO 150 --worker 2 --out "${out}" \
@@ -126,6 +129,19 @@ telemetry_smoke() {
     cargo run --release -q -p ramsis-cli -- telemetry convert "${out}/t.jsonl" \
         "${out}/t2.bin" --quiet
     cmp "${out}/t.bin" "${out}/t2.bin"
+    cargo run --release -q -p ramsis-cli -- sim --m JF --trace constant --load 400 \
+        --duration 60 --task image --SLO 150 --worker 8 --out "${out}" \
+        --telemetry "${out}/full.bin"
+    cargo run --release -q -p ramsis-cli -- sim --m JF --trace constant --load 400 \
+        --duration 60 --task image --SLO 150 --worker 8 --out "${out}" \
+        --telemetry "${out}/sampled.bin" --telemetry-sample 0.01
+    cargo run --release -q -p ramsis-cli -- telemetry "${out}/sampled.bin" --quiet
+    full="$(wc -c < "${out}/full.bin")"
+    sampled="$(wc -c < "${out}/sampled.bin")"
+    if (( sampled * 100 > full * 3 )); then
+        echo "1% sample is ${sampled} of ${full} bytes, over the 3% budget" >&2
+        return 1
+    fi
     rm -rf "${out}"
 }
 stage "telemetry-smoke" telemetry_smoke

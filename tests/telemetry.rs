@@ -11,8 +11,8 @@ use ramsis::prelude::*;
 use ramsis::sim::{FastestFixed, FaultPlan, RamsisScheme, ResiliencePolicy, Routing};
 use ramsis::telemetry::{
     aggregates, conservation, is_binary_stream, parse_bin_tolerant, parse_jsonl, reconstruct_spans,
-    reconstruct_spans_sampled, window_breakdown, write_bin, write_jsonl, Event, JsonlSink,
-    QuerySpan, SamplePolicy, SamplingSink, TelemetrySink, VecSink,
+    reconstruct_spans_sampled, sampled_aggregates, window_breakdown, write_bin, write_jsonl, Event,
+    JsonlSink, QuerySpan, SamplePolicy, SamplingSink, TelemetrySink, VecSink,
 };
 use ramsis::workload::OracleMonitor;
 
@@ -415,6 +415,56 @@ fn sampled_stream_is_an_exact_subsequence_that_keeps_every_violation() {
             violations(&sampled),
             violations(&full),
             "rate {rate}: violating completions must always be kept"
+        );
+    }
+}
+
+#[test]
+fn sampled_dispatch_estimates_cover_the_full_count() {
+    // Batch events are sampled by their members' fate; their
+    // Horvitz-Thompson estimates must still cover the full stream's
+    // counts — exactly at rate 1.0, within 5σ at rate 0.1.
+    let (_, full) = traced_resilient_run(57);
+    let count = |evs: &[Event], dispatch: bool| {
+        evs.iter()
+            .filter(|e| match e {
+                Event::Dispatch { .. } => dispatch,
+                Event::PolicyDecision { .. } => !dispatch,
+                _ => false,
+            })
+            .count() as f64
+    };
+    let (dispatches, decisions) = (count(&full, true), count(&full, false));
+    let (_, all, _) = traced_resilient_sampled(57, 1.0);
+    let exact = sampled_aggregates(&all, 1.0);
+    assert_eq!(exact.est_dispatches, dispatches);
+    assert_eq!(exact.est_decisions, decisions);
+    assert_eq!(exact.est_dispatches_std_error, 0.0);
+
+    let (_, sampled, _) = traced_resilient_sampled(57, 0.1);
+    assert!(
+        count(&sampled, true) < dispatches,
+        "rate 0.1 must sample dispatches out"
+    );
+    let s = sampled_aggregates(&sampled, 0.1);
+    for (what, est, se, truth) in [
+        (
+            "dispatches",
+            s.est_dispatches,
+            s.est_dispatches_std_error,
+            dispatches,
+        ),
+        (
+            "decisions",
+            s.est_decisions,
+            s.est_decisions_std_error,
+            decisions,
+        ),
+    ] {
+        assert!(se > 0.0, "{what}: no standard error");
+        assert!(
+            (est - truth).abs() <= 5.0 * se,
+            "{what}: ≈{est:.1} ± {se:.1} vs {truth}"
         );
     }
 }
