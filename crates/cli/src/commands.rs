@@ -20,7 +20,11 @@ pub mod why;
 
 use std::path::{Path, PathBuf};
 
+use ramsis_baselines::{JellyfishPlus, ModelSwitching, ResponseLatencyTable};
+use ramsis_core::{PolicySet, WorkerPolicy};
 use ramsis_profiles::{ModelCatalog, ProfilerConfig, Task, WorkerProfile};
+use ramsis_sim::{RamsisScheme, ServingScheme};
+use ramsis_workload::{DivergenceMonitor, LoadEstimator, OracleMonitor, Trace};
 
 use crate::cli_args::CommonArgs;
 
@@ -35,6 +39,152 @@ pub(crate) fn build_profile(args: &CommonArgs) -> WorkerProfile {
         std::time::Duration::from_secs_f64(args.slo_s()),
         ProfilerConfig::default(),
     )
+}
+
+/// A method's offline artifacts, loaded once: each call of
+/// [`SchemeFactory::scheme`] builds a fresh scheme from them (replays
+/// mutate scheme state, so each run needs its own).
+pub(crate) enum SchemeFactory {
+    Ramsis(PolicySet),
+    JellyfishPlus(WorkerProfile, usize),
+    ModelSwitching(WorkerProfile, ResponseLatencyTable),
+}
+
+impl SchemeFactory {
+    /// A fresh scheme, copying the artifacts.
+    pub(crate) fn scheme(&self) -> Box<dyn ServingScheme> {
+        match self {
+            SchemeFactory::Ramsis(set) => Box::new(RamsisScheme::new(set.clone())),
+            SchemeFactory::JellyfishPlus(profile, workers) => {
+                Box::new(JellyfishPlus::new(profile, *workers))
+            }
+            SchemeFactory::ModelSwitching(profile, table) => {
+                Box::new(ModelSwitching::new(profile, table.clone()))
+            }
+        }
+    }
+
+    /// The scheme of a single run, moving the artifacts into it.
+    pub(crate) fn into_scheme(self) -> Box<dyn ServingScheme> {
+        match self {
+            SchemeFactory::Ramsis(set) => Box::new(RamsisScheme::new(set)),
+            other => other.scheme(),
+        }
+    }
+}
+
+/// What a simulating command builds from the common flags before its
+/// first run: the trace, the method's scheme factory, and the load
+/// estimator choice.
+pub(crate) struct RunSetup {
+    /// `--seed` (default 42): the simulation seed, and the real
+    /// trace's.
+    pub(crate) seed: u64,
+    pub(crate) trace: Trace,
+    pub(crate) schemes: SchemeFactory,
+    /// Constant-load runs estimate load with the perfect monitor.
+    oracle: bool,
+}
+
+impl RunSetup {
+    /// Loads the trace (`--trace real|constant|FILE`, the constant one
+    /// `--duration` seconds long, `default_duration` unless given) and
+    /// `method`'s artifacts from `--out` (RAMSIS policies from `gen`,
+    /// the MS table from `ms-gen`), printing how many policies were
+    /// loaded when `announce` is set.
+    pub(crate) fn load(
+        args: &CommonArgs,
+        method: &str,
+        profile: &WorkerProfile,
+        default_duration: &str,
+        announce: bool,
+    ) -> Result<Self, String> {
+        let seed: u64 = args
+            .extra("--seed")
+            .unwrap_or("42")
+            .parse()
+            .map_err(|e| format!("bad --seed: {e}"))?;
+        let duration: f64 = args
+            .extra("--duration")
+            .unwrap_or(default_duration)
+            .parse()
+            .map_err(|e| format!("bad --duration: {e}"))?;
+        let trace = match args.trace.as_str() {
+            "real" => Trace::twitter_like(seed),
+            "constant" => {
+                let load = args.load.ok_or("--trace constant requires --load")?;
+                Trace::constant(load, duration)
+            }
+            path => {
+                // Any other value is read as an artifact-format trace file.
+                let text =
+                    std::fs::read_to_string(path).map_err(|e| format!("read trace {path}: {e}"))?;
+                Trace::parse_artifact_text(&text)?
+            }
+        };
+        let schemes = match method {
+            "RAMSIS" => {
+                let dir = policy_dir(&args.out, "RAMSIS", args.workers, args.slo_ms);
+                let mut policies = Vec::new();
+                let entries = std::fs::read_dir(&dir).map_err(|e| {
+                    format!(
+                        "no policies at {} (run `ramsis-cli gen`): {e}",
+                        dir.display()
+                    )
+                })?;
+                for entry in entries {
+                    let entry = entry.map_err(|e| e.to_string())?;
+                    if entry.path().extension().is_some_and(|x| x == "json") {
+                        let text =
+                            std::fs::read_to_string(entry.path()).map_err(|e| e.to_string())?;
+                        policies.push(WorkerPolicy::from_json(&text)?);
+                    }
+                }
+                if announce {
+                    println!("loaded {} policies from {}", policies.len(), dir.display());
+                }
+                SchemeFactory::Ramsis(
+                    PolicySet::from_policies(policies).map_err(|e| e.to_string())?,
+                )
+            }
+            "JF" => SchemeFactory::JellyfishPlus(profile.clone(), args.workers),
+            "MS" => {
+                let path =
+                    policy_dir(&args.out, "MS", args.workers, args.slo_ms).join("table.json");
+                let text = std::fs::read_to_string(&path).map_err(|e| {
+                    format!(
+                        "no MS table at {} (run `ramsis-cli ms-gen`): {e}",
+                        path.display()
+                    )
+                })?;
+                let table = serde_json::from_str(&text).map_err(|e| e.to_string())?;
+                SchemeFactory::ModelSwitching(profile.clone(), table)
+            }
+            other => {
+                return Err(format!(
+                    "unknown method {other:?} (expected RAMSIS, JF, or MS)"
+                ))
+            }
+        };
+        Ok(Self {
+            seed,
+            trace,
+            schemes,
+            oracle: args.trace == "constant",
+        })
+    }
+
+    /// A fresh load estimator. Constant-load runs use the perfect
+    /// monitor (§7.2); other traces use the 500 ms moving average (§6),
+    /// wrapped so its divergence from the planned trace lands in the
+    /// report.
+    pub(crate) fn estimator(&self) -> Box<dyn LoadEstimator> {
+        if self.oracle {
+            Box::new(OracleMonitor::new(self.trace.clone()))
+        } else {
+            Box::new(DivergenceMonitor::new(self.trace.clone()))
+        }
+    }
 }
 
 /// The artifact's policy directory: `policy_gen/METHOD_WORKERS_SLO/`.

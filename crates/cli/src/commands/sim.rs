@@ -12,20 +12,18 @@
 
 use std::path::Path;
 
-use ramsis_baselines::{JellyfishPlus, ModelSwitching, ResponseLatencyTable};
-use ramsis_core::{PolicySet, WorkerPolicy};
 use ramsis_sim::{
-    CheckpointPolicy, EngineSnapshot, FaultPlan, FileRecorder, LatencyMode, RamsisScheme, RunSpec,
-    ServingScheme, Simulation, SimulationConfig, SimulationReport,
+    CheckpointPolicy, EngineSnapshot, FaultPlan, FileRecorder, LatencyMode, RunSpec, ServingScheme,
+    Simulation, SimulationConfig, SimulationReport,
 };
 use ramsis_telemetry::{
     BinSink, DecisionSink, JsonlDecisionSink, JsonlSink, NullDecisionSink, NullSink, SamplePolicy,
     SamplingSink, TelemetrySink,
 };
-use ramsis_workload::{DivergenceMonitor, LoadEstimator, OracleMonitor, Trace};
+use ramsis_workload::LoadEstimator;
 
 use crate::cli_args::CommonArgs;
-use crate::commands::{build_profile, policy_dir, result_path, write_json_file};
+use crate::commands::{build_profile, result_path, write_json_file, RunSetup};
 
 pub fn run(args: &[String]) -> Result<(), String> {
     let args = CommonArgs::parse(
@@ -44,81 +42,12 @@ pub fn run(args: &[String]) -> Result<(), String> {
     )?;
     let method = args.method.as_deref().unwrap_or("RAMSIS");
     let profile = build_profile(&args);
-    let seed: u64 = args
-        .extra("--seed")
-        .unwrap_or("42")
-        .parse()
-        .map_err(|e| format!("bad --seed: {e}"))?;
-    let duration: f64 = args
-        .extra("--duration")
-        .unwrap_or("30")
-        .parse()
-        .map_err(|e| format!("bad --duration: {e}"))?;
 
-    let trace = match args.trace.as_str() {
-        "real" => Trace::twitter_like(seed),
-        "constant" => {
-            let load = args.load.ok_or("--trace constant requires --load")?;
-            Trace::constant(load, duration)
-        }
-        path => {
-            // Any other value is read as an artifact-format trace file.
-            let text =
-                std::fs::read_to_string(path).map_err(|e| format!("read trace {path}: {e}"))?;
-            Trace::parse_artifact_text(&text)?
-        }
-    };
-
-    let mut scheme: Box<dyn ServingScheme> = match method {
-        "RAMSIS" => {
-            let dir = policy_dir(&args.out, "RAMSIS", args.workers, args.slo_ms);
-            let mut policies = Vec::new();
-            let entries = std::fs::read_dir(&dir).map_err(|e| {
-                format!(
-                    "no policies at {} (run `ramsis-cli gen`): {e}",
-                    dir.display()
-                )
-            })?;
-            for entry in entries {
-                let entry = entry.map_err(|e| e.to_string())?;
-                if entry.path().extension().is_some_and(|x| x == "json") {
-                    let text = std::fs::read_to_string(entry.path()).map_err(|e| e.to_string())?;
-                    policies.push(WorkerPolicy::from_json(&text)?);
-                }
-            }
-            println!("loaded {} policies from {}", policies.len(), dir.display());
-            Box::new(RamsisScheme::new(
-                PolicySet::from_policies(policies).map_err(|e| e.to_string())?,
-            ))
-        }
-        "JF" => Box::new(JellyfishPlus::new(&profile, args.workers)),
-        "MS" => {
-            let path = policy_dir(&args.out, "MS", args.workers, args.slo_ms).join("table.json");
-            let text = std::fs::read_to_string(&path).map_err(|e| {
-                format!(
-                    "no MS table at {} (run `ramsis-cli ms-gen`): {e}",
-                    path.display()
-                )
-            })?;
-            let table: ResponseLatencyTable =
-                serde_json::from_str(&text).map_err(|e| e.to_string())?;
-            Box::new(ModelSwitching::new(&profile, table))
-        }
-        other => {
-            return Err(format!(
-                "unknown method {other:?} (expected RAMSIS, JF, or MS)"
-            ))
-        }
-    };
-
-    // Constant-load runs use the perfect monitor (§7.2); the production
-    // trace uses the 500 ms moving average (§6), wrapped so its
-    // divergence from the planned trace lands in the report.
-    let mut estimator: Box<dyn LoadEstimator> = if args.trace == "constant" {
-        Box::new(OracleMonitor::new(trace.clone()))
-    } else {
-        Box::new(DivergenceMonitor::new(trace.clone()))
-    };
+    let setup = RunSetup::load(&args, method, &profile, "30", true)?;
+    let seed = setup.seed;
+    let mut estimator = setup.estimator();
+    let trace = setup.trace;
+    let mut scheme = setup.schemes.into_scheme();
 
     // Durable-run flags: `--checkpoint PATH` writes crash-consistent
     // snapshots every `--checkpoint-every N` events; `--resume true`

@@ -26,22 +26,18 @@
 //! regime, reason, and fault-window membership. Baseline replays are
 //! verified byte-identical against the factual run.
 
-use ramsis_baselines::{JellyfishPlus, ModelSwitching, ResponseLatencyTable};
 use ramsis_bench::render_table;
-use ramsis_core::{PolicySet, WorkerPolicy};
 use ramsis_sim::{
-    regret_study, FaultPlan, RamsisScheme, RegretStudyConfig, Selection, ServingScheme, Simulation,
-    SimulationConfig,
+    regret_study, FaultPlan, RegretStudyConfig, Selection, Simulation, SimulationConfig,
 };
 use ramsis_telemetry::{
     burn_analysis, parse_decisions_tolerant, parse_tolerant, reconstruct_spans, BurnAlertKind,
     BurnConfig, BurnSummary, ChosenAction, DecisionRecord, Nanos, QuerySpan, SpanOutcome,
 };
-use ramsis_workload::{DivergenceMonitor, LoadEstimator, OracleMonitor, Trace};
 use serde::Serialize;
 
 use crate::cli_args::CommonArgs;
-use crate::commands::{build_profile, policy_dir};
+use crate::commands::{build_profile, RunSetup};
 
 fn ms(ns: u64) -> String {
     format!("{:.1}", ns as f64 / 1e6)
@@ -347,7 +343,7 @@ fn run_log(args: &[String], json: bool) -> Result<i32, String> {
         let late_ns = terminal.saturating_sub(s.deadline);
         let (dominant, share) = dominant_segment(s);
         let dispatch_start = terminal.saturating_sub(s.service_ns);
-        let rec = join_decision(&decisions.records, s.query, dispatch_start);
+        let rec = join_decision(&decisions.events, s.query, dispatch_start);
         let mut e = Explanation {
             query: s.query,
             late_ns,
@@ -374,7 +370,7 @@ fn run_log(args: &[String], json: bool) -> Result<i32, String> {
 
     if json {
         let report = WhyReport {
-            decisions: decisions.records.len() as u64,
+            decisions: decisions.events.len() as u64,
             decision_schema_version: decisions.schema_version,
             trace_schema_version: parsed.schema_version,
             queries: log.spans.len() as u64,
@@ -393,7 +389,7 @@ fn run_log(args: &[String], json: bool) -> Result<i32, String> {
 
     println!(
         "decisions: {decisions_path} ({} records, schema {})",
-        decisions.records.len(),
+        decisions.events.len(),
         decisions
             .schema_version
             .map_or_else(|| "v0 headerless".to_string(), |v| format!("v{v}")),
@@ -495,16 +491,6 @@ fn run_counterfactual(args: &[String], json: bool) -> Result<i32, String> {
     )?;
     let method = args.method.as_deref().unwrap_or("RAMSIS");
     let profile = build_profile(&args);
-    let seed: u64 = args
-        .extra("--seed")
-        .unwrap_or("42")
-        .parse()
-        .map_err(|e| format!("bad --seed: {e}"))?;
-    let duration: f64 = args
-        .extra("--duration")
-        .unwrap_or("10")
-        .parse()
-        .map_err(|e| format!("bad --duration: {e}"))?;
     let max_decisions: usize = args
         .extra("--max-decisions")
         .unwrap_or("6")
@@ -516,78 +502,14 @@ fn run_counterfactual(args: &[String], json: bool) -> Result<i32, String> {
         .parse()
         .map_err(|e| format!("bad --alternatives: {e}"))?;
 
-    let trace = match args.trace.as_str() {
-        "real" => Trace::twitter_like(seed),
-        "constant" => {
-            let load = args.load.ok_or("--trace constant requires --load")?;
-            Trace::constant(load, duration)
-        }
-        path => {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| format!("read trace {path}: {e}"))?;
-            Trace::parse_artifact_text(&text)?
-        }
-    };
-
     // Replays mutate scheme and estimator state, so each run gets a
     // fresh pair; the expensive artifacts (policy set, MS table) are
     // loaded once and cloned.
-    let mut make_scheme: Box<dyn FnMut() -> Box<dyn ServingScheme>> = match method {
-        "RAMSIS" => {
-            let dir = policy_dir(&args.out, "RAMSIS", args.workers, args.slo_ms);
-            let mut policies = Vec::new();
-            let entries = std::fs::read_dir(&dir).map_err(|e| {
-                format!(
-                    "no policies at {} (run `ramsis-cli gen`): {e}",
-                    dir.display()
-                )
-            })?;
-            for entry in entries {
-                let entry = entry.map_err(|e| e.to_string())?;
-                if entry.path().extension().is_some_and(|x| x == "json") {
-                    let text = std::fs::read_to_string(entry.path()).map_err(|e| e.to_string())?;
-                    policies.push(WorkerPolicy::from_json(&text)?);
-                }
-            }
-            let set = PolicySet::from_policies(policies).map_err(|e| e.to_string())?;
-            Box::new(move || Box::new(RamsisScheme::new(set.clone())))
-        }
-        "JF" => {
-            let profile = profile.clone();
-            let workers = args.workers;
-            Box::new(move || Box::new(JellyfishPlus::new(&profile, workers)))
-        }
-        "MS" => {
-            let path = policy_dir(&args.out, "MS", args.workers, args.slo_ms).join("table.json");
-            let text = std::fs::read_to_string(&path).map_err(|e| {
-                format!(
-                    "no MS table at {} (run `ramsis-cli ms-gen`): {e}",
-                    path.display()
-                )
-            })?;
-            let table: ResponseLatencyTable =
-                serde_json::from_str(&text).map_err(|e| e.to_string())?;
-            let profile = profile.clone();
-            Box::new(move || Box::new(ModelSwitching::new(&profile, table.clone())))
-        }
-        other => {
-            return Err(format!(
-                "unknown method {other:?} (expected RAMSIS, JF, or MS)"
-            ))
-        }
-    };
-    let constant = args.trace == "constant";
-    let est_trace = trace.clone();
-    let mut make_estimator: Box<dyn FnMut() -> Box<dyn LoadEstimator>> =
-        Box::new(move || -> Box<dyn LoadEstimator> {
-            if constant {
-                Box::new(OracleMonitor::new(est_trace.clone()))
-            } else {
-                Box::new(DivergenceMonitor::new(est_trace.clone()))
-            }
-        });
+    let setup = RunSetup::load(&args, method, &profile, "10", false)?;
+    let mut make_scheme = || setup.schemes.scheme();
+    let mut make_estimator = || setup.estimator();
 
-    let config = SimulationConfig::new(args.workers, args.slo_s()).seeded(seed);
+    let config = SimulationConfig::new(args.workers, args.slo_s()).seeded(setup.seed);
     let sim = Simulation::new(&profile, config).expect("valid simulation config");
     let plan = FaultPlan::none();
     let cfg = RegretStudyConfig {
@@ -597,10 +519,10 @@ fn run_counterfactual(args: &[String], json: bool) -> Result<i32, String> {
     };
     let study = regret_study(
         &sim,
-        &trace,
+        &setup.trace,
         &plan,
-        &mut *make_scheme,
-        &mut *make_estimator,
+        &mut make_scheme,
+        &mut make_estimator,
         &cfg,
     )
     .map_err(|e| e.to_string())?;

@@ -316,56 +316,36 @@ impl ChaosConfig {
             &plan,
             &mut fail,
         );
+        // The reference the layer-identity invariants below compare to.
+        let plain = PlainRun {
+            json: serde_json::to_string(&r1).expect("reports serialize"),
+            events: &e1,
+        };
 
-        // Autoscaler-off bit-identity: attaching a *disabled* autoscale
-        // policy must leave the run byte-identical to the plain engine —
-        // no extra events, no extra report fields. Checked on the runs
-        // that did not draw an elastic policy (the plain run doubles as
-        // the reference).
-        if autoscale.is_none() {
-            let off = Simulation::new(profile, config.with_autoscale(AutoscalePolicy::default()))?;
-            let (r_off, e_off) = run_with(&off)?;
-            let j_plain = serde_json::to_string(&r1).expect("reports serialize");
-            let j_off = serde_json::to_string(&r_off).expect("reports serialize");
-            if j_plain != j_off {
-                fail("autoscale-off-identity", format!("{j_plain} != {j_off}"));
-            }
-            if e1 != e_off {
-                fail(
-                    "autoscale-off-identity",
-                    format!(
-                        "event streams diverge ({} plain vs {} disabled-autoscale events)",
-                        e1.len(),
-                        e_off.len()
-                    ),
-                );
-            }
-        }
-
-        // Detector-off bit-identity: a *disabled* health policy — even
-        // with every knob set to non-default values — must leave the
-        // run byte-identical to the oracle engine. Checked on the runs
-        // that did not draw a detector (the plain run is the
-        // reference).
-        if health.is_none() {
-            let mut off_policy = HealthPolicy::probing(0.013);
-            off_policy.enabled = false;
-            let off = Simulation::new(profile, config.with_health(off_policy))?;
-            let (r_off, e_off) = run_with(&off)?;
-            let j_plain = serde_json::to_string(&r1).expect("reports serialize");
-            let j_off = serde_json::to_string(&r_off).expect("reports serialize");
-            if j_plain != j_off {
-                fail("health-off-identity", format!("{j_plain} != {j_off}"));
-            }
-            if e1 != e_off {
-                fail(
-                    "health-off-identity",
-                    format!(
-                        "event streams diverge ({} plain vs {} disabled-health events)",
-                        e1.len(),
-                        e_off.len()
-                    ),
-                );
+        // Layer-off bit-identity: a *disabled* autoscale policy, and a
+        // disabled health policy even with every knob set to non-default
+        // values, must leave the run byte-identical to the plain engine —
+        // no extra events, no extra report fields. Each is checked on
+        // the runs that did not draw that layer.
+        let mut health_off = HealthPolicy::probing(0.013);
+        health_off.enabled = false;
+        for (drawn, invariant, what, off) in [
+            (
+                autoscale.is_some(),
+                "autoscale-off-identity",
+                "a disabled autoscale policy",
+                config.with_autoscale(AutoscalePolicy::default()),
+            ),
+            (
+                health.is_some(),
+                "health-off-identity",
+                "a disabled health policy",
+                config.with_health(health_off),
+            ),
+        ] {
+            if !drawn {
+                let (r_off, e_off) = run_with(&Simulation::new(profile, off)?)?;
+                plain.expect_same_run(invariant, what, &r_off, Some(&e_off), &mut fail);
             }
         }
 
@@ -390,23 +370,13 @@ impl ChaosConfig {
                 &mut recorder,
             )?;
             let ed = sink.into_events();
-            let j_rd = serde_json::to_string(&rd).expect("reports serialize");
-            if j_rd != serde_json::to_string(&r1).expect("reports serialize") {
-                fail(
-                    "decisions:recording-identity",
-                    "decision recording changed the report".to_string(),
-                );
-            }
-            if ed != e1 {
-                fail(
-                    "decisions:recording-identity",
-                    format!(
-                        "decision recording changed the event stream ({} vs {} events)",
-                        ed.len(),
-                        e1.len()
-                    ),
-                );
-            }
+            let j_rd = plain.expect_same_run(
+                "decisions:recording-identity",
+                "decision recording",
+                &rd,
+                Some(&ed),
+                &mut fail,
+            );
             decisions = recorder.records().len() as u64;
             let sites: Vec<_> = recorder
                 .records()
@@ -481,14 +451,13 @@ impl ChaosConfig {
             let rs = sim.execute(&mut scheme, &mut monitor, spec)?.report();
             let withheld = sampling.sampled_out_events();
             let sampled = sampling.finish().into_events();
-            if serde_json::to_string(&rs).expect("reports serialize")
-                != serde_json::to_string(&r1).expect("reports serialize")
-            {
-                fail(
-                    "sampling:report-identity",
-                    format!("sampling at rate {rate} changed the report"),
-                );
-            }
+            plain.expect_same_run(
+                "sampling:report-identity",
+                &format!("sampling at rate {rate}"),
+                &rs,
+                None,
+                &mut fail,
+            );
             // Exact subsequence: same events, same order, nothing
             // reordered or invented; the withheld counter accounts for
             // every removed event. `kept[i]` marks the full-stream
@@ -596,24 +565,14 @@ impl ChaosConfig {
                 .recorder(&mut rec);
             let full = durable.execute(&mut scheme, &mut monitor, spec)?.report();
             let full_events = sink.into_events();
-            let full_json = serde_json::to_string(&full).expect("reports serialize");
             // Checkpointing on must not perturb the run at all.
-            if full_json != serde_json::to_string(&r1).expect("reports serialize") {
-                fail(
-                    "kill-resume:perturbation",
-                    format!("checkpointing changed the report (cadence {every})"),
-                );
-            }
-            if full_events != e1 {
-                fail(
-                    "kill-resume:perturbation",
-                    format!(
-                        "checkpointing changed the event stream ({} vs {} events)",
-                        full_events.len(),
-                        e1.len()
-                    ),
-                );
-            }
+            let full_json = plain.expect_same_run(
+                "kill-resume:perturbation",
+                &format!("checkpointing (cadence {every})"),
+                &full,
+                Some(&full_events),
+                &mut fail,
+            );
             checkpoints = rec.snapshots.len() as u64;
             if !rec.snapshots.is_empty() {
                 let kill_at = rng.gen_range(0..rec.snapshots.len());
@@ -708,6 +667,46 @@ impl ChaosConfig {
             breaker_opens: r2.health.as_ref().map_or(0, |h| h.breaker_opens),
         };
         Ok((summary, failures))
+    }
+}
+
+/// A chaos scenario's plain run — its report, serialized once, and its
+/// event stream — which every layer-identity invariant compares to.
+struct PlainRun<'a> {
+    json: String,
+    events: &'a [Event],
+}
+
+impl PlainRun<'_> {
+    /// Fails `invariant`, naming `what` changed the run, unless
+    /// `report` (and `events`, when given) equal the plain run's.
+    /// Returns the report's serialization.
+    fn expect_same_run(
+        &self,
+        invariant: &str,
+        what: &str,
+        report: &SimulationReport,
+        events: Option<&[Event]>,
+        fail: &mut impl FnMut(&str, String),
+    ) -> String {
+        let json = serde_json::to_string(report).expect("reports serialize");
+        if json != self.json {
+            fail(
+                invariant,
+                format!("{what} changed the report: {} != {json}", self.json),
+            );
+        }
+        if let Some(events) = events.filter(|&e| e != self.events) {
+            fail(
+                invariant,
+                format!(
+                    "{what} changed the event stream ({} plain vs {} events)",
+                    self.events.len(),
+                    events.len()
+                ),
+            );
+        }
+        json
     }
 }
 
@@ -1758,6 +1757,28 @@ mod tests {
         let report = tiny(0x5A_4D71, 50).run_sweep().unwrap();
         assert_eq!(report.runs.len(), 50);
         report.expect_pass();
+    }
+
+    #[test]
+    fn sampling_accounting_holds_on_seed_9_health_run_4() {
+        // `chaos --runs 60 --seed 9 --health`, run 4: events of dropped
+        // queries still waiting in the sampler's FIFO when the run ended
+        // were missing from the withheld count (357 sampled + 341
+        // withheld != 700 full events).
+        let config = ChaosConfig {
+            seed: 9,
+            health: true,
+            ..ChaosConfig::default()
+        };
+        let seed = config.run_seed(4);
+        assert_eq!(seed, 0xe9f6_e234_d6e6_3f2b);
+        let profile = WorkerProfile::build(
+            &ModelCatalog::torchvision_image(),
+            Duration::from_secs_f64(config.slo_s),
+            ProfilerConfig::default(),
+        );
+        let (_, failures) = config.run_one(&profile, 4, seed).unwrap();
+        assert!(failures.is_empty(), "{failures:?}");
     }
 
     #[test]

@@ -20,14 +20,12 @@
 //! a replay can force an alternative action at decision `k` whether or
 //! not the original run recorded anything.
 
-use std::fs::File;
-use std::io::{self, BufWriter, Write};
-use std::path::Path;
+use std::io::Write;
 
 use serde::{Deserialize, Serialize};
 
 use crate::event::Nanos;
-use crate::sink::{StreamHeader, JSONL_SCHEMA_VERSION};
+use crate::sink::{parse_records, JsonlLog, NullSink, ParsedLog, Record};
 
 /// The stream tag decision logs carry in their schema header.
 pub const DECISION_STREAM: &str = "decisions";
@@ -178,8 +176,8 @@ pub struct DecisionRecord {
     pub reason: ReasonCode,
 }
 
-/// A consumer of decision records (mirror of
-/// [`crate::sink::TelemetrySink`]).
+/// A consumer of decision records: the decision stream's counterpart
+/// of [`crate::TelemetrySink`].
 pub trait DecisionSink {
     /// Whether the sink wants records at all. The engine reads this
     /// once per run and skips record construction when `false`.
@@ -194,11 +192,11 @@ pub trait DecisionSink {
     fn flush(&mut self) {}
 }
 
-/// The default sink: drops everything, reports itself disabled.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullDecisionSink;
+/// The default decision sink is the default event sink: [`NullSink`]
+/// drops everything and reports itself disabled for both streams.
+pub use crate::sink::NullSink as NullDecisionSink;
 
-impl DecisionSink for NullDecisionSink {
+impl DecisionSink for NullSink {
     fn enabled(&self) -> bool {
         false
     }
@@ -235,174 +233,44 @@ impl DecisionSink for VecDecisionSink {
     }
 }
 
-/// A sink writing one decision per line (JSONL), deterministic bytes,
-/// I/O errors latched (mirror of [`crate::sink::JsonlSink`]). Files
-/// opened with [`JsonlDecisionSink::create`] start with a
+impl Record for DecisionRecord {
+    const STREAM: &'static str = DECISION_STREAM;
+}
+
+/// The JSONL decision log: one [`DecisionRecord`] per line, written by
+/// the same [`JsonlLog`] as the event log. Files opened with
+/// [`JsonlLog::create`] start with a
 /// `{"Schema":{"stream":"decisions",...}}` header record.
-#[derive(Debug)]
-pub struct JsonlDecisionSink<W: Write> {
-    out: W,
-    lines: u64,
-    error: Option<io::Error>,
-    failed: bool,
-}
-
-impl JsonlDecisionSink<BufWriter<File>> {
-    /// Opens (truncating) `path` and writes the schema header.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying file-creation error.
-    pub fn create<P: AsRef<Path>>(path: P) -> io::Result<Self> {
-        let mut sink = Self::new(BufWriter::new(File::create(path)?));
-        sink.write_line(
-            &serde_json::to_string(&StreamHeader::decisions()).expect("header serializes"),
-        );
-        sink.lines = 0; // the header is metadata, not a record
-        Ok(sink)
-    }
-}
-
-impl<W: Write> JsonlDecisionSink<W> {
-    /// Wraps an arbitrary writer (no header written).
-    pub fn new(out: W) -> Self {
-        Self {
-            out,
-            lines: 0,
-            error: None,
-            failed: false,
-        }
-    }
-
-    /// Records successfully written so far (the header not counted).
-    pub fn lines(&self) -> u64 {
-        self.lines
-    }
-
-    /// True once any write or flush has failed; further records are
-    /// dropped.
-    pub fn write_failed(&self) -> bool {
-        self.failed
-    }
-
-    /// Takes the latched I/O error, if any; the sink stays failed.
-    pub fn take_error(&mut self) -> Option<io::Error> {
-        self.error.take()
-    }
-
-    fn write_line(&mut self, line: &str) {
-        if self.failed {
-            return;
-        }
-        if let Err(e) = writeln!(self.out, "{line}") {
-            self.error = Some(e);
-            self.failed = true;
-            return;
-        }
-        self.lines += 1;
-    }
-
-    /// Flushes and returns the writer, or the first latched I/O error.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first write or flush error encountered.
-    pub fn finish(mut self) -> io::Result<W> {
-        if let Some(e) = self.error.take() {
-            return Err(e);
-        }
-        self.out.flush()?;
-        Ok(self.out)
-    }
-}
+pub type JsonlDecisionSink<W> = JsonlLog<DecisionRecord, W>;
 
 impl<W: Write> DecisionSink for JsonlDecisionSink<W> {
     fn record(&mut self, record: &DecisionRecord) {
-        let line = serde_json::to_string(record).expect("decision records always serialize");
-        self.write_line(&line);
+        self.append(record);
     }
 
     fn flush(&mut self) {
-        if !self.failed {
-            if let Err(e) = self.out.flush() {
-                self.error = Some(e);
-                self.failed = true;
-            }
-        }
+        self.flush_out();
     }
 }
 
-/// A decision log parsed tolerantly (mirror of
-/// [`crate::sink::ParsedLog`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParsedDecisions {
-    /// Every successfully parsed record, in log order.
-    pub records: Vec<DecisionRecord>,
-    /// The unparseable final line of a truncated log, verbatim.
-    pub torn_tail: Option<String>,
-    /// Well-formed JSON lines that are not known decision records
-    /// (logs from a newer engine); skipped, not fatal.
-    pub unknown_records: u64,
-    /// The schema header's version; `None` for headerless v0 logs.
-    pub schema_version: Option<u32>,
-}
-
-/// Parses a decision JSONL log, tolerating a torn final record, a
-/// missing (v0) schema header, and unknown record shapes from newer
-/// engines.
+/// Parses a decision JSONL log with the event log's tolerant reader
+/// ([`crate::parse_jsonl_tolerant`]): a torn final record, a missing
+/// (v0) schema header, and unknown record shapes from newer engines
+/// are reported, not fatal.
 ///
 /// # Errors
 ///
 /// Returns a message naming the offending line when a non-final line
 /// is not valid JSON — mid-log corruption is never silently skipped.
-pub fn parse_decisions_tolerant(text: &str) -> Result<ParsedDecisions, String> {
-    let lines: Vec<(usize, &str)> = text
-        .lines()
-        .enumerate()
-        .filter(|(_, l)| !l.trim().is_empty())
-        .collect();
-    let mut records = Vec::with_capacity(lines.len());
-    let mut torn_tail = None;
-    let mut unknown_records = 0;
-    let mut schema_version = None;
-    let last = lines.len().saturating_sub(1);
-    for (k, (i, l)) in lines.iter().enumerate() {
-        if let Ok(StreamHeader::Schema { stream, version }) = serde_json::from_str(l) {
-            if schema_version.is_none() && stream == DECISION_STREAM {
-                schema_version = Some(version);
-            } else {
-                unknown_records += 1;
-            }
-            continue;
-        }
-        match serde_json::from_str(l) {
-            Ok(r) => records.push(r),
-            Err(_) if serde_json::from_str::<serde::Value>(l).is_ok() => unknown_records += 1,
-            Err(_) if k == last => torn_tail = Some((*l).to_string()),
-            Err(e) => return Err(format!("line {}: {e}", i + 1)),
-        }
-    }
-    Ok(ParsedDecisions {
-        records,
-        torn_tail,
-        unknown_records,
-        schema_version,
-    })
-}
-
-impl StreamHeader {
-    /// The header a decision log starts with.
-    pub fn decisions() -> Self {
-        StreamHeader::Schema {
-            stream: DECISION_STREAM.to_string(),
-            version: JSONL_SCHEMA_VERSION,
-        }
-    }
+pub fn parse_decisions_tolerant(text: &str) -> Result<ParsedLog<DecisionRecord>, String> {
+    parse_records(text)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sink::{StreamHeader, JSONL_SCHEMA_VERSION};
+    use crate::TelemetrySink;
 
     fn rec(k: u64) -> DecisionRecord {
         DecisionRecord {
@@ -500,9 +368,13 @@ mod tests {
 
     #[test]
     fn null_sink_is_disabled_and_vec_sink_keeps_order() {
+        // One struct is the null sink of both streams, disabled in each.
         let mut null = NullDecisionSink;
-        assert!(!null.enabled());
-        null.record(&rec(0));
+        assert!(!DecisionSink::enabled(&null));
+        assert!(!TelemetrySink::enabled(&null));
+        DecisionSink::record(&mut null, &rec(0));
+        let as_decisions: &mut dyn DecisionSink = &mut null;
+        assert!(!as_decisions.enabled());
         let mut v = VecDecisionSink::new();
         assert!(v.enabled());
         for k in 0..4 {
@@ -522,16 +394,31 @@ mod tests {
         let text = String::from_utf8(sink.finish().unwrap()).unwrap();
         // Headerless (v0) text parses with no version.
         let parsed = parse_decisions_tolerant(&text).unwrap();
-        assert_eq!(parsed.records.len(), 2);
+        assert_eq!(parsed.events.len(), 2);
         assert_eq!(parsed.schema_version, None);
         // With the header prepended, the version is surfaced.
-        let header = serde_json::to_string(&StreamHeader::decisions()).unwrap();
+        let header = serde_json::to_string(&StreamHeader::schema::<DecisionRecord>()).unwrap();
+        assert_eq!(
+            header,
+            "{\"Schema\":{\"stream\":\"decisions\",\"version\":1}}"
+        );
         let v1 = format!("{header}\n{text}");
         let parsed = parse_decisions_tolerant(&v1).unwrap();
-        assert_eq!(parsed.records.len(), 2);
+        assert_eq!(parsed.events.len(), 2);
         assert_eq!(parsed.schema_version, Some(JSONL_SCHEMA_VERSION));
-        assert_eq!(parsed.unknown_records, 0);
+        assert_eq!(parsed.unknown_events, 0);
         assert_eq!(parsed.torn_tail, None);
+        // CRLF line endings parse the same.
+        let crlf = v1.replace('\n', "\r\n");
+        assert_eq!(parse_decisions_tolerant(&crlf).unwrap(), parsed);
+        // A telemetry schema header is another stream's: counted as
+        // unknown, never taken as this log's version.
+        let telemetry = serde_json::to_string(&StreamHeader::schema::<crate::Event>()).unwrap();
+        let parsed = parse_decisions_tolerant(&format!("{telemetry}\n{text}")).unwrap();
+        assert_eq!(parsed.schema_version, None);
+        assert_eq!(parsed.unknown_events, 1);
+        assert_eq!(parsed.unknown_samples, vec![telemetry]);
+        assert_eq!(parsed.events.len(), 2);
     }
 
     #[test]
@@ -539,9 +426,12 @@ mod tests {
         let good = serde_json::to_string(&rec(7)).unwrap();
         let text = format!("{good}\n{{\"FutureDecisionKind\":1}}\n{{\"k\":9,\"at");
         let parsed = parse_decisions_tolerant(&text).unwrap();
-        assert_eq!(parsed.records, vec![rec(7)]);
-        assert_eq!(parsed.unknown_records, 1);
-        assert!(parsed.torn_tail.is_some());
+        assert_eq!(parsed.events, vec![rec(7)]);
+        assert_eq!(parsed.unknown_events, 1);
+        // The torn record is reported with the offset that heals it.
+        let at = parsed.torn_tail_offset.expect("offset reported");
+        assert_eq!(&text[at..], parsed.torn_tail.as_deref().unwrap());
+        assert_eq!(&text[at..], "{\"k\":9,\"at");
         // Mid-log garbage is real corruption.
         let bad = format!("{good}\nnot json\n{good}\n");
         assert!(parse_decisions_tolerant(&bad)
@@ -562,7 +452,7 @@ mod tests {
         assert!(text.starts_with("{\"Schema\":"), "{text}");
         let parsed = parse_decisions_tolerant(&text).unwrap();
         assert_eq!(parsed.schema_version, Some(JSONL_SCHEMA_VERSION));
-        assert_eq!(parsed.records, vec![rec(0)]);
+        assert_eq!(parsed.events, vec![rec(0)]);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -11,8 +11,13 @@
 //!   solves, fallback engagements), all stamped with deterministic
 //!   simulation time — a seeded run replays to a byte-identical stream;
 //! - the [`TelemetrySink`] trait with a zero-cost [`NullSink`] default,
-//!   an unbounded [`VecSink`], and a deterministic [`JsonlSink`] event
-//!   log;
+//!   an unbounded [`VecSink`], a deterministic [`JsonlSink`] event log
+//!   and its compact binary twin [`BinSink`];
+//! - one JSONL format for every recorded stream: a [`Record`] type
+//!   names its stream, one [`JsonlLog`] writer (with the write-error
+//!   latch [`BinSink`] shares) writes it, and one tolerant reader
+//!   parses it into a [`ParsedLog`] — torn tail, unknown records and
+//!   schema header handled the same way for events and decisions;
 //! - trace analysis: [`conservation`] accounting (every arrival ends in
 //!   exactly one terminal state), event-derived [`aggregates`] that
 //!   must match the engine's own counters, and a per-window
@@ -25,7 +30,9 @@
 //!   time;
 //! - decision provenance (DESIGN.md §13): the [`decisions`] module
 //!   records every routing/model-selection decision — candidate set,
-//!   chosen action, reason code — on its own JSONL stream, and the
+//!   chosen action, reason code — as a [`DecisionRecord`] stream,
+//!   written and read by the same JSONL code as events ([`NullSink`]
+//!   is its disabled sink too, as [`NullDecisionSink`]), and the
 //!   [`burn`] module raises hysteretic multi-window SLO burn-rate
 //!   alerts over the completion stream.
 //!
@@ -60,8 +67,8 @@ pub use codec::{
 };
 pub use decisions::{
     parse_decisions_tolerant, CandidateAction, ChosenAction, DecisionRecord, DecisionSink,
-    DecisionState, JsonlDecisionSink, NullDecisionSink, ParsedDecisions, ReasonCode,
-    VecDecisionSink, DECISION_STREAM,
+    DecisionState, JsonlDecisionSink, NullDecisionSink, ReasonCode, VecDecisionSink,
+    DECISION_STREAM,
 };
 pub use event::{Action, Event, Nanos, QueueId, ShedCause};
 pub use profile::{
@@ -70,8 +77,9 @@ pub use profile::{
 };
 pub use sample::{batch_weights, query_weights, SamplePolicy, SamplingSink};
 pub use sink::{
-    parse_jsonl, parse_jsonl_tolerant, JsonlSink, NullSink, ParsedLog, StreamHeader, TelemetrySink,
-    VecSink, JSONL_SCHEMA_VERSION, TELEMETRY_STREAM, UNKNOWN_SAMPLE_CAP,
+    parse_jsonl, parse_jsonl_tolerant, JsonlLog, JsonlSink, NullSink, ParsedLog, Record,
+    StreamHeader, TelemetrySink, VecSink, JSONL_SCHEMA_VERSION, TELEMETRY_STREAM,
+    UNKNOWN_SAMPLE_CAP,
 };
 pub use spans::{
     critical_path, reconstruct_spans, reconstruct_spans_sampled, CriticalPathReport, QuerySpan,

@@ -92,22 +92,30 @@ const FATE_DROPPED: u8 = 2;
 /// adversarial stream) falls back to ordered sets.
 const DENSE_FATE_CAP: u64 = 1 << 24;
 
-/// Per-query keep/drop decisions, O(1) for the dense engine id space.
+/// Per-query keep/drop decisions, O(1) for the dense engine id space,
+/// plus how many of each undecided query's events wait in the FIFO —
+/// so a drop counts them withheld the moment it is decided, not when
+/// they later leave the FIFO.
+///
+/// A dense byte above `FATE_DROPPED` is an undecided query with
+/// `byte - FATE_DROPPED` events waiting; counts the byte cannot hold,
+/// and every count above the dense cap, live in `waiting`.
 #[derive(Debug, Default)]
 struct QueryFates {
     dense: Vec<u8>,
     sparse_kept: BTreeSet<u64>,
     sparse_dropped: BTreeSet<u64>,
+    waiting: BTreeMap<u64, u64>,
 }
 
 impl QueryFates {
     #[inline]
     fn get(&self, q: u64) -> u8 {
         if q < DENSE_FATE_CAP {
-            self.dense
-                .get(q as usize)
-                .copied()
-                .unwrap_or(FATE_UNDECIDED)
+            match self.dense.get(q as usize) {
+                Some(&fate) if fate <= FATE_DROPPED => fate,
+                _ => FATE_UNDECIDED,
+            }
         } else if self.sparse_kept.contains(&q) {
             FATE_KEPT
         } else if self.sparse_dropped.contains(&q) {
@@ -117,13 +125,32 @@ impl QueryFates {
         }
     }
 
-    fn set(&mut self, q: u64, fate: u8) {
+    fn dense_mut(&mut self, q: u64) -> &mut u8 {
+        let i = q as usize;
+        if self.dense.len() <= i {
+            self.dense.resize(i + 1, FATE_UNDECIDED);
+        }
+        &mut self.dense[i]
+    }
+
+    /// Notes one more event of undecided query `q` waiting in the FIFO.
+    fn wait(&mut self, q: u64) {
         if q < DENSE_FATE_CAP {
-            let i = q as usize;
-            if self.dense.len() <= i {
-                self.dense.resize(i + 1, FATE_UNDECIDED);
+            let byte = self.dense_mut(q);
+            if *byte < u8::MAX {
+                *byte = (*byte).max(FATE_DROPPED) + 1;
+                return;
             }
-            self.dense[i] = fate;
+        }
+        *self.waiting.entry(q).or_insert(0) += 1;
+    }
+
+    /// Decides `q`, returning how many of its events wait in the FIFO.
+    fn set(&mut self, q: u64, fate: u8) -> u64 {
+        let mut waiting = self.waiting.remove(&q).unwrap_or(0);
+        if q < DENSE_FATE_CAP {
+            let before = std::mem::replace(self.dense_mut(q), fate);
+            waiting += u64::from(before.saturating_sub(FATE_DROPPED));
         } else if fate == FATE_KEPT {
             self.sparse_dropped.remove(&q);
             self.sparse_kept.insert(q);
@@ -131,6 +158,7 @@ impl QueryFates {
             self.sparse_kept.remove(&q);
             self.sparse_dropped.insert(q);
         }
+        waiting
     }
 }
 
@@ -348,7 +376,9 @@ impl<S: TelemetrySink> SamplingSink<S> {
         self.sampled_out_queries
     }
 
-    /// Events discarded so far.
+    /// Events discarded so far, counted when their query's drop (or
+    /// their batch's) is decided — including events of dropped queries
+    /// still waiting in the FIFO behind an undecided one.
     pub fn sampled_out_events(&self) -> u64 {
         self.sampled_out_events
     }
@@ -367,10 +397,9 @@ impl<S: TelemetrySink> SamplingSink<S> {
                 Slot::Keep(e) | Slot::Batch(e) => self.inner.record(&e),
                 Slot::Gone => {}
                 Slot::Await(q, e) => {
-                    if self.fates.get(q) == FATE_DROPPED {
-                        self.sampled_out_events += 1;
-                    } else {
-                        // Undecided ⇒ in-flight ⇒ keep.
+                    // Dropped events were counted at the decision;
+                    // undecided ⇒ in-flight ⇒ keep.
+                    if self.fates.get(q) != FATE_DROPPED {
                         self.inner.record(&e);
                     }
                 }
@@ -495,7 +524,6 @@ impl<S: TelemetrySink> SamplingSink<S> {
                     }
                     FATE_DROPPED => {
                         self.queue.pop_front();
-                        self.sampled_out_events += 1;
                     }
                     _ => break,
                 },
@@ -555,7 +583,9 @@ impl<S: TelemetrySink> TelemetrySink for SamplingSink<S> {
                         self.fates.set(q, FATE_KEPT);
                         Decision::Promote
                     } else if boring_terminal(event, &self.hedged) {
-                        self.fates.set(q, FATE_DROPPED);
+                        // The query's waiting events are withheld now,
+                        // whenever they leave the FIFO.
+                        self.sampled_out_events += self.fates.set(q, FATE_DROPPED);
                         self.sampled_out_queries += 1;
                         Decision::Drop
                     } else {
@@ -597,6 +627,7 @@ impl<S: TelemetrySink> TelemetrySink for SamplingSink<S> {
                 self.drain_decided();
             }
             Decision::Await(q) => {
+                self.fates.wait(q);
                 self.queue.push_back(Slot::Await(q, event.clone()));
             }
             Decision::Batch => {
@@ -906,6 +937,32 @@ mod tests {
         ];
         let (kept, _, _) = run_through(&events, 0.5, 3);
         assert_eq!(kept, events, "all kept, in original order");
+    }
+
+    #[test]
+    fn withheld_events_are_counted_when_the_drop_is_decided() {
+        // A dropped query's events can wait in the FIFO behind an
+        // undecided one long after the drop; the withheld count must
+        // include them at the decision, before `finish` drains them.
+        // Dense and sparse ids alike, with a waiting count past what
+        // one dense byte holds.
+        let policy = SamplePolicy::new(0.01, 9).unwrap();
+        let dropped = |from: u64| (from..).find(|&q| !policy.keeps(q)).unwrap();
+        for (a, c) in [
+            (dropped(0), dropped(1000)),
+            (dropped(1 << 40), dropped(1 << 41)),
+        ] {
+            let mut events = vec![arrival(a, 1)];
+            events.extend((0..300).map(|t| arrival(c, 2 + t)));
+            events.push(complete(c, 900, 1, false));
+            let mut sink = SamplingSink::new(VecSink::new(), policy);
+            for e in &events {
+                sink.record(e);
+            }
+            assert_eq!(sink.sampled_out_queries(), 1);
+            assert_eq!(sink.sampled_out_events(), 301, "counted at the decision");
+            assert_eq!(sink.finish().into_events(), vec![arrival(a, 1)]);
+        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Event sinks: where a traced run's [`Event`] stream goes.
+//! Event sinks: where a traced run's [`Event`] stream goes, and the
+//! JSONL machinery every recorded stream shares.
 //!
 //! The engine takes a `&mut dyn TelemetrySink` and checks
 //! [`TelemetrySink::enabled`] once per run; with the default
@@ -6,9 +7,15 @@
 //! untraced run pays nothing beyond one branch per site (the
 //! `null_sink` row of the `perf_baseline` layer matrix pins this
 //! contract).
+//!
+//! The event log and the decision log ([`crate::decisions`]) are one
+//! format with two record types: a [`Record`] names its stream, and
+//! [`JsonlLog`] writes, [`ParsedLog`] holds, and one tolerant line
+//! reader parses either. [`JsonlSink`] is the event instance.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
+use std::marker::PhantomData;
 use std::path::Path;
 
 use serde::{Deserialize, Serialize};
@@ -30,9 +37,20 @@ pub const TELEMETRY_STREAM: &str = "telemetry";
 /// prints the retained few and a "+N more suppressed" summary.
 pub const UNKNOWN_SAMPLE_CAP: usize = 5;
 
+/// A record type a JSONL stream carries: [`Event`] for the telemetry
+/// log, [`crate::DecisionRecord`] for the decision log.
+pub trait Record: Serialize + Deserialize {
+    /// The tag the stream's schema header carries.
+    const STREAM: &'static str;
+}
+
+impl Record for Event {
+    const STREAM: &'static str = TELEMETRY_STREAM;
+}
+
 /// The metadata record a JSONL file stream starts with, e.g.
 /// `{"Schema":{"stream":"telemetry","version":1}}`. It shares the
-/// line-oriented format but is not an [`Event`]: parsers surface it as
+/// line-oriented format but is not a [`Record`]: parsers surface it as
 /// [`ParsedLog::schema_version`] instead of counting it as a record,
 /// and v0 logs (written before headers existed) parse fine without
 /// one.
@@ -40,7 +58,7 @@ pub const UNKNOWN_SAMPLE_CAP: usize = 5;
 pub enum StreamHeader {
     /// The stream's identity and schema version.
     Schema {
-        /// Which stream this is (`"telemetry"` or `"decisions"`).
+        /// Which stream this is (a [`Record::STREAM`] tag).
         stream: String,
         /// Schema version of the records that follow.
         version: u32,
@@ -59,10 +77,10 @@ pub enum StreamHeader {
 }
 
 impl StreamHeader {
-    /// The header a telemetry log starts with.
-    pub fn telemetry() -> Self {
+    /// The schema header a log of `R` records starts with.
+    pub fn schema<R: Record>() -> Self {
         StreamHeader::Schema {
-            stream: TELEMETRY_STREAM.to_string(),
+            stream: R::STREAM.to_string(),
             version: JSONL_SCHEMA_VERSION,
         }
     }
@@ -83,7 +101,9 @@ pub trait TelemetrySink {
     fn flush(&mut self) {}
 }
 
-/// The default sink: drops everything, reports itself disabled.
+/// The default sink for both streams: drops everything, reports itself
+/// disabled. It is also the default [`crate::DecisionSink`], under the
+/// name [`crate::NullDecisionSink`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullSink;
 
@@ -124,36 +144,112 @@ impl TelemetrySink for VecSink {
     }
 }
 
-/// A sink writing one JSON object per line (JSONL) to any writer.
-///
-/// Serialization is deterministic — field order is declaration order
-/// and floats use shortest-round-trip formatting — so a seeded run
-/// produces a byte-identical log on every replay. I/O errors are
-/// latched and surfaced by [`JsonlSink::finish`] rather than panicking
-/// mid-run.
+/// The writer behind every file sink ([`JsonlLog`] and
+/// [`crate::BinSink`]): counts whole records, latches the first I/O
+/// error instead of panicking mid-run, and drops everything written
+/// after it.
 #[derive(Debug)]
-pub struct JsonlSink<W: Write> {
+pub(crate) struct Latched<W: Write> {
     out: W,
-    lines: u64,
+    records: u64,
     error: Option<io::Error>,
     failed: bool,
 }
 
-impl JsonlSink<BufWriter<File>> {
+impl<W: Write> Latched<W> {
+    pub(crate) fn new(out: W) -> Self {
+        Self {
+            out,
+            records: 0,
+            error: None,
+            failed: false,
+        }
+    }
+
+    /// Writes stream metadata (a header), not counted as a record.
+    pub(crate) fn write(&mut self, bytes: &[u8]) {
+        if self.failed {
+            return;
+        }
+        if let Err(e) = self.out.write_all(bytes) {
+            self.error = Some(e);
+            self.failed = true;
+        }
+    }
+
+    /// Writes one whole record, counting it if the write succeeds.
+    pub(crate) fn record(&mut self, bytes: &[u8]) {
+        self.write(bytes);
+        if !self.failed {
+            self.records += 1;
+        }
+    }
+
+    pub(crate) fn records(&self) -> u64 {
+        self.records
+    }
+
+    pub(crate) fn write_failed(&self) -> bool {
+        self.failed
+    }
+
+    pub(crate) fn take_error(&mut self) -> Option<io::Error> {
+        self.error.take()
+    }
+
+    pub(crate) fn flush(&mut self) {
+        if !self.failed {
+            if let Err(e) = self.out.flush() {
+                self.error = Some(e);
+                self.failed = true;
+            }
+        }
+    }
+
+    pub(crate) fn finish(mut self) -> io::Result<W> {
+        if let Some(e) = self.error.take() {
+            return Err(e);
+        }
+        self.out.flush()?;
+        Ok(self.out)
+    }
+}
+
+/// A log writing one JSON record per line (JSONL) to any writer: the
+/// event log as [`JsonlSink`], the decision log as
+/// [`crate::JsonlDecisionSink`].
+///
+/// Serialization is deterministic — field order is declaration order
+/// and floats use shortest-round-trip formatting — so a seeded run
+/// produces a byte-identical log on every replay. I/O errors are
+/// latched and surfaced by [`JsonlLog::finish`] rather than panicking
+/// mid-run.
+#[derive(Debug)]
+pub struct JsonlLog<R, W: Write> {
+    out: Latched<W>,
+    record: PhantomData<fn(&R)>,
+}
+
+/// The JSONL event log.
+pub type JsonlSink<W> = JsonlLog<Event, W>;
+
+impl<R: Record> JsonlLog<R, BufWriter<File>> {
     /// Opens (truncating) `path` for buffered JSONL output and writes
-    /// the schema header as the first line (not counted in
-    /// [`JsonlSink::lines`]).
+    /// the `R` stream's schema header as the first line (not counted in
+    /// [`JsonlLog::lines`]).
     ///
     /// # Errors
     ///
     /// Propagates the underlying file-creation error.
     pub fn create<P: AsRef<Path>>(path: P) -> io::Result<Self> {
-        let mut sink = Self::new(BufWriter::new(File::create(path)?));
-        sink.write_header(&StreamHeader::telemetry());
-        Ok(sink)
+        let mut log = Self::new(BufWriter::new(File::create(path)?));
+        log.write_header(&StreamHeader::schema::<R>());
+        Ok(log)
     }
+}
 
-    /// Like [`JsonlSink::create`], additionally stamping the stream
+impl JsonlSink<BufWriter<File>> {
+    /// Like [`JsonlLog::create`], additionally stamping the stream
     /// with the sampling rate and seed of the [`crate::SamplingSink`]
     /// wrapping this sink, as a second header line.
     ///
@@ -169,7 +265,7 @@ impl JsonlSink<BufWriter<File>> {
     /// Reopens an existing log for a resumed run: truncates `path` to
     /// the byte offset just past its first `lines` whole records —
     /// healing any torn tail a mid-write kill left behind — and appends
-    /// from there. The returned sink reports [`JsonlSink::lines`] as
+    /// from there. The returned sink reports [`JsonlLog::lines`] as
     /// `lines`, so line accounting continues as if the run were never
     /// interrupted.
     ///
@@ -215,53 +311,57 @@ impl JsonlSink<BufWriter<File>> {
         file.set_len(offset as u64)?;
         file.seek(SeekFrom::Start(offset as u64))?;
         let mut sink = Self::new(BufWriter::new(file));
-        sink.lines = lines;
+        sink.out.records = lines;
         Ok(sink)
     }
 }
 
-impl<W: Write> JsonlSink<W> {
-    /// Wraps an arbitrary writer.
+impl<R: Record, W: Write> JsonlLog<R, W> {
+    /// Wraps an arbitrary writer (no header written).
     pub fn new(out: W) -> Self {
         Self {
-            out,
-            lines: 0,
-            error: None,
-            failed: false,
+            out: Latched::new(out),
+            record: PhantomData,
         }
     }
 
     /// Writes a metadata header line (not counted in
-    /// [`JsonlSink::lines`]), latching any I/O error.
+    /// [`JsonlLog::lines`]), latching any I/O error.
     fn write_header(&mut self, header: &StreamHeader) {
-        if self.failed {
-            return;
-        }
         let line = serde_json::to_string(header).expect("header serializes");
-        if let Err(e) = writeln!(self.out, "{line}") {
-            self.error = Some(e);
-            self.failed = true;
-        }
+        self.out.write(format!("{line}\n").as_bytes());
     }
 
-    /// Lines successfully written so far.
+    /// Appends one record as a line, latching any I/O error.
+    pub(crate) fn append(&mut self, record: &R) {
+        let mut line = serde_json::to_string(record).expect("records always serialize");
+        line.push('\n');
+        self.out.record(line.as_bytes());
+    }
+
+    /// Records successfully written so far (headers not counted).
     pub fn lines(&self) -> u64 {
-        self.lines
+        self.out.records()
     }
 
     /// True once any write or flush has failed; further records are
     /// dropped. Callers that keep the sink alive (rather than calling
-    /// [`JsonlSink::finish`]) use this to fail loudly instead of
+    /// [`JsonlLog::finish`]) use this to fail loudly instead of
     /// reporting a silently truncated log as success.
     pub fn write_failed(&self) -> bool {
-        self.failed
+        self.out.write_failed()
     }
 
     /// Takes the latched I/O error, if any. The sink stays failed —
-    /// [`JsonlSink::write_failed`] remains `true` and subsequent
+    /// [`JsonlLog::write_failed`] remains `true` and subsequent
     /// records are still dropped; only ownership of the error moves.
     pub fn take_error(&mut self) -> Option<io::Error> {
-        self.error.take()
+        self.out.take_error()
+    }
+
+    /// Flushes any buffered lines, latching a flush error.
+    pub(crate) fn flush_out(&mut self) {
+        self.out.flush();
     }
 
     /// Flushes and returns the writer, or the first latched I/O error.
@@ -269,36 +369,18 @@ impl<W: Write> JsonlSink<W> {
     /// # Errors
     ///
     /// Returns the first write or flush error encountered.
-    pub fn finish(mut self) -> io::Result<W> {
-        if let Some(e) = self.error.take() {
-            return Err(e);
-        }
-        self.out.flush()?;
-        Ok(self.out)
+    pub fn finish(self) -> io::Result<W> {
+        self.out.finish()
     }
 }
 
 impl<W: Write> TelemetrySink for JsonlSink<W> {
     fn record(&mut self, event: &Event) {
-        if self.failed {
-            return;
-        }
-        let line = serde_json::to_string(event).expect("events always serialize");
-        if let Err(e) = writeln!(self.out, "{line}") {
-            self.error = Some(e);
-            self.failed = true;
-            return;
-        }
-        self.lines += 1;
+        self.append(event);
     }
 
     fn flush(&mut self) {
-        if !self.failed {
-            if let Err(e) = self.out.flush() {
-                self.error = Some(e);
-                self.failed = true;
-            }
-        }
+        self.flush_out();
     }
 }
 
@@ -319,12 +401,14 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<Event>, String> {
         .collect()
 }
 
-/// A JSONL log parsed tolerantly: all whole records, plus the torn
-/// trailing fragment (if any) reported rather than swallowed.
+/// A log parsed tolerantly: all whole records, plus the torn trailing
+/// fragment (if any) reported rather than swallowed. `ParsedLog` alone
+/// is the event log; the decision log parses into
+/// `ParsedLog<DecisionRecord>`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ParsedLog {
-    /// Every successfully parsed event, in log order.
-    pub events: Vec<Event>,
+pub struct ParsedLog<R = Event> {
+    /// Every successfully parsed record, in log order.
+    pub events: Vec<R>,
     /// The unparseable final line of a truncated log, verbatim
     /// (`None` for a clean log).
     pub torn_tail: Option<String>,
@@ -332,10 +416,11 @@ pub struct ParsedLog {
     /// text (`None` for a clean log). Truncating the file to this
     /// offset heals the tear: everything before it is whole records.
     pub torn_tail_offset: Option<usize>,
-    /// Lines holding well-formed JSON that is not a known event kind —
-    /// a log written by a newer engine with event variants this build
-    /// does not know. They are skipped, not fatal, so old tooling can
-    /// still analyze new logs; callers should warn when non-zero.
+    /// Lines holding well-formed JSON that is not a known record —
+    /// a log written by a newer engine with variants this build does
+    /// not know, or another stream's header. They are skipped, not
+    /// fatal, so old tooling can still analyze new logs; callers
+    /// should warn when non-zero.
     pub unknown_events: u64,
     /// Previews of the first few unknown records (at most
     /// [`UNKNOWN_SAMPLE_CAP`]); the rest are only counted, so tooling
@@ -367,85 +452,83 @@ pub struct ParsedLog {
 /// damage, not a torn write or a forward-compat gap, and is never
 /// silently skipped.
 pub fn parse_jsonl_tolerant(text: &str) -> Result<ParsedLog, String> {
-    // (line number, byte offset of line start, line content) for every
-    // non-blank line; offsets are tracked by hand because `str::lines`
-    // discards them and the torn-tail offset is part of the contract.
-    let mut lines: Vec<(usize, usize, &str)> = Vec::new();
-    let mut offset = 0usize;
-    for (i, raw) in text.split_inclusive('\n').enumerate() {
-        let line = raw.strip_suffix('\n').unwrap_or(raw);
-        let line = line.strip_suffix('\r').unwrap_or(line);
-        if !line.trim().is_empty() {
-            lines.push((i, offset, line));
-        }
-        offset += raw.len();
-    }
-    let mut events = Vec::with_capacity(lines.len());
-    let mut torn_tail = None;
-    let mut torn_tail_offset = None;
-    let mut unknown_events = 0;
-    let mut unknown_samples: Vec<String> = Vec::new();
-    let mut schema_version = None;
-    let mut sample_rate = None;
-    let mut sample_seed = None;
-    let last = lines.len().saturating_sub(1);
-    let note_unknown = |samples: &mut Vec<String>, count: &mut u64, l: &str| {
-        *count += 1;
-        if samples.len() < UNKNOWN_SAMPLE_CAP {
-            let preview: String = l.chars().take(80).collect();
-            samples.push(preview);
-        }
-    };
-    for (k, (i, at, l)) in lines.iter().enumerate() {
-        // Stream headers are metadata: surface the first telemetry
-        // schema's version and the first sampling provenance, count
-        // any other as foreign.
-        match serde_json::from_str::<StreamHeader>(l) {
-            Ok(StreamHeader::Schema { stream, version }) => {
-                if schema_version.is_none() && stream == TELEMETRY_STREAM {
-                    schema_version = Some(version);
-                } else {
-                    note_unknown(&mut unknown_samples, &mut unknown_events, l);
-                }
-                continue;
-            }
-            Ok(StreamHeader::Sampling { rate, seed }) => {
-                if sample_rate.is_none() {
-                    sample_rate = Some(rate);
-                    sample_seed = Some(seed);
-                } else {
-                    note_unknown(&mut unknown_samples, &mut unknown_events, l);
-                }
-                continue;
-            }
-            Err(_) => {}
-        }
-        match serde_json::from_str(l) {
-            Ok(e) => events.push(e),
-            // Valid JSON that is not an Event we know: a future event
-            // kind, anywhere in the log. Skip and count.
-            Err(_) if serde_json::from_str::<serde::Value>(l).is_ok() => {
-                note_unknown(&mut unknown_samples, &mut unknown_events, l);
-            }
-            Err(_) if k == last => {
-                torn_tail = Some((*l).to_string());
-                torn_tail_offset = Some(*at);
-            }
-            Err(e) => return Err(format!("line {}: {e}", i + 1)),
-        }
-    }
-    Ok(ParsedLog {
-        events,
-        torn_tail,
-        torn_tail_offset,
-        unknown_events,
-        unknown_samples,
-        schema_version,
-        sample_rate,
-        sample_seed,
-    })
+    parse_records(text)
 }
 
+/// The tolerant line reader behind [`parse_jsonl_tolerant`] and
+/// [`crate::parse_decisions_tolerant`]: one pass over the non-blank
+/// lines (LF or CRLF), surfacing the first `R`-stream schema header and
+/// the first sampling header, counting other headers and unknown JSON
+/// as foreign, and reporting an unparseable final line as the torn
+/// tail.
+pub(crate) fn parse_records<R: Record>(text: &str) -> Result<ParsedLog<R>, String> {
+    // Sized from the line count: every record is one line.
+    let line_count = text.bytes().filter(|&b| b == b'\n').count() + 1;
+    let mut log = ParsedLog {
+        events: Vec::with_capacity(line_count),
+        torn_tail: None,
+        torn_tail_offset: None,
+        unknown_events: 0,
+        unknown_samples: Vec::new(),
+        schema_version: None,
+        sample_rate: None,
+        sample_seed: None,
+    };
+    let note_unknown = |log: &mut ParsedLog<R>, l: &str| {
+        log.unknown_events += 1;
+        if log.unknown_samples.len() < UNKNOWN_SAMPLE_CAP {
+            log.unknown_samples.push(l.chars().take(80).collect());
+        }
+    };
+    // Byte offsets are tracked by hand because `str::lines` discards
+    // them and the torn-tail offset is part of the contract.
+    let mut lines = text
+        .split_inclusive('\n')
+        .enumerate()
+        .scan(0usize, |offset, (i, raw)| {
+            let at = *offset;
+            *offset += raw.len();
+            let line = raw.strip_suffix('\n').unwrap_or(raw);
+            Some((i, at, line.strip_suffix('\r').unwrap_or(line)))
+        })
+        .filter(|(_, _, l)| !l.trim().is_empty())
+        .peekable();
+    while let Some((i, at, l)) = lines.next() {
+        // One JSON parse per line; the header and record shapes are
+        // then tried against the parsed tree.
+        let value = match serde_json::from_str::<serde::Value>(l) {
+            Ok(value) => value,
+            Err(_) if lines.peek().is_none() => {
+                log.torn_tail = Some(l.to_string());
+                log.torn_tail_offset = Some(at);
+                break;
+            }
+            Err(e) => return Err(format!("line {}: {e}", i + 1)),
+        };
+        // Stream headers are metadata: surface this stream's first
+        // schema version and the first sampling provenance, count any
+        // other as foreign.
+        match StreamHeader::from_value(&value) {
+            Ok(StreamHeader::Schema { stream, version })
+                if log.schema_version.is_none() && stream == R::STREAM =>
+            {
+                log.schema_version = Some(version);
+            }
+            Ok(StreamHeader::Sampling { rate, seed }) if log.sample_rate.is_none() => {
+                log.sample_rate = Some(rate);
+                log.sample_seed = Some(seed);
+            }
+            Ok(_) => note_unknown(&mut log, l),
+            // Valid JSON that is not a record we know: a future kind,
+            // anywhere in the log. Skip and count.
+            Err(_) => match R::from_value(&value) {
+                Ok(record) => log.events.push(record),
+                Err(_) => note_unknown(&mut log, l),
+            },
+        }
+    }
+    Ok(log)
+}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -464,6 +547,8 @@ mod tests {
         let mut s = NullSink;
         assert!(!s.enabled());
         s.record(&ev(1)); // no-op, no panic
+                          // The same struct is the disabled decision sink.
+        assert!(!crate::DecisionSink::enabled(&crate::NullDecisionSink));
     }
 
     #[test]
@@ -531,6 +616,9 @@ mod tests {
         let parsed = parse_jsonl_tolerant(&full).unwrap();
         assert_eq!(parsed.events, events);
         assert_eq!(parsed.torn_tail, None);
+        // CRLF line endings parse the same.
+        let crlf = full.replace('\n', "\r\n");
+        assert_eq!(parse_jsonl_tolerant(&crlf).unwrap(), parsed);
         // Trailing blank lines do not count as a torn tail.
         let padded = format!("{full}\n\n");
         assert_eq!(parse_jsonl_tolerant(&padded).unwrap().torn_tail, None);
@@ -659,7 +747,7 @@ mod tests {
     #[test]
     fn schema_headers_are_surfaced_not_counted() {
         let good = serde_json::to_string(&ev(1)).unwrap();
-        let header = serde_json::to_string(&StreamHeader::telemetry()).unwrap();
+        let header = serde_json::to_string(&StreamHeader::schema::<Event>()).unwrap();
         let text = format!("{header}\n{good}\n{good}\n");
         // The tolerant parser surfaces the version; the strict parser
         // skips the header as metadata.

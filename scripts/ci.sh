@@ -67,9 +67,9 @@ durability_smoke() {
 stage "durability-smoke" durability_smoke
 # Decision-provenance smoke: record a run's decision log, explain its
 # violations (text + JSON), quantify exact regret by counterfactual
-# replay (baseline replays asserted byte-identical inside the run), and
-# demand a loud failure on a missing log. The decision-cost gates run in
-# perf-smoke.
+# replay (baseline replays asserted byte-identical inside the run),
+# explain a torn copy of the log with a warning, and demand a loud
+# failure on a missing log. The decision-cost gates run in perf-smoke.
 why_smoke() {
     local out
     out="$(mktemp -d)"
@@ -87,6 +87,17 @@ why_smoke() {
     cargo run --release -q -p ramsis-cli -- why --counterfactual --m RAMSIS --trace constant \
         --load 80 --duration 8 --task image --SLO 150 --worker 2 --out "${out}" \
         --max-decisions 3 --alternatives 2
+    # A decision log cut mid-record (a killed run) must still explain,
+    # exit 0, and report the torn record: the tolerant reader the
+    # decision and event logs share, end to end through the CLI.
+    local warnings
+    head -c -20 "${out}/d.jsonl" > "${out}/torn.jsonl"
+    warnings="$(cargo run --release -q -p ramsis-cli -- why "${out}/torn.jsonl" \
+        --telemetry "${out}/t.jsonl" --top 5 2>&1 > /dev/null)"
+    if [[ "${warnings}" != *"decision log has a torn final record"* ]]; then
+        echo "why did not report the torn decision log: ${warnings}" >&2
+        return 1
+    fi
     if cargo run --release -q -p ramsis-cli -- why "${out}/missing.jsonl" \
         --telemetry "${out}/t.jsonl" 2>/dev/null; then
         echo "why accepted a missing decision log" >&2
