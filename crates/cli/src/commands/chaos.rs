@@ -23,8 +23,8 @@
 //! (normally drawn at random) so each scenario exercises suspicion,
 //! circuit breakers, and the detection-bound invariants.
 //!
-//! Exit is non-zero when any invariant fails; CI runs the 25-run smoke
-//! mode (see scripts/ci.sh).
+//! Exit is non-zero when any invariant fails; CI runs 2,000-run sweeps
+//! in each mode (see scripts/ci.sh).
 
 use ramsis_bench::render_table;
 use ramsis_sim::ChaosConfig;

@@ -1781,6 +1781,56 @@ mod tests {
         assert!(failures.is_empty(), "{failures:?}");
     }
 
+    /// Runs one chaos scenario of `config` and demands it pass.
+    fn expect_run_passes(config: ChaosConfig, run: u32, seed: u64) {
+        assert_eq!(config.run_seed(run), seed);
+        let profile = WorkerProfile::build(
+            &ModelCatalog::torchvision_image(),
+            Duration::from_secs_f64(config.slo_s),
+            ProfilerConfig::default(),
+        );
+        let (summary, failures) = config.run_one(&profile, run, seed).unwrap();
+        assert!(failures.is_empty(), "{failures:?}");
+        assert!(
+            summary.scale_downs > 0,
+            "the scenario scales in: {summary:?}"
+        );
+    }
+
+    // `drain-handoff`: a scale-in that cancelled a warm-up emitted its
+    // ScaleDown but never the DrainComplete the drain invariant expects
+    // ("1 ScaleDown events but 0 DrainComplete"). The cancel now
+    // completes its drain on the spot.
+
+    #[test]
+    fn drain_handoff_holds_on_seed_1_run_92() {
+        let config = ChaosConfig {
+            seed: 1,
+            ..ChaosConfig::default()
+        };
+        expect_run_passes(config, 92, 0xca39_5952_7e30_5f18);
+    }
+
+    #[test]
+    fn drain_handoff_holds_on_seed_9_health_run_33() {
+        let config = ChaosConfig {
+            seed: 9,
+            health: true,
+            ..ChaosConfig::default()
+        };
+        expect_run_passes(config, 33, 0x5dd3_a16e_a242_4cdd);
+    }
+
+    #[test]
+    fn drain_handoff_holds_on_seed_11_kill_resume_run_336() {
+        let config = ChaosConfig {
+            seed: 11,
+            kill_resume: true,
+            ..ChaosConfig::default()
+        };
+        expect_run_passes(config, 336, 0xfce1_1c49_7550_539a);
+    }
+
     #[test]
     fn batch_coherence_rejects_orphaned_batch_events() {
         let dispatch = |at, worker| Event::Dispatch {

@@ -127,7 +127,7 @@ pub struct SnapshotMeta {
     /// Telemetry events emitted so far; a resumed run's JSONL log is
     /// truncated to exactly this many lines before appending.
     pub events_emitted: u64,
-    /// Length of the pre-sampled arrival array.
+    /// Number of arrivals in the run.
     pub arrivals_len: usize,
     /// Order-sensitive fingerprint of the arrival times
     /// ([`arrivals_fingerprint`]); a resume against different arrivals
@@ -338,15 +338,37 @@ fn tmp_path(path: &Path) -> PathBuf {
     path.with_file_name(name)
 }
 
-/// Order-sensitive fingerprint of an arrival array: a splitmix64 fold
-/// over the raw bit patterns. Used to refuse resuming a snapshot
+/// Order-sensitive fingerprint of an arrival sequence: a splitmix64
+/// fold over the raw bit patterns. Used to refuse resuming a snapshot
 /// against different arrivals (wrong trace, seed, or surge plan).
 pub fn arrivals_fingerprint(arrivals: &[f64]) -> u64 {
-    let mut h = 0xA5A5_5A5A_0C1A_0505u64;
-    for &t in arrivals {
-        h = splitmix64(h ^ t.to_bits());
+    let mut f = ArrivalsFingerprint::default();
+    arrivals.iter().for_each(|&t| f.push(t));
+    f.value()
+}
+
+/// [`arrivals_fingerprint`] folded one arrival at a time, so a streamed
+/// arrival sequence is fingerprinted without being held.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ArrivalsFingerprint(u64);
+
+impl Default for ArrivalsFingerprint {
+    fn default() -> Self {
+        Self(0xA5A5_5A5A_0C1A_0505)
     }
-    h
+}
+
+impl ArrivalsFingerprint {
+    /// Folds in the next arrival time.
+    #[inline]
+    pub fn push(&mut self, t: f64) {
+        self.0 = splitmix64(self.0 ^ t.to_bits());
+    }
+
+    /// The fingerprint of the arrivals folded so far.
+    pub fn value(self) -> u64 {
+        self.0
+    }
 }
 
 /// Where checkpoints go. The engine calls [`Self::record`] at each
@@ -479,6 +501,25 @@ mod tests {
         assert_eq!(a, c);
         assert_ne!(a, b);
         assert_ne!(arrivals_fingerprint(&[]), arrivals_fingerprint(&[0.0]));
+    }
+
+    #[test]
+    fn incremental_fingerprint_equals_the_slice_fold() {
+        use rand::SeedableRng;
+        use rand_chacha::ChaCha8Rng;
+        let trace = ramsis_workload::Trace::twitter_like(2).scaled_between(30.0, 90.0, 1.5);
+        let seed = 0xF1A6;
+        let times =
+            ramsis_workload::sample_poisson_arrivals(&trace, &mut ChaCha8Rng::seed_from_u64(seed));
+        let mut f = ArrivalsFingerprint::default();
+        for t in ramsis_workload::PoissonArrivals::new(trace, ChaCha8Rng::seed_from_u64(seed)) {
+            f.push(t);
+        }
+        assert_eq!(f.value(), arrivals_fingerprint(&times));
+        assert_eq!(
+            ArrivalsFingerprint::default().value(),
+            arrivals_fingerprint(&[])
+        );
     }
 
     #[test]

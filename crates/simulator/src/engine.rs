@@ -20,7 +20,6 @@
 //! the arrivals and every optional layer, and the run's mutable state
 //! lives in one `EngineState` with a handler method per event kind.
 
-use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -30,7 +29,7 @@ use ramsis_telemetry::{
     Action, CandidateAction, ChosenAction, DecisionRecord, DecisionSink, DecisionState, Event,
     GaugeId, HotCounter, NullSink, Phase, Profiler, QueueId, ReasonCode, ShedCause, TelemetrySink,
 };
-use ramsis_workload::{sample_poisson_arrivals, LoadEstimator, Trace};
+use ramsis_workload::{LoadEstimator, PoissonArrivals, Trace};
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -40,7 +39,7 @@ use crate::autoscale::{
     HysteresisController, ScaleSignal, WorkerState,
 };
 use crate::checkpoint::{
-    arrivals_fingerprint, AutoscaleState, CheckpointPolicy, CheckpointRecorder, ClusterState,
+    ArrivalsFingerprint, AutoscaleState, CheckpointPolicy, CheckpointRecorder, ClusterState,
     EngineSnapshot, HeapEntry, InFlightState, ResilienceState, SnapshotMeta, SNAPSHOT_VERSION,
 };
 use crate::faults::{CrashPolicy, FaultEvent, FaultPlan};
@@ -194,7 +193,8 @@ impl SimulationConfig {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum EventKind {
-    /// Index into the pre-sampled arrival array.
+    /// The arrival's index in the run's arrival sequence (its query
+    /// id); it fires at the arrival's own time.
     Arrival(u64),
     /// Worker finished its in-flight batch; the epoch invalidates
     /// completions of dispatches already ended by a crash, timeout, or
@@ -1048,16 +1048,18 @@ impl<'a> Simulation<'a> {
         };
         prof.run_begin();
         prof.enter(Phase::Setup);
-        let arrivals = match arrivals {
-            Arrivals::Trace(trace) => Cow::Owned(self.sampled_arrivals(trace, plan)),
-            Arrivals::Times(times) => Cow::Borrowed(times),
+        let source = match arrivals {
+            Arrivals::Trace(trace) => ArrivalSource::Stream(self.arrival_stream(trace, plan)),
+            Arrivals::Times(times) => ArrivalSource::Times(times.iter()),
         };
+        // Tick cadences end at the last arrival and a snapshot names the
+        // whole sequence, so those layers count a second stream from the
+        // same seed up front; a bare run makes one pass.
+        let count_ahead = durable || self.config.autoscale.enabled || self.config.health.enabled;
+        let arrivals = ArrivalCursor::new(source, count_ahead);
         let mut state = EngineState::new(self, plan, arrivals, scheme, estimator, sink, prof);
         state.dec = DecisionTracer::new(decisions.map(|d| d as _), forced);
         state.recorder = recorder.map(|r| r as _);
-        if durable {
-            state.arrivals_hash = arrivals_fingerprint(&state.arrivals);
-        }
         if let Some(snap) = resume {
             state.restore(snap)?;
         }
@@ -1105,17 +1107,16 @@ impl<'a> Simulation<'a> {
             .map(RunOutcome::report)
     }
 
-    /// Samples the run's Poisson arrivals: surges from `plan` scale the
-    /// trace, then arrival times are drawn from the config's arrival
-    /// seed. Deterministic — a resumed run re-derives the identical
-    /// array.
-    fn sampled_arrivals(&self, trace: &Trace, plan: &FaultPlan) -> Vec<f64> {
+    /// The run's Poisson arrival stream: surges from `plan` scale the
+    /// trace, then arrival times are drawn lazily from the config's
+    /// arrival seed. Deterministic — every stream built for the same
+    /// run yields the identical sequence.
+    fn arrival_stream(&self, trace: &Trace, plan: &FaultPlan) -> PoissonArrivals<ChaCha8Rng> {
         let mut surged = trace.clone();
         for (from_s, to_s, factor) in plan.surges() {
             surged = surged.scaled_between(from_s, to_s, factor);
         }
-        let mut rng = ChaCha8Rng::seed_from_u64(self.config.arrival_seed);
-        sample_poisson_arrivals(&surged, &mut rng)
+        PoissonArrivals::new(surged, ChaCha8Rng::seed_from_u64(self.config.arrival_seed))
     }
 
     /// Rejects forced actions no worker in the pool could execute.
@@ -1154,6 +1155,86 @@ enum Arrivals<'r> {
     /// Explicit arrival times in seconds, sorted, replayed exactly as
     /// given (the fault plan's surges do not apply).
     Times(&'r [f64]),
+}
+
+/// A run's arrival times, pulled one at a time as the run reaches them:
+/// a lazy Poisson stream over a trace, or a cursor over explicit times.
+#[derive(Debug, Clone)]
+enum ArrivalSource<'a> {
+    Stream(PoissonArrivals<ChaCha8Rng>),
+    Times(std::slice::Iter<'a, f64>),
+}
+
+impl Iterator for ArrivalSource<'_> {
+    type Item = f64;
+
+    #[inline]
+    fn next(&mut self) -> Option<f64> {
+        match self {
+            ArrivalSource::Stream(s) => s.next(),
+            ArrivalSource::Times(t) => t.next().copied(),
+        }
+    }
+}
+
+/// What a pass over a run's whole arrival sequence yields: its length,
+/// its last time, and its fingerprint — in O(1) memory.
+#[derive(Debug, Clone, Copy, Default)]
+struct ArrivalTotals {
+    len: usize,
+    last: Option<f64>,
+    hash: ArrivalsFingerprint,
+}
+
+impl ArrivalTotals {
+    fn of(source: ArrivalSource<'_>) -> Self {
+        source.fold(Self::default(), |mut acc, t| {
+            acc.len += 1;
+            acc.last = Some(t);
+            acc.hash.push(t);
+            acc
+        })
+    }
+}
+
+/// The arrival source, how many times it has yielded (the report's
+/// `total_arrivals`), and — when a layer needs the whole sequence before
+/// the first event — its totals from a pass over a second source.
+#[derive(Debug)]
+struct ArrivalCursor<'a> {
+    source: ArrivalSource<'a>,
+    taken: u64,
+    totals: Option<ArrivalTotals>,
+}
+
+impl<'a> ArrivalCursor<'a> {
+    fn new(source: ArrivalSource<'a>, count_ahead: bool) -> Self {
+        Self {
+            totals: count_ahead.then(|| ArrivalTotals::of(source.clone())),
+            source,
+            taken: 0,
+        }
+    }
+
+    /// The totals a durable run counted up front.
+    fn durable_totals(&self) -> ArrivalTotals {
+        self.totals
+            .expect("durable runs count their arrivals up front")
+    }
+
+    #[inline]
+    fn next(&mut self) -> Option<f64> {
+        let t = self.source.next()?;
+        self.taken += 1;
+        Some(t)
+    }
+
+    /// Skips ahead until `taken` arrivals have been yielded (or the
+    /// source ends): a resume's fast-forward past the arrivals its
+    /// snapshot already consumed.
+    fn skip_to(&mut self, taken: u64) {
+        while self.taken < taken && self.next().is_some() {}
+    }
 }
 
 /// What one [`Simulation::execute`] run consumes besides the scheme and
@@ -1291,7 +1372,7 @@ impl RunOutcome {
 struct EngineState<'a> {
     sim: &'a Simulation<'a>,
     plan: &'a FaultPlan,
-    arrivals: Cow<'a, [f64]>,
+    arrivals: ArrivalCursor<'a>,
     scheme: &'a mut dyn ServingScheme,
     estimator: &'a mut dyn LoadEstimator,
     tracer: Tracer<'a>,
@@ -1333,8 +1414,6 @@ struct EngineState<'a> {
     /// Heap events fully processed.
     events_done: u64,
     cadence: Cadence,
-    /// Fingerprint of the arrival array (durable runs only).
-    arrivals_hash: u64,
 }
 
 impl<'a> EngineState<'a> {
@@ -1345,7 +1424,7 @@ impl<'a> EngineState<'a> {
     fn new(
         sim: &'a Simulation<'a>,
         plan: &'a FaultPlan,
-        arrivals: Cow<'a, [f64]>,
+        arrivals: ArrivalCursor<'a>,
         scheme: &'a mut dyn ServingScheme,
         estimator: &'a mut dyn LoadEstimator,
         sink: &'a mut dyn TelemetrySink,
@@ -1399,17 +1478,21 @@ impl<'a> EngineState<'a> {
             horizon: 0,
             events_done: 0,
             cadence: Cadence::new(config.checkpoint),
-            arrivals_hash: 0,
             arrivals,
         };
         for i in 0..state.actions.len() {
             state.schedule(state.actions[i].0, EventKind::Fault(i as u32));
         }
-        let (Some(&first), Some(&last)) = (state.arrivals.first(), state.arrivals.last()) else {
+        let Some(first) = state.arrivals.next() else {
             return state;
         };
         state.schedule(nanos_from_secs(first), EventKind::Arrival(0));
-        let tick_end = nanos_from_secs(last);
+        // Ticking layers counted the arrivals up front.
+        let tick_end = state
+            .arrivals
+            .totals
+            .and_then(|t| t.last)
+            .map_or(0, nanos_from_secs);
         if config.autoscale.enabled {
             let rt = AutoscaleRuntime::new(
                 config.autoscale,
@@ -1518,7 +1601,7 @@ impl<'a> EngineState<'a> {
         // integral reported in `autoscale.worker_seconds`.
         let mut report = self.metrics.report(
             self.scheme.name().to_owned(),
-            self.arrivals.len() as u64,
+            self.arrivals.taken,
             self.horizon,
             self.sim.config.workers,
         );
@@ -1560,6 +1643,7 @@ impl<'a> EngineState<'a> {
                 brown_degraded: b.degraded,
             }
         });
+        let arrivals = self.arrivals.durable_totals();
         EngineSnapshot {
             meta: SnapshotMeta {
                 version: SNAPSHOT_VERSION,
@@ -1571,8 +1655,8 @@ impl<'a> EngineState<'a> {
                 events_done: self.events_done,
                 sim_time_ns: now,
                 events_emitted: self.tracer.emitted,
-                arrivals_len: self.arrivals.len(),
-                arrivals_hash: self.arrivals_hash,
+                arrivals_len: arrivals.len,
+                arrivals_hash: arrivals.hash.value(),
             },
             heap: self.sched.entries(),
             next_seq: self.sched.seq,
@@ -1606,10 +1690,23 @@ impl<'a> EngineState<'a> {
     /// Rebuilds the state from `snap` after checking it belongs to this
     /// exact run. The snapshot's heap already holds everything still
     /// pending, including the setup-time events in their mid-run form,
-    /// so it replaces the freshly seeded heap wholesale.
+    /// so it replaces the freshly seeded heap wholesale. The arrival
+    /// source fast-forwards past every arrival the snapshot consumed:
+    /// through its pending arrival, or through all of them when none is
+    /// pending.
     fn restore(&mut self, snap: &EngineSnapshot) -> Result<(), SimError> {
         self.validate_snapshot(snap)?;
         self.sched = Scheduler::restore(&snap.heap, snap.next_seq)?;
+        let consumed = self
+            .sched
+            .heap
+            .iter()
+            .find_map(|Reverse((_, _, kind))| match kind {
+                EventKind::Arrival(i) => Some(i + 1),
+                _ => None,
+            })
+            .unwrap_or(self.arrivals.durable_totals().len as u64);
+        self.arrivals.skip_to(consumed);
         self.horizon = snap.horizon;
         self.events_done = snap.meta.events_done;
         self.tracer.emitted = snap.meta.events_emitted;
@@ -1670,7 +1767,7 @@ impl<'a> EngineState<'a> {
 
     /// Refuses to resume a snapshot that does not belong to this exact
     /// run: same config identity (pool, SLO, seeds), same scheme, and
-    /// the same pre-sampled arrival array.
+    /// the same arrival sequence.
     fn validate_snapshot(&self, snap: &EngineSnapshot) -> Result<(), SimError> {
         let m = &snap.meta;
         let config = &self.sim.config;
@@ -1707,12 +1804,13 @@ impl<'a> EngineState<'a> {
                 m.scheme
             ));
         }
-        if m.arrivals_len != self.arrivals.len() || m.arrivals_hash != self.arrivals_hash {
+        let totals = self.arrivals.durable_totals();
+        if m.arrivals_len != totals.len || m.arrivals_hash != totals.hash.value() {
             return bad(format!(
                 "arrival stream mismatch ({} arrivals, hash {:#x}; snapshot says {}, {:#x}) — \
                  different trace, seed, or surge plan",
-                self.arrivals.len(),
-                self.arrivals_hash,
+                totals.len,
+                totals.hash.value(),
                 m.arrivals_len,
                 m.arrivals_hash
             ));
@@ -1732,8 +1830,8 @@ impl<'a> EngineState<'a> {
     // ---- event handlers ---------------------------------------------
 
     fn on_arrival(&mut self, now: Nanos, i: u64) {
-        let idx = i as usize;
-        let t = nanos_from_secs(self.arrivals[idx]);
+        // The event fires at the arrival's own time.
+        let t = now;
         let q = Query::new(i, t, self.slo);
         self.tracer.emit(|| Event::Arrival {
             at: now,
@@ -1743,7 +1841,8 @@ impl<'a> EngineState<'a> {
         self.estimator.record_arrival(secs_from_nanos(t));
         self.scheme.on_arrival(secs_from_nanos(t));
         self.tracer.drain_scheme(&mut *self.scheme);
-        if let Some(&next) = self.arrivals.get(idx + 1) {
+        debug_assert_eq!(self.arrivals.taken, i + 1, "one arrival pending at a time");
+        if let Some(next) = self.arrivals.next() {
             self.schedule(nanos_from_secs(next), EventKind::Arrival(i + 1));
         }
         self.route(q, now);
@@ -2206,7 +2305,9 @@ impl<'a> EngineState<'a> {
             if self.cluster.lifecycle[w] != WorkerState::Warming {
                 continue;
             }
-            self.cluster.lifecycle[w] = WorkerState::Down;
+            // A cancelled warm-up is a drain with nothing to hand off:
+            // it completes on the spot.
+            self.cluster.lifecycle[w] = WorkerState::Draining;
             self.cluster.epochs[w] += 1; // strands the WarmupDone
             self.scale_stats().scale_downs += 1;
             let live = self.cluster.live;
@@ -2216,6 +2317,7 @@ impl<'a> EngineState<'a> {
                 live: live as u32,
                 handoffs: 0,
             });
+            self.finish_drain(now, w);
             need -= 1;
         }
         let mut handed_off_work = false;
@@ -4113,6 +4215,99 @@ mod tests {
             let resumed_events = sink.into_events();
             assert_eq!(resumed_events.len(), suffix.len());
             assert_eq!(resumed_events.as_slice(), suffix);
+        }
+    }
+
+    #[test]
+    fn a_kill_at_every_checkpoint_resumes_the_arrival_stream_exactly() {
+        // Streamed (trace) and explicit arrivals alike: the resumed leg
+        // fast-forwards its source past the consumed arrivals, through
+        // a pending one or — past the last arrival — through all.
+        let (trace, plan, config) = durable_fixture();
+        // The sim-time cadence lands one checkpoint past each source's
+        // last arrival (6 s and 4.495 s).
+        let config = config.with_checkpoints(CheckpointPolicy {
+            every_sim_s: 1.5,
+            ..CheckpointPolicy::every_events(150)
+        });
+        let sim = Simulation::new(profile(), config).unwrap();
+        let times: Vec<f64> = (0..900).map(|i| f64::from(i) * 0.005).collect();
+        fn source<'r>(explicit: bool, times: &'r [f64], trace: &'r Trace) -> RunSpec<'r> {
+            if explicit {
+                RunSpec::arrivals(times)
+            } else {
+                RunSpec::trace(trace)
+            }
+        }
+        for explicit in [false, true] {
+            let scheme = || GreedyFastestRr {
+                model: profile().fastest_model(),
+            };
+            let mut full_sink = ramsis_telemetry::VecSink::new();
+            let full = sim
+                .execute(
+                    &mut scheme(),
+                    &mut LoadMonitor::new(),
+                    source(explicit, &times, &trace)
+                        .faults(&plan)
+                        .telemetry(&mut full_sink),
+                )
+                .unwrap()
+                .report();
+            let full_events = full_sink.into_events();
+            let (mut pending, mut drained) = (0, 0);
+            for k in 1.. {
+                // The killed leg traces too, so its snapshots count the
+                // events already written.
+                let mut rec = MemoryRecorder::stop_after(k);
+                let mut killed_sink = ramsis_telemetry::VecSink::new();
+                let outcome = sim
+                    .execute(
+                        &mut scheme(),
+                        &mut LoadMonitor::new(),
+                        source(explicit, &times, &trace)
+                            .faults(&plan)
+                            .telemetry(&mut killed_sink)
+                            .recorder(&mut rec),
+                    )
+                    .unwrap();
+                if outcome.completed().is_some() {
+                    break;
+                }
+                let snap = rec.snapshots.pop().expect("stopped at a checkpoint");
+                if snap.heap.iter().any(|e| e.tag == 0) {
+                    pending += 1;
+                } else {
+                    drained += 1;
+                }
+                let mut sink = ramsis_telemetry::VecSink::new();
+                let resumed = sim
+                    .execute(
+                        &mut scheme(),
+                        &mut LoadMonitor::new(),
+                        source(explicit, &times, &trace)
+                            .faults(&plan)
+                            .telemetry(&mut sink)
+                            .resume(&snap),
+                    )
+                    .unwrap()
+                    .report();
+                assert_eq!(
+                    serde_json::to_string(&resumed).unwrap(),
+                    serde_json::to_string(&full).unwrap(),
+                    "explicit={explicit} k={k}"
+                );
+                let suffix = &full_events[snap.meta.events_emitted as usize..];
+                assert_eq!(
+                    sink.into_events().as_slice(),
+                    suffix,
+                    "explicit={explicit} k={k}"
+                );
+            }
+            assert!(
+                pending >= 3 && drained >= 1,
+                "explicit={explicit}: {pending} / {drained}"
+            );
         }
     }
 

@@ -38,10 +38,12 @@ use serde::{Deserialize, Serialize};
 /// `self` column subtracts child time from each phase's total.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Phase {
-    /// Run preparation: arrival sampling, queue/cluster construction.
+    /// Run preparation: queue/cluster construction, the pass over the
+    /// whole arrival sequence when a layer needs it up front, and any
+    /// resume.
     Setup,
-    /// An `Arrival` heap event (estimator + scheme notification,
-    /// routing, first dispatch).
+    /// An `Arrival` heap event (estimator + scheme notification, the
+    /// next arrival's draw, routing, first dispatch).
     Arrival,
     /// A `WorkerDone` heap event (hedge settlement, metrics, refill
     /// dispatch).

@@ -50,7 +50,7 @@
 //! a Horvitz-Thompson estimate reconstructs; see [`query_weights`] and
 //! [`batch_weights`].
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::mem::{discriminant, Discriminant};
 
 use crate::event::{Action, Event, Nanos};
@@ -86,79 +86,168 @@ const FATE_UNDECIDED: u8 = 0;
 const FATE_KEPT: u8 = 1;
 const FATE_DROPPED: u8 = 2;
 
-/// Ids the dense fate table covers directly (one byte per query).
-/// Engine query ids are sequential from zero, so in practice every
-/// lookup is one array index; anything above the cap (a synthetic or
-/// adversarial stream) falls back to ordered sets.
-const DENSE_FATE_CAP: u64 = 1 << 24;
+/// One tracked query: its fate, whether its lifecycle has ended, and
+/// how many of its events wait in the FIFO (all of them while it is
+/// undecided, since nothing of an undecided query can leave).
+#[derive(Debug, Clone, Copy, Default)]
+struct Fate {
+    fate: u8,
+    ended: bool,
+    waiting: u32,
+}
 
-/// Per-query keep/drop decisions, O(1) for the dense engine id space,
-/// plus how many of each undecided query's events wait in the FIFO —
-/// so a drop counts them withheld the moment it is decided, not when
-/// they later leave the FIFO.
+impl Fate {
+    /// Nothing can look this query up again: its terminal event passed
+    /// and no FIFO slot names it.
+    fn retired(self) -> bool {
+        self.ended && self.waiting == 0
+    }
+}
+
+/// How far past the window's end a new id may extend it; an id further
+/// out (a synthetic or adversarial stream) is tracked sparsely.
+const WINDOW_MAX_GAP: u64 = 1 << 16;
+
+/// Per-query keep/drop decisions over a window of query ids, so memory
+/// tracks the queries in flight rather than the run length.
 ///
-/// A dense byte above `FATE_DROPPED` is an undecided query with
-/// `byte - FATE_DROPPED` events waiting; counts the byte cannot hold,
-/// and every count above the dense cap, live in `waiting`.
-#[derive(Debug, Default)]
+/// Engine query ids are sequential from zero, so every live query sits
+/// in a dense window `base..base + window.len()`, one entry per id, and
+/// every lookup is one index. The base advances past queries whose
+/// lifecycle has ended and that no FIFO slot references, so the window
+/// spans only from the oldest query whose fate can still be needed to
+/// the newest one. Ids before the window's first base, or far past its
+/// end, are tracked in `sparse` until they retire.
+///
+/// A retired id keeps a fate: the one its hash gives, kept or dropped,
+/// which is the fate every boring query had. An interesting query is
+/// kept by promotion instead, so events of it after its terminal event
+/// would be withheld — the engine emits none.
+#[derive(Debug)]
 struct QueryFates {
-    dense: Vec<u8>,
-    sparse_kept: BTreeSet<u64>,
-    sparse_dropped: BTreeSet<u64>,
-    waiting: BTreeMap<u64, u64>,
+    policy: SamplePolicy,
+    /// First id the window covered; `None` until the first query.
+    origin: Option<u64>,
+    base: u64,
+    window: VecDeque<Fate>,
+    sparse: BTreeMap<u64, Fate>,
 }
 
 impl QueryFates {
-    #[inline]
-    fn get(&self, q: u64) -> u8 {
-        if q < DENSE_FATE_CAP {
-            match self.dense.get(q as usize) {
-                Some(&fate) if fate <= FATE_DROPPED => fate,
-                _ => FATE_UNDECIDED,
-            }
-        } else if self.sparse_kept.contains(&q) {
-            FATE_KEPT
-        } else if self.sparse_dropped.contains(&q) {
-            FATE_DROPPED
-        } else {
-            FATE_UNDECIDED
+    fn new(policy: SamplePolicy) -> Self {
+        Self {
+            policy,
+            origin: None,
+            base: 0,
+            window: VecDeque::new(),
+            sparse: BTreeMap::new(),
         }
     }
 
-    fn dense_mut(&mut self, q: u64) -> &mut u8 {
-        let i = q as usize;
-        if self.dense.len() <= i {
-            self.dense.resize(i + 1, FATE_UNDECIDED);
+    /// Window index of `q`, when the window covers it.
+    #[inline]
+    fn index(&self, q: u64) -> Option<usize> {
+        let i = q.wrapping_sub(self.base);
+        (i < self.window.len() as u64).then_some(i as usize)
+    }
+
+    #[inline]
+    fn get(&self, q: u64) -> u8 {
+        if let Some(i) = self.index(q) {
+            return self.window[i].fate;
         }
-        &mut self.dense[i]
+        if let Some(f) = self.sparse.get(&q) {
+            return f.fate;
+        }
+        match self.origin {
+            Some(origin) if (origin..self.base).contains(&q) => {
+                if self.policy.keeps(q) {
+                    FATE_KEPT
+                } else {
+                    FATE_DROPPED
+                }
+            }
+            _ => FATE_UNDECIDED,
+        }
+    }
+
+    /// The entry of undecided query `q`, created on first use.
+    #[inline]
+    fn entry(&mut self, q: u64) -> &mut Fate {
+        match self.index(q) {
+            Some(i) => &mut self.window[i],
+            None => self.insert(q),
+        }
+    }
+
+    /// Starts tracking `q`: in the window when it extends the window by
+    /// at most [`WINDOW_MAX_GAP`] ids, sparsely otherwise.
+    fn insert(&mut self, q: u64) -> &mut Fate {
+        if self.origin.is_none() {
+            self.origin = Some(q);
+            self.base = q;
+        }
+        let end = self.base + self.window.len() as u64;
+        if q < end || q - end >= WINDOW_MAX_GAP {
+            return self.sparse.entry(q).or_default();
+        }
+        for id in end..=q {
+            let migrated = self.sparse.remove(&id).unwrap_or_default();
+            self.window.push_back(migrated);
+        }
+        self.window.back_mut().expect("the window just grew")
     }
 
     /// Notes one more event of undecided query `q` waiting in the FIFO.
+    #[inline]
     fn wait(&mut self, q: u64) {
-        if q < DENSE_FATE_CAP {
-            let byte = self.dense_mut(q);
-            if *byte < u8::MAX {
-                *byte = (*byte).max(FATE_DROPPED) + 1;
-                return;
-            }
-        }
-        *self.waiting.entry(q).or_insert(0) += 1;
+        self.entry(q).waiting += 1;
     }
 
     /// Decides `q`, returning how many of its events wait in the FIFO.
+    #[inline]
     fn set(&mut self, q: u64, fate: u8) -> u64 {
-        let mut waiting = self.waiting.remove(&q).unwrap_or(0);
-        if q < DENSE_FATE_CAP {
-            let before = std::mem::replace(self.dense_mut(q), fate);
-            waiting += u64::from(before.saturating_sub(FATE_DROPPED));
-        } else if fate == FATE_KEPT {
-            self.sparse_dropped.remove(&q);
-            self.sparse_kept.insert(q);
-        } else {
-            self.sparse_kept.remove(&q);
-            self.sparse_dropped.insert(q);
+        let entry = self.entry(q);
+        entry.fate = fate;
+        u64::from(entry.waiting)
+    }
+
+    /// Applies `f` to `q`'s entry, if it is tracked, then retires what
+    /// can be retired.
+    #[inline]
+    fn update(&mut self, q: u64, f: impl FnOnce(&mut Fate)) {
+        if let Some(i) = self.index(q) {
+            f(&mut self.window[i]);
+            if i == 0 {
+                while self.window.front().is_some_and(|e| e.retired()) {
+                    self.window.pop_front();
+                    self.base += 1;
+                }
+            }
+        } else if let Some(entry) = self.sparse.get_mut(&q) {
+            f(entry);
+            if entry.retired() {
+                self.sparse.remove(&q);
+            }
         }
-        waiting
+    }
+
+    /// One of `q`'s waiting events left the FIFO.
+    #[inline]
+    fn release(&mut self, q: u64) {
+        self.update(q, |e| e.waiting -= 1);
+    }
+
+    /// `q`'s terminal event passed.
+    #[inline]
+    fn end(&mut self, q: u64) {
+        self.update(q, |e| e.ended = true);
+    }
+
+    /// Ids tracked one by one: the window plus the sparse entries.
+    #[cfg(test)]
+    fn tracked(&self) -> usize {
+        self.window.len() + self.sparse.len()
     }
 }
 
@@ -256,6 +345,18 @@ fn boring_terminal(event: &Event, hedged: &HedgeFlags) -> bool {
     )
 }
 
+/// The query a terminal event ends — a completion, shed, crash drop or
+/// admission rejection; timeouts and retries are not terminal.
+fn terminal_query(event: &Event) -> Option<u64> {
+    match *event {
+        Event::Complete { query, .. }
+        | Event::Shed { query, .. }
+        | Event::Drop { query, .. }
+        | Event::Admission { query, .. } => Some(query),
+        _ => None,
+    }
+}
+
 /// Advances the hedged-worker flag machine. A worker joins the set
 /// when a hedge pair is issued on it and leaves on its next dispatch,
 /// its completion, or its hedge's cancellation — so a completion seen
@@ -336,8 +437,8 @@ pub struct SamplingSink<S: TelemetrySink> {
     queue: VecDeque<Slot>,
     /// FIFO position of the queue's front slot (slots popped so far).
     front: u64,
-    /// Per-query keep/drop fates — one dense byte per engine query id,
-    /// so the hot path never walks an ordered set.
+    /// Per-query keep/drop fates over the window of live query ids, so
+    /// the hot path is one index and memory tracks in-flight work.
     fates: QueryFates,
     hedged: HedgeFlags,
     /// Each worker's unresolved batch, indexed by worker id.
@@ -357,7 +458,7 @@ impl<S: TelemetrySink> SamplingSink<S> {
             policy,
             queue: VecDeque::new(),
             front: 0,
-            fates: QueryFates::default(),
+            fates: QueryFates::new(policy),
             hedged: HedgeFlags::default(),
             batches: Vec::new(),
             serve: None,
@@ -517,13 +618,16 @@ impl<S: TelemetrySink> SamplingSink<S> {
                 Slot::Batch(_) => break,
                 Slot::Await(q, _) => match self.fates.get(*q) {
                     FATE_KEPT => {
-                        let Some(Slot::Await(_, e)) = self.queue.pop_front() else {
+                        let Some(Slot::Await(q, e)) = self.queue.pop_front() else {
                             unreachable!()
                         };
                         self.inner.record(&e);
+                        self.fates.release(q);
                     }
                     FATE_DROPPED => {
+                        let q = *q;
                         self.queue.pop_front();
+                        self.fates.release(q);
                     }
                     _ => break,
                 },
@@ -644,6 +748,10 @@ impl<S: TelemetrySink> TelemetrySink for SamplingSink<S> {
                 }
             }
         }
+        // Last: the batch accounting above still looks the fate up.
+        if let Some(q) = terminal_query(event) {
+            self.fates.end(q);
+        }
     }
 
     fn flush(&mut self) {
@@ -674,13 +782,7 @@ pub fn query_weights(events: &[Event], rate: f64) -> BTreeMap<u64, f64> {
             if promotes(event, &hedged) {
                 entry.0 = true;
             }
-            if matches!(
-                event,
-                Event::Complete { .. }
-                    | Event::Shed { .. }
-                    | Event::Drop { .. }
-                    | Event::Admission { .. }
-            ) {
+            if terminal_query(event).is_some() {
                 entry.1 = true;
             }
         }
@@ -1376,5 +1478,57 @@ mod tests {
         assert!(sink.inner().events().is_empty(), "fate unknown: withheld");
         sink.record(&complete(q, 5, 0, true));
         assert_eq!(sink.inner().events().len(), 2, "promotion releases both");
+    }
+
+    #[test]
+    fn the_fate_window_stays_within_the_in_flight_bound() {
+        // 10^6 sequential queries from 2^24 (past where a dense table
+        // from id zero used to give up), `DEPTH` in flight at a time.
+        const FIRST: u64 = 1 << 24;
+        const N: u64 = 1_000_000;
+        const DEPTH: u64 = 8;
+        let policy = SamplePolicy::new(0.01, 3).unwrap();
+        let mut sink = SamplingSink::new(VecSink::new(), policy);
+        let mut widest = 0;
+        for i in 0..N + DEPTH {
+            if i < N {
+                sink.record(&arrival(FIRST + i, i));
+            }
+            if i >= DEPTH {
+                let q = FIRST + i - DEPTH;
+                sink.record(&complete(q, i, 0, q.is_multiple_of(97)));
+            }
+            widest = widest.max(sink.fates.tracked());
+        }
+        assert!(widest <= DEPTH as usize + 1, "window grew to {widest}");
+        assert_eq!(sink.fates.tracked(), 0, "every query retired");
+        let kept = (FIRST..FIRST + N)
+            .filter(|&q| policy.keeps(q) || q.is_multiple_of(97))
+            .count();
+        assert_eq!(sink.sampled_out_queries(), N - kept as u64);
+        assert_eq!(sink.finish().into_events().len(), 2 * kept);
+    }
+
+    #[test]
+    fn ids_below_the_window_are_tracked_until_they_retire() {
+        // A stream that does not start at its lowest id: the late, lower
+        // ids are tracked sparsely and sampled like any other query.
+        let policy = SamplePolicy::new(0.01, 9).unwrap();
+        let dropped: Vec<u64> = (0..1000).filter(|&q| !policy.keeps(q)).take(2).collect();
+        let (low, high) = (dropped[0], dropped[1]);
+        let events = vec![
+            arrival(high, 1),
+            arrival(low, 2),
+            complete(low, 3, 0, true),
+            complete(high, 4, 1, false),
+        ];
+        let (kept, out_q, out_e) = run_through(&events, 0.01, 9);
+        assert_eq!(kept, vec![events[1].clone(), events[2].clone()]);
+        assert_eq!((out_q, out_e), (1, 2));
+        let mut sink = SamplingSink::new(VecSink::new(), policy);
+        for e in &events {
+            sink.record(e);
+        }
+        assert_eq!(sink.fates.tracked(), 0, "both retired");
     }
 }

@@ -353,11 +353,12 @@ pub fn reconstruct_spans(events: &[Event]) -> SpanLog {
             // ready anchor: queued time keeps accruing as wait.
             Event::Enqueue { .. } | Event::CrashRequeue { .. } => {}
             // Scaling-lag bookkeeping: a worker is "lagging" between
-            // the scale-up decision and the moment it turns live.
+            // the scale-up decision and the moment it turns live, or
+            // until a scale-in cancels its warm-up.
             Event::ScaleUp { at, worker, .. } => {
                 warming_since.insert(worker, at);
             }
-            Event::WorkerWarm { at, worker, .. } => {
+            Event::WorkerWarm { at, worker, .. } | Event::ScaleDown { at, worker, .. } => {
                 if let Some(start) = warming_since.remove(&worker) {
                     warming_windows.push((start, at));
                 }
@@ -404,7 +405,6 @@ pub fn reconstruct_spans(events: &[Event]) -> SpanLog {
             | Event::RegimeSwap { .. }
             | Event::LazySolve { .. }
             | Event::FallbackEngaged { .. }
-            | Event::ScaleDown { .. }
             | Event::DrainComplete { .. }
             | Event::ProbeSent { .. }
             | Event::ProbeFailed { .. }
@@ -971,6 +971,33 @@ mod tests {
         assert_eq!(report.violations, 2);
         assert_eq!(report.violations_during_scale_lag, 1);
         assert_eq!(report.violations_during_brownout, 0);
+    }
+
+    #[test]
+    fn a_cancelled_warm_up_closes_its_warming_window() {
+        // Worker 2 is requested at 100 and scaled in before it warms (the
+        // engine's warm-up cancel: ScaleDown, then DrainComplete at the
+        // same instant); the violation at 600 is past its window.
+        let events = vec![
+            arrival(0, 0),
+            Event::ScaleUp {
+                at: 100,
+                worker: 2,
+                live: 1,
+            },
+            Event::ScaleDown {
+                at: 400,
+                worker: 2,
+                live: 1,
+                handoffs: 0,
+            },
+            Event::DrainComplete { at: 400, worker: 2 },
+            dispatch(450, 0),
+            complete_violated(600, 0, 0, 0),
+        ];
+        let log = reconstruct_spans(&events);
+        assert_eq!(log.warming_windows, vec![(100, 400)]);
+        assert_eq!(critical_path(&log, 5).violations_during_scale_lag, 0);
     }
 
     #[test]

@@ -13,28 +13,148 @@ use ramsis_stats::sampling::{sample_exponential, sample_gamma};
 
 use crate::trace::Trace;
 
+/// An inter-arrival gap distribution, parameterized per segment.
+trait Gap {
+    /// The draw parameter for a segment at `qps` (> 0), computed once
+    /// per segment.
+    fn param(&self, qps: f64) -> f64;
+    /// One gap, in seconds.
+    fn draw<R: Rng + ?Sized>(&self, rng: &mut R, param: f64) -> f64;
+}
+
+/// Exponential gaps: the parameter is the rate itself.
+#[derive(Debug, Clone, Copy)]
+struct Exponential;
+
+impl Gap for Exponential {
+    fn param(&self, qps: f64) -> f64 {
+        qps
+    }
+
+    fn draw<R: Rng + ?Sized>(&self, rng: &mut R, rate: f64) -> f64 {
+        sample_exponential(rng, rate)
+    }
+}
+
+/// Gamma gaps of a fixed shape: the parameter is the scale that makes
+/// the mean gap `1 / qps = shape * scale`.
+#[derive(Debug, Clone, Copy)]
+struct Gamma {
+    shape: f64,
+}
+
+impl Gap for Gamma {
+    fn param(&self, qps: f64) -> f64 {
+        1.0 / (qps * self.shape)
+    }
+
+    fn draw<R: Rng + ?Sized>(&self, rng: &mut R, scale: f64) -> f64 {
+        sample_gamma(rng, self.shape, scale)
+    }
+}
+
+/// The one renewal walk over a trace's piecewise-constant segments,
+/// shared by every sampler. Within a segment of positive rate the first
+/// arrival is one gap past the segment start and each later one a gap
+/// past the previous; the first candidate at or past the segment end is
+/// drawn and discarded (the residual gap is re-drawn in the next
+/// segment). Zero-rate segments draw nothing.
+#[derive(Debug, Clone)]
+struct SegmentWalk<R, G> {
+    trace: Trace,
+    /// Index of the next segment to enter.
+    next_segment: usize,
+    /// End of the current segment (the next one's start).
+    end: f64,
+    /// The current segment's gap parameter.
+    param: f64,
+    /// The next candidate arrival; at or past `end` once the segment is
+    /// exhausted (or was silent).
+    t: f64,
+    rng: R,
+    gap: G,
+}
+
+impl<R: Rng, G: Gap> SegmentWalk<R, G> {
+    fn new(trace: Trace, rng: R, gap: G) -> Self {
+        Self {
+            trace,
+            next_segment: 0,
+            end: 0.0,
+            param: 0.0,
+            t: 0.0,
+            rng,
+            gap,
+        }
+    }
+}
+
+impl<R: Rng, G: Gap> Iterator for SegmentWalk<R, G> {
+    type Item = f64;
+
+    #[inline]
+    fn next(&mut self) -> Option<f64> {
+        loop {
+            if self.t < self.end {
+                let t = self.t;
+                self.t += self.gap.draw(&mut self.rng, self.param);
+                return Some(t);
+            }
+            let &(len, qps) = self.trace.segments().get(self.next_segment)?;
+            self.next_segment += 1;
+            let start = self.end;
+            self.end = start + len;
+            if qps > 0.0 {
+                self.param = self.gap.param(qps);
+                self.t = start + self.gap.draw(&mut self.rng, self.param);
+            } else {
+                self.t = self.end;
+            }
+        }
+    }
+}
+
+/// Poisson arrival times over a trace, drawn lazily: the streaming form
+/// of [`sample_poisson_arrivals`], making the same draws in the same
+/// order, so collecting it gives that function's vector bit for bit.
+/// Memory is O(segments), whatever the run length.
+#[derive(Debug, Clone)]
+pub struct PoissonArrivals<R>(SegmentWalk<R, Exponential>);
+
+impl<R: Rng> PoissonArrivals<R> {
+    /// Arrivals over `trace` drawn from `rng` (owned, or `&mut` to
+    /// leave a caller's generator advanced past the draws).
+    pub fn new(trace: Trace, rng: R) -> Self {
+        Self(SegmentWalk::new(trace, rng, Exponential))
+    }
+}
+
+impl<R: Rng> Iterator for PoissonArrivals<R> {
+    type Item = f64;
+
+    #[inline]
+    fn next(&mut self) -> Option<f64> {
+        self.0.next()
+    }
+}
+
+/// Collects a walk with room for the trace's expected arrival count.
+fn collect_walk<R: Rng, G: Gap>(walk: SegmentWalk<R, G>) -> Vec<f64> {
+    let mut arrivals = Vec::with_capacity(walk.trace.expected_queries() as usize + 16);
+    arrivals.extend(walk);
+    arrivals
+}
+
 /// Samples Poisson arrival times over `trace`, in seconds from the trace
 /// start, strictly increasing.
 ///
 /// Within each piecewise-constant segment, gaps are exponential at the
 /// segment's rate; at segment boundaries the residual gap is re-drawn,
 /// which is exact for a Poisson process by memorylessness. Zero-rate
-/// segments produce no arrivals.
+/// segments produce no arrivals. [`PoissonArrivals`] yields the same
+/// times without holding them.
 pub fn sample_poisson_arrivals<R: Rng + ?Sized>(trace: &Trace, rng: &mut R) -> Vec<f64> {
-    let mut arrivals = Vec::with_capacity(trace.expected_queries() as usize + 16);
-    let mut segment_start = 0.0;
-    for &(len, qps) in trace.segments() {
-        let segment_end = segment_start + len;
-        if qps > 0.0 {
-            let mut t = segment_start + sample_exponential(rng, qps);
-            while t < segment_end {
-                arrivals.push(t);
-                t += sample_exponential(rng, qps);
-            }
-        }
-        segment_start = segment_end;
-    }
-    arrivals
+    collect_walk(SegmentWalk::new(trace.clone(), rng, Exponential))
 }
 
 /// Samples arrival times from a gamma-renewal process over `trace`.
@@ -61,22 +181,7 @@ pub fn sample_gamma_renewal_arrivals<R: Rng + ?Sized>(
         shape.is_finite() && shape > 0.0,
         "gamma shape must be positive and finite, got {shape}"
     );
-    let mut arrivals = Vec::with_capacity(trace.expected_queries() as usize + 16);
-    let mut segment_start = 0.0;
-    for &(len, qps) in trace.segments() {
-        let segment_end = segment_start + len;
-        if qps > 0.0 {
-            // Mean gap 1/qps = shape * scale.
-            let scale = 1.0 / (qps * shape);
-            let mut t = segment_start + sample_gamma(rng, shape, scale);
-            while t < segment_end {
-                arrivals.push(t);
-                t += sample_gamma(rng, shape, scale);
-            }
-        }
-        segment_start = segment_end;
-    }
-    arrivals
+    collect_walk(SegmentWalk::new(trace.clone(), rng, Gamma { shape }))
 }
 
 #[cfg(test)]
@@ -184,6 +289,94 @@ mod tests {
         let a = sample_poisson_arrivals(&trace, &mut rng(42));
         let b = sample_poisson_arrivals(&trace, &mut rng(42));
         assert_eq!(a, b);
+    }
+
+    /// The materialized loop the segment walk replaced, kept as the
+    /// reference the walk must match draw for draw. `gamma_shape: None`
+    /// draws exponential gaps.
+    fn reference<R: Rng + ?Sized>(
+        trace: &Trace,
+        gamma_shape: Option<f64>,
+        rng: &mut R,
+    ) -> Vec<f64> {
+        let mut arrivals = Vec::new();
+        let mut segment_start = 0.0;
+        for &(len, qps) in trace.segments() {
+            let segment_end = segment_start + len;
+            if qps > 0.0 {
+                let gap = |rng: &mut R| match gamma_shape {
+                    None => sample_exponential(rng, qps),
+                    Some(shape) => sample_gamma(rng, shape, 1.0 / (qps * shape)),
+                };
+                let mut t = segment_start + gap(rng);
+                while t < segment_end {
+                    arrivals.push(t);
+                    t += gap(rng);
+                }
+            }
+            segment_start = segment_end;
+        }
+        arrivals
+    }
+
+    fn equivalence_traces() -> Vec<(&'static str, Trace)> {
+        let steps =
+            Trace::from_interval_qps(&[0.0, 300.0, 0.0, 0.0, 50.0, 0.0], 2.0, TraceKind::Custom);
+        vec![
+            ("constant", Trace::constant(700.0, 12.0)),
+            ("zero-rate segments", steps.clone()),
+            (
+                "surged",
+                steps
+                    .scaled_between(1.0, 9.0, 3.0)
+                    .scaled_between(8.5, 11.0, 0.0),
+            ),
+            ("twitter_like", Trace::twitter_like(3)),
+            ("empty", Trace::constant(0.0, 5.0)),
+        ]
+    }
+
+    #[test]
+    fn streamed_arrivals_match_the_materialized_loop_bit_for_bit() {
+        for (name, trace) in equivalence_traces() {
+            let expect = reference(&trace, None, &mut rng(21));
+            let streamed: Vec<f64> = PoissonArrivals::new(trace.clone(), rng(21)).collect();
+            let sampled = sample_poisson_arrivals(&trace, &mut rng(21));
+            let bits = |v: &[f64]| v.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&streamed), bits(&expect), "{name}");
+            assert_eq!(bits(&sampled), bits(&expect), "{name}");
+            if name == "empty" {
+                assert!(streamed.is_empty(), "{name}");
+            } else {
+                assert!(streamed.len() > 100, "{name}: {}", streamed.len());
+            }
+        }
+    }
+
+    #[test]
+    fn streaming_leaves_a_borrowed_rng_where_the_loop_did() {
+        // Callers keep drawing from the same generator afterwards, so the
+        // discarded draw at each segment end must still be made.
+        let trace = Trace::from_interval_qps(&[100.0, 0.0, 40.0], 1.0, TraceKind::Custom);
+        let (mut a, mut b) = (rng(5), rng(5));
+        let _ = reference(&trace, None, &mut a);
+        let mut stream = PoissonArrivals::new(trace, &mut b);
+        stream.by_ref().for_each(drop);
+        assert_eq!(stream.next(), None, "the stream stays exhausted");
+        assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+    }
+
+    #[test]
+    fn gamma_renewal_shares_the_walk() {
+        for (name, trace) in equivalence_traces() {
+            for shape in [0.25, 1.0, 4.0] {
+                let (mut a, mut b) = (rng(8), rng(8));
+                let expect = reference(&trace, Some(shape), &mut a);
+                let got = sample_gamma_renewal_arrivals(&trace, shape, &mut b);
+                assert_eq!(got, expect, "{name} shape {shape}");
+                assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "{name} shape {shape}");
+            }
+        }
     }
 
     #[test]

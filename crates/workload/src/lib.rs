@@ -19,7 +19,9 @@
 //! - [`arrivals`]: arrival-time samplers — Poisson (exponential gaps,
 //!   exact for piecewise-constant rates by memorylessness) and a
 //!   gamma-renewal alternative for burstier/smoother inter-arrival
-//!   ablations.
+//!   ablations, both one walk over the trace's segments. The Poisson
+//!   times also stream lazily ([`PoissonArrivals`]), so a simulation
+//!   need not hold its arrivals.
 //! - [`monitor`]: the 500 ms moving-average load monitor of §6 and the
 //!   perfect-knowledge oracle used in the constant-load experiments
 //!   (§7.2 assumes "the load monitor perfectly predicts the query load").
@@ -34,7 +36,7 @@ pub mod fit;
 pub mod monitor;
 pub mod trace;
 
-pub use arrivals::{sample_gamma_renewal_arrivals, sample_poisson_arrivals};
+pub use arrivals::{sample_gamma_renewal_arrivals, sample_poisson_arrivals, PoissonArrivals};
 pub use drift::{
     DispersionClass, DriftDetector, DriftDetectorConfig, RegimeChange, RegimeGrid, RegimeKey,
 };

@@ -25,18 +25,19 @@ stage "cargo test" cargo test --workspace -q
 # workspace, so the stage above does not reach its unit tests.
 stage "e2e benchmark unit tests" \
     cargo test --release --offline --manifest-path e2e_bench/Cargo.toml
-# Randomized resilience smoke: 25 seeded chaos runs, invariants checked
-# (determinism, conservation, counter agreement, hedge + admission
-# bounds, scale-event accounting, autoscaler-off bit-identity). The
-# full 100-run sweep lives in the simulator's test suite.
-stage "chaos sweep (smoke)" cargo run -q -p ramsis-cli -- chaos --runs 25
+# Randomized resilience sweep: 2,000 seeded chaos runs in release (about
+# 2 s), invariants checked (determinism, conservation, counter agreement,
+# hedge + admission bounds, scale-event and drain accounting,
+# autoscaler-off bit-identity). An invariant that fails in 0.1% of runs
+# still shows here.
+stage "chaos sweep" cargo run --release -q -p ramsis-cli -- chaos --runs 2000
 # Elastic-capacity smoke: a short diurnal day through the autoscaler
 # (scale-out, warm-up, drain, scale-in all exercised), then a chaos
 # subset biased toward elastic runs. The frontier comparison itself
 # lives in the elastic_frontier bench and the bench test suite.
 autoscale_smoke() {
     cargo run --release -q -p ramsis-cli -- autoscale --duration 15 --events 0
-    cargo run -q -p ramsis-cli -- chaos --runs 10 --seed 88 --max-workers 6
+    cargo run --release -q -p ramsis-cli -- chaos --runs 2000 --seed 88 --max-workers 6
 }
 stage "autoscale-smoke" autoscale_smoke
 # Perf-regression smoke, and every overhead gate in one process: the
@@ -57,12 +58,13 @@ perf_smoke() {
     rm -rf "${out}"
 }
 stage "perf-smoke" perf_smoke
-# Durability smoke: 25 randomized chaos runs with the kill–resume
+# Durability smoke: 2,000 randomized chaos runs with the kill–resume
 # dimension on (each scenario also runs durably, is killed at a random
 # checkpoint, and must resume to a byte-identical report and telemetry
-# suffix). The checkpoint-cost gate runs in perf-smoke.
+# suffix, its arrival stream fast-forwarded past the snapshot). The
+# checkpoint-cost gate runs in perf-smoke.
 durability_smoke() {
-    cargo run -q -p ramsis-cli -- chaos --runs 25 --seed 11 --kill-resume
+    cargo run --release -q -p ramsis-cli -- chaos --runs 2000 --seed 11 --kill-resume
 }
 stage "durability-smoke" durability_smoke
 # Decision-provenance smoke: record a run's decision log, explain its
@@ -106,7 +108,7 @@ why_smoke() {
     rm -rf "${out}"
 }
 stage "why-smoke" why_smoke
-# Failure-detection smoke: 25 randomized chaos runs with the detector
+# Failure-detection smoke: 2,000 randomized chaos runs with the detector
 # forced on every scenario (detection-bound, reinstatement, breaker,
 # and health-off bit-identity invariants all checked), the canonical
 # gray-failure timeline, then the detection-frontier bench in smoke
@@ -115,7 +117,7 @@ stage "why-smoke" why_smoke
 health_smoke() {
     local out
     out="$(mktemp -d)"
-    cargo run -q -p ramsis-cli -- chaos --runs 25 --seed 17 --health
+    cargo run --release -q -p ramsis-cli -- chaos --runs 2000 --seed 17 --health
     cargo run --release -q -p ramsis-cli -- health --duration 10 --events 0
     cargo run --release -q -p ramsis-bench --bin detection_frontier -- --smoke --out "${out}"
     rm -rf "${out}"

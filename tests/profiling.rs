@@ -3,20 +3,17 @@
 //! the unprofiled engine, an enabled profiler observes without
 //! perturbing the run, and the span reconstructor's critical path
 //! conserves every completed query's measured response time exactly.
-//! Phase accounting is uniform: arrival sampling is set-up work in
-//! every run mode, and autoscale and health ticks get phases of their
-//! own.
+//! Phase accounting is uniform: streamed arrival draws are arrival
+//! work, a plain run's set-up does not grow with its length, a durable
+//! run's pass over the whole arrival sequence is set-up work, and
+//! autoscale and health ticks get phases of their own.
 
 use ramsis::prelude::*;
 use ramsis::sim::{
     AutoscalePolicy, CheckpointPolicy, FastestFixed, FaultPlan, HealthPolicy, MemoryRecorder,
     ResiliencePolicy, Routing,
 };
-use ramsis::telemetry::{
-    critical_path, reconstruct_spans, JsonlSink, ProfileReport, Profiler, VecDecisionSink,
-};
-use ramsis::workload::sample_poisson_arrivals;
-use rand::SeedableRng;
+use ramsis::telemetry::{critical_path, reconstruct_spans, JsonlSink, ProfileReport, Profiler};
 
 fn profile() -> &'static WorkerProfile {
     use std::sync::OnceLock;
@@ -164,47 +161,61 @@ fn phase(p: &ProfileReport, name: &str) -> (u64, u64) {
         .map_or((0, 0), |s| (s.calls, s.total_ns))
 }
 
-/// Sampling the arrivals from a trace is set-up work whether the run is
-/// plain, durable, or recording decisions: each mode opens exactly one
-/// `setup` scope, and it is at least as long as a fraction of what the
-/// sampling alone costs (without it, set-up is a few allocations).
+/// Arrivals stream: a plain run draws each one as the run reaches it,
+/// so its one `setup` scope is a few allocations however long the run
+/// is. A durable run also counts and fingerprints the whole sequence up
+/// front, and that pass is set-up work.
 #[test]
-fn arrival_sampling_is_setup_in_every_mode() {
+fn setup_stays_flat_with_run_length_and_holds_the_durable_pre_pass() {
     let config = SimulationConfig::new(4, 0.15)
         .seeded(99)
         .with_checkpoints(CheckpointPolicy::every_events(u64::MAX / 2));
     let sim = Simulation::new(profile(), config).expect("valid simulation config");
-    let trace = Trace::constant(300.0, 150.0);
-    let started = std::time::Instant::now();
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(config.arrival_seed);
-    let arrivals = sample_poisson_arrivals(&trace, &mut rng);
-    let sampling_ns = started.elapsed().as_nanos() as u64;
-    assert!(arrivals.len() > 40_000);
-
-    for mode in ["plain", "durable", "decisions"] {
-        let mut scheme = FastestFixed::new(profile().fastest_model(), Routing::Central);
-        let mut monitor = LoadMonitor::new();
-        let mut prof = Profiler::on();
-        let mut rec = MemoryRecorder::new();
-        let mut decisions = VecDecisionSink::new();
-        let spec = RunSpec::trace(&trace).profiler(&mut prof);
-        let spec = match mode {
-            "plain" => spec,
-            "durable" => spec.recorder(&mut rec),
-            _ => spec.decisions(&mut decisions),
-        };
-        let report = sim
-            .execute(&mut scheme, &mut monitor, spec)
-            .expect("valid run")
-            .report();
-        assert_eq!(report.total_arrivals, arrivals.len() as u64, "{mode}");
-        let (calls, setup_ns) = phase(&prof.report(), "setup");
-        assert_eq!(calls, 1, "{mode}: one set-up scope per run");
-        assert!(
-            setup_ns >= sampling_ns / 20,
-            "{mode}: set-up took {setup_ns} ns, sampling alone {sampling_ns} ns"
-        );
-    }
+    // (setup calls, fastest setup ns over three runs, arrivals).
+    let setup = |duration_s: f64, durable: bool| {
+        let trace = Trace::constant(300.0, duration_s);
+        let mut fastest = u64::MAX;
+        let mut calls_and_arrivals = None;
+        for _ in 0..3 {
+            let mut scheme = FastestFixed::new(profile().fastest_model(), Routing::Central);
+            let mut monitor = LoadMonitor::new();
+            let mut prof = Profiler::on();
+            let mut rec = MemoryRecorder::new();
+            let spec = RunSpec::trace(&trace).profiler(&mut prof);
+            let spec = if durable {
+                spec.recorder(&mut rec)
+            } else {
+                spec
+            };
+            let report = sim
+                .execute(&mut scheme, &mut monitor, spec)
+                .expect("valid run")
+                .report();
+            let (calls, ns) = phase(&prof.report(), "setup");
+            fastest = fastest.min(ns);
+            calls_and_arrivals = Some((calls, report.total_arrivals));
+        }
+        let (calls, arrivals) = calls_and_arrivals.expect("three runs");
+        (calls, fastest, arrivals)
+    };
+    let (calls_1x, plain_1x, arrivals_1x) = setup(15.0, false);
+    let (calls_10x, plain_10x, arrivals_10x) = setup(150.0, false);
+    let (calls_durable, durable_10x, arrivals_durable) = setup(150.0, true);
+    assert!(arrivals_10x > 40_000 && arrivals_10x > 9 * arrivals_1x);
+    assert_eq!(arrivals_durable, arrivals_10x, "same seed, same stream");
+    assert_eq!(
+        (calls_1x, calls_10x, calls_durable),
+        (1, 1, 1),
+        "one set-up scope per run"
+    );
+    assert!(
+        plain_10x < 3 * plain_1x + 250_000,
+        "plain set-up grew with run length: {plain_1x} ns at 1x, {plain_10x} ns at 10x"
+    );
+    assert!(
+        4 * plain_10x < durable_10x,
+        "the durable pre-pass is set-up work: plain {plain_10x} ns, durable {durable_10x} ns"
+    );
 }
 
 /// Autoscale ticks and warm-ups, health probes, and fault actions are
