@@ -27,10 +27,9 @@
 //! five; the contracts are unchanged.
 
 use std::path::PathBuf;
-use std::process::exit;
 
 use ramsis_bench::harness::build_profile;
-use ramsis_bench::{render_table, write_json};
+use ramsis_bench::{render_table, write_json, Flags};
 use ramsis_profiles::Task;
 use ramsis_sim::{
     FastestFixed, FaultPlan, HealthPolicy, Routing, RunSpec, Simulation, SimulationConfig,
@@ -68,20 +67,16 @@ struct BenchHealth {
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut out_dir = PathBuf::from("results");
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out_dir = PathBuf::from(args.next().expect("--out requires a directory")),
-            other => {
-                eprintln!("error: unknown flag {other:?}");
-                eprintln!("usage: detection_frontier [--smoke] [--out DIR]");
-                exit(2);
-            }
-        }
-    }
+    let (smoke, out_dir) = Flags::read_env(
+        &["--smoke"],
+        "detection_frontier [--smoke] [--out DIR]",
+        |f| {
+            Ok((
+                f.switch("--smoke"),
+                f.get_or("--out", PathBuf::from("results"))?,
+            ))
+        },
+    );
 
     let task = Task::ImageClassification;
     let slo_s = task.paper_slos()[0];

@@ -23,7 +23,7 @@
 use std::path::PathBuf;
 use std::process::exit;
 
-use ramsis_bench::{render_table, write_json, BenchPerf, PerfBaselineConfig};
+use ramsis_bench::{render_table, write_json, BenchPerf, Flags, PerfBaselineConfig};
 
 fn validate_file(path: &str) -> i32 {
     let text = match std::fs::read_to_string(path) {
@@ -190,24 +190,17 @@ fn print_tables(bench: &BenchPerf) {
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut out_dir = PathBuf::from("results");
-    let mut validate: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out_dir = PathBuf::from(args.next().expect("--out requires a directory")),
-            "--validate" => {
-                validate = Some(args.next().expect("--validate requires a file path"));
-            }
-            other => {
-                eprintln!("error: unknown flag {other:?}");
-                eprintln!("usage: perf_baseline [--smoke] [--out DIR] | --validate PATH");
-                exit(2);
-            }
-        }
-    }
+    let (smoke, out_dir, validate) = Flags::read_env(
+        &["--smoke"],
+        "perf_baseline [--smoke] [--out DIR] | --validate PATH",
+        |f| {
+            Ok((
+                f.switch("--smoke"),
+                f.get_or("--out", PathBuf::from("results"))?,
+                f.value("--validate")?,
+            ))
+        },
+    );
     if let Some(path) = validate {
         exit(validate_file(&path));
     }

@@ -38,15 +38,20 @@ pub struct RunOutcome {
     pub report: SimulationReport,
 }
 
+/// The paper's model catalog for a task: the 26 TorchVision image
+/// models or the BERT text family.
+pub fn task_catalog(task: Task) -> ModelCatalog {
+    match task {
+        Task::ImageClassification => ModelCatalog::torchvision_image(),
+        Task::TextClassification => ModelCatalog::bert_text(),
+    }
+}
+
 /// Builds the worker profile for a task and SLO with the default
 /// profiler settings (100 invocations, p95).
 pub fn build_profile(task: Task, slo_s: f64) -> WorkerProfile {
-    let catalog = match task {
-        Task::ImageClassification => ModelCatalog::torchvision_image(),
-        Task::TextClassification => ModelCatalog::bert_text(),
-    };
     WorkerProfile::build(
-        &catalog,
+        &task_catalog(task),
         Duration::from_secs_f64(slo_s),
         ProfilerConfig::default(),
     )

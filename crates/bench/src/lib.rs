@@ -47,13 +47,13 @@ pub mod report;
 pub mod resilience;
 pub mod robustness;
 
-pub use args::ExperimentArgs;
+pub use args::{parse_task, parse_value, ExperimentArgs, Flags};
 pub use drift::{run_drift, DriftConfig, DriftOutcome};
 pub use elastic::{
     frontier_claim, run_elastic_frontier, ElasticFrontierConfig, ElasticFrontierOutcome,
 };
 pub use harness::{
-    build_profile, ms_scheme, ramsis_policy_set, run_scheme, MonitorKind, RunOutcome,
+    build_profile, ms_scheme, ramsis_policy_set, run_scheme, task_catalog, MonitorKind, RunOutcome,
 };
 pub use output::{ascii_plot, render_table, write_csv, write_json};
 pub use perf::{

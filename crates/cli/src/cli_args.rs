@@ -1,8 +1,11 @@
-//! Flag parsing shared by the subcommands (the artifact's §A.5 flags).
+//! The common flags of the subcommands (the artifact's §A.5 flags), a
+//! view over the shared [`Flags`] parser.
 
 use std::path::PathBuf;
 
-use ramsis_profiles::Task;
+use ramsis_bench::harness::constant_load_workers;
+use ramsis_bench::{build_profile, parse_task, Flags};
+use ramsis_profiles::{Task, WorkerProfile};
 
 /// Parsed common flags.
 #[derive(Debug, Clone, PartialEq)]
@@ -15,71 +18,39 @@ pub struct CommonArgs {
     pub trace: String,
     pub d: u32,
     pub out: PathBuf,
-    /// Extra subcommand-specific flags, as (name, value) pairs.
-    pub extra: Vec<(String, String)>,
 }
 
 impl CommonArgs {
-    /// Parses `args`, accepting `extra_flags` as subcommand-specific
-    /// value-taking flags.
-    pub fn parse(args: &[String], extra_flags: &[&str]) -> Result<Self, String> {
-        let mut task: Option<Task> = None;
-        let mut slo_ms: Option<u64> = None;
-        let mut workers: Option<usize> = None;
-        let mut load = None;
-        let mut method = None;
-        let mut trace = "constant".to_string();
-        let mut d = 25u32;
-        let mut out = PathBuf::from(".");
-        let mut extra = Vec::new();
+    /// Parses `args`, which may hold only the common flags.
+    ///
+    /// # Errors
+    ///
+    /// The first bad, valueless or unknown flag.
+    pub fn parse(args: &[String]) -> Result<Self, String> {
+        Flags::read_all(args, &[], Self::read)
+    }
 
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            let mut value = || {
-                it.next()
-                    .cloned()
-                    .ok_or_else(|| format!("{arg} requires a value"))
-            };
-            match arg.as_str() {
-                "--task" => {
-                    task = Some(match value()?.as_str() {
-                        "image" => Task::ImageClassification,
-                        "text" => Task::TextClassification,
-                        other => return Err(format!("unknown task {other:?}")),
-                    })
-                }
-                "--SLO" | "--slo" => {
-                    slo_ms = Some(value()?.parse().map_err(|e| format!("bad --SLO: {e}"))?)
-                }
-                "--worker" | "--workers" => {
-                    workers = Some(value()?.parse().map_err(|e| format!("bad --worker: {e}"))?)
-                }
-                "--load" => load = Some(value()?.parse().map_err(|e| format!("bad --load: {e}"))?),
-                "--m" | "--method" => method = Some(value()?),
-                "--trace" => trace = value()?,
-                "--d" => d = value()?.parse().map_err(|e| format!("bad --d: {e}"))?,
-                "--out" => out = PathBuf::from(value()?),
-                other if extra_flags.contains(&other) => {
-                    extra.push((other.to_string(), value()?));
-                }
-                other => return Err(format!("unknown flag {other:?}")),
-            }
-        }
-
-        let task = task.unwrap_or(Task::ImageClassification);
+    /// Reads the common flags out of `flags`, leaving the subcommand's
+    /// own flags for the caller.
+    ///
+    /// # Errors
+    ///
+    /// The first bad or valueless common flag.
+    pub fn read(flags: &mut Flags) -> Result<Self, String> {
+        let task = flags
+            .value_with("--task", parse_task)?
+            .unwrap_or(Task::ImageClassification);
         Ok(Self {
             task,
-            slo_ms: slo_ms.unwrap_or_else(|| (task.paper_slos()[0] * 1e3).round() as u64),
-            workers: workers.unwrap_or(match task {
-                Task::ImageClassification => 60,
-                Task::TextClassification => 20,
-            }),
-            load,
-            method,
-            trace,
-            d,
-            out,
-            extra,
+            slo_ms: flags
+                .get("--SLO|--slo")?
+                .unwrap_or_else(|| (task.paper_slos()[0] * 1e3).round() as u64),
+            workers: flags.get_or("--worker|--workers", constant_load_workers(task))?,
+            load: flags.get("--load")?,
+            method: flags.value("--m|--method")?,
+            trace: flags.get_or("--trace", "constant".to_string())?,
+            d: flags.get_or("--d", 25)?,
+            out: flags.get_or("--out", PathBuf::from("."))?,
         })
     }
 
@@ -88,12 +59,9 @@ impl CommonArgs {
         self.slo_ms as f64 / 1e3
     }
 
-    /// A subcommand-specific flag's value, if present.
-    pub fn extra(&self, flag: &str) -> Option<&str> {
-        self.extra
-            .iter()
-            .find(|(f, _)| f == flag)
-            .map(|(_, v)| v.as_str())
+    /// The worker profile for the task and SLO.
+    pub fn profile(&self) -> WorkerProfile {
+        build_profile(self.task, self.slo_s())
     }
 }
 
@@ -102,10 +70,7 @@ mod tests {
     use super::*;
 
     fn parse(words: &[&str]) -> Result<CommonArgs, String> {
-        CommonArgs::parse(
-            &words.iter().map(|s| s.to_string()).collect::<Vec<_>>(),
-            &["--policy"],
-        )
+        CommonArgs::parse(&words.iter().map(|s| s.to_string()).collect::<Vec<_>>())
     }
 
     #[test]
@@ -140,13 +105,6 @@ mod tests {
         let a = parse(&["--task", "text"]).unwrap();
         assert_eq!(a.slo_ms, 100);
         assert_eq!(a.workers, 20);
-    }
-
-    #[test]
-    fn extra_flags_collected() {
-        let a = parse(&["--policy", "p.json"]).unwrap();
-        assert_eq!(a.extra("--policy"), Some("p.json"));
-        assert_eq!(a.extra("--other"), None);
     }
 
     #[test]

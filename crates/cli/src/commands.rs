@@ -22,24 +22,11 @@ use std::path::{Path, PathBuf};
 
 use ramsis_baselines::{JellyfishPlus, ModelSwitching, ResponseLatencyTable};
 use ramsis_core::{PolicySet, WorkerPolicy};
-use ramsis_profiles::{ModelCatalog, ProfilerConfig, Task, WorkerProfile};
+use ramsis_profiles::{Task, WorkerProfile};
 use ramsis_sim::{RamsisScheme, ServingScheme};
 use ramsis_workload::{DivergenceMonitor, LoadEstimator, OracleMonitor, Trace};
 
 use crate::cli_args::CommonArgs;
-
-/// Builds the worker profile for the parsed flags.
-pub(crate) fn build_profile(args: &CommonArgs) -> WorkerProfile {
-    let catalog = match args.task {
-        Task::ImageClassification => ModelCatalog::torchvision_image(),
-        Task::TextClassification => ModelCatalog::bert_text(),
-    };
-    WorkerProfile::build(
-        &catalog,
-        std::time::Duration::from_secs_f64(args.slo_s()),
-        ProfilerConfig::default(),
-    )
-}
 
 /// A method's offline artifacts, loaded once: each call of
 /// [`SchemeFactory::scheme`] builds a fresh scheme from them (replays
@@ -77,9 +64,6 @@ impl SchemeFactory {
 /// first run: the trace, the method's scheme factory, and the load
 /// estimator choice.
 pub(crate) struct RunSetup {
-    /// `--seed` (default 42): the simulation seed, and the real
-    /// trace's.
-    pub(crate) seed: u64,
     pub(crate) trace: Trace,
     pub(crate) schemes: SchemeFactory,
     /// Constant-load runs estimate load with the perfect monitor.
@@ -87,8 +71,8 @@ pub(crate) struct RunSetup {
 }
 
 impl RunSetup {
-    /// Loads the trace (`--trace real|constant|FILE`, the constant one
-    /// `--duration` seconds long, `default_duration` unless given) and
+    /// Loads the trace (`--trace real|constant|FILE`: the real one
+    /// drawn from `seed`, the constant one `duration` seconds long) and
     /// `method`'s artifacts from `--out` (RAMSIS policies from `gen`,
     /// the MS table from `ms-gen`), printing how many policies were
     /// loaded when `announce` is set.
@@ -96,19 +80,10 @@ impl RunSetup {
         args: &CommonArgs,
         method: &str,
         profile: &WorkerProfile,
-        default_duration: &str,
+        seed: u64,
+        duration: f64,
         announce: bool,
     ) -> Result<Self, String> {
-        let seed: u64 = args
-            .extra("--seed")
-            .unwrap_or("42")
-            .parse()
-            .map_err(|e| format!("bad --seed: {e}"))?;
-        let duration: f64 = args
-            .extra("--duration")
-            .unwrap_or(default_duration)
-            .parse()
-            .map_err(|e| format!("bad --duration: {e}"))?;
         let trace = match args.trace.as_str() {
             "real" => Trace::twitter_like(seed),
             "constant" => {
@@ -167,7 +142,6 @@ impl RunSetup {
             }
         };
         Ok(Self {
-            seed,
             trace,
             schemes,
             oracle: args.trace == "constant",
@@ -185,6 +159,11 @@ impl RunSetup {
             Box::new(DivergenceMonitor::new(self.trace.clone()))
         }
     }
+}
+
+/// Formats a Nanos timestamp as seconds.
+pub(crate) fn secs(at: u64) -> f64 {
+    at as f64 / 1e9
 }
 
 /// The artifact's policy directory: `policy_gen/METHOD_WORKERS_SLO/`.

@@ -20,91 +20,38 @@
 //! cost–accuracy–violation table plus the frontier claim.
 
 use ramsis_bench::elastic::{frontier_claim, run_elastic_frontier, ElasticFrontierConfig};
-use ramsis_bench::render_table;
-use ramsis_profiles::{ModelCatalog, ProfilerConfig, Task, WorkerProfile};
+use ramsis_bench::{build_profile, parse_task, render_table, Flags};
+use ramsis_profiles::Task;
 use ramsis_sim::{FastestFixed, Routing, RunSpec, Simulation, SimulationConfig};
 use ramsis_telemetry::{Event, VecSink};
 use ramsis_workload::LoadMonitor;
 
-use crate::commands::write_json_file;
+use crate::commands::{secs, write_json_file};
 
-/// Formats a Nanos timestamp as seconds.
-fn secs(at: u64) -> f64 {
-    at as f64 / 1e9
-}
-
-#[allow(clippy::too_many_lines)]
 pub fn run(args: &[String]) -> Result<(), String> {
+    let mut flags = Flags::parse(args, &["--frontier", "--json"]);
     let mut cfg = ElasticFrontierConfig::default();
-    let mut task = Task::ImageClassification;
-    let mut min_pool = 1usize;
-    let mut max_events = 40usize;
-    let mut frontier = false;
-    let mut json = false;
-    let mut out: Option<String> = None;
+    let task = flags
+        .value_with("--task", parse_task)?
+        .unwrap_or(Task::ImageClassification);
+    cfg.slo_s = flags
+        .get("--SLO|--slo")?
+        .map_or(cfg.slo_s, |ms: f64| ms / 1e3);
+    cfg.seed = flags.get_or("--seed", cfg.seed)?;
+    cfg.trough_qps = flags.get_or("--trough", cfg.trough_qps)?;
+    cfg.swing = flags.get_or("--swing", cfg.swing)?;
+    cfg.duration_s = flags.get_or("--duration", cfg.duration_s)?;
+    let min_pool = flags.get_or("--min", 1usize)?;
+    cfg.max_pool = flags.get_or("--max", cfg.max_pool)?;
+    cfg.target_qps_per_worker = flags.get_or("--target", cfg.target_qps_per_worker)?;
+    cfg.warmup_s = flags.get_or("--warmup", cfg.warmup_s)?;
+    let max_events = flags.get_or("--events", 40usize)?;
+    let frontier = flags.switch("--frontier");
+    let json = flags.switch("--json");
+    let out = flags.value("--out")?;
+    flags.finish()?;
 
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} requires a value"))
-        };
-        let parsed = |flag: &str, v: String| -> Result<f64, String> {
-            v.parse().map_err(|e| format!("bad {flag}: {e}"))
-        };
-        match arg.as_str() {
-            "--task" => {
-                task = match value("--task")?.as_str() {
-                    "image" => Task::ImageClassification,
-                    "text" => Task::TextClassification,
-                    other => return Err(format!("unknown task {other:?}")),
-                }
-            }
-            "--SLO" | "--slo" => cfg.slo_s = parsed("--SLO", value("--SLO")?)? / 1e3,
-            "--seed" => {
-                cfg.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("bad --seed: {e}"))?;
-            }
-            "--trough" => cfg.trough_qps = parsed("--trough", value("--trough")?)?,
-            "--swing" => cfg.swing = parsed("--swing", value("--swing")?)?,
-            "--duration" => cfg.duration_s = parsed("--duration", value("--duration")?)?,
-            "--min" => {
-                min_pool = value("--min")?
-                    .parse()
-                    .map_err(|e| format!("bad --min: {e}"))?;
-            }
-            "--max" => {
-                cfg.max_pool = value("--max")?
-                    .parse()
-                    .map_err(|e| format!("bad --max: {e}"))?;
-            }
-            "--target" => {
-                cfg.target_qps_per_worker = parsed("--target", value("--target")?)?;
-            }
-            "--warmup" => cfg.warmup_s = parsed("--warmup", value("--warmup")?)?,
-            "--events" => {
-                max_events = value("--events")?
-                    .parse()
-                    .map_err(|e| format!("bad --events: {e}"))?;
-            }
-            "--frontier" => frontier = true,
-            "--json" => json = true,
-            "--out" => out = Some(value("--out")?),
-            other => return Err(format!("unknown flag {other:?}")),
-        }
-    }
-
-    let catalog = match task {
-        Task::ImageClassification => ModelCatalog::torchvision_image(),
-        Task::TextClassification => ModelCatalog::bert_text(),
-    };
-    let profile = WorkerProfile::build(
-        &catalog,
-        std::time::Duration::from_secs_f64(cfg.slo_s),
-        ProfilerConfig::default(),
-    );
+    let profile = build_profile(task, cfg.slo_s);
 
     if frontier {
         let outcomes = run_elastic_frontier(&profile, &cfg);

@@ -26,61 +26,25 @@
 //! Exit is non-zero when any invariant fails; CI runs 2,000-run sweeps
 //! in each mode (see scripts/ci.sh).
 
-use ramsis_bench::render_table;
+use ramsis_bench::{render_table, Flags};
 use ramsis_sim::ChaosConfig;
 
 use crate::commands::write_json_file;
 
 pub fn run(args: &[String]) -> Result<(), String> {
+    let mut flags = Flags::parse(args, &["--kill-resume", "--health", "--json"]);
     let mut cfg = ChaosConfig::default();
-    let mut json = false;
-    let mut out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} requires a value"))
-        };
-        match arg.as_str() {
-            "--runs" => {
-                cfg.runs = value("--runs")?
-                    .parse()
-                    .map_err(|e| format!("bad --runs: {e}"))?;
-            }
-            "--seed" => {
-                cfg.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("bad --seed: {e}"))?;
-            }
-            "--max-workers" => {
-                cfg.max_workers = value("--max-workers")?
-                    .parse()
-                    .map_err(|e| format!("bad --max-workers: {e}"))?;
-            }
-            "--max-load" => {
-                cfg.max_load_qps = value("--max-load")?
-                    .parse()
-                    .map_err(|e| format!("bad --max-load: {e}"))?;
-            }
-            "--max-duration" => {
-                cfg.max_duration_s = value("--max-duration")?
-                    .parse()
-                    .map_err(|e| format!("bad --max-duration: {e}"))?;
-            }
-            "--SLO" => {
-                let ms: f64 = value("--SLO")?
-                    .parse()
-                    .map_err(|e| format!("bad --SLO: {e}"))?;
-                cfg.slo_s = ms / 1e3;
-            }
-            "--kill-resume" => cfg.kill_resume = true,
-            "--health" => cfg.health = true,
-            "--json" => json = true,
-            "--out" => out = Some(value("--out")?),
-            other => return Err(format!("unknown flag {other:?}")),
-        }
-    }
+    cfg.runs = flags.get_or("--runs", cfg.runs)?;
+    cfg.seed = flags.get_or("--seed", cfg.seed)?;
+    cfg.max_workers = flags.get_or("--max-workers", cfg.max_workers)?;
+    cfg.max_load_qps = flags.get_or("--max-load", cfg.max_load_qps)?;
+    cfg.max_duration_s = flags.get_or("--max-duration", cfg.max_duration_s)?;
+    cfg.slo_s = flags.get("--SLO")?.map_or(cfg.slo_s, |ms: f64| ms / 1e3);
+    cfg.kill_resume |= flags.switch("--kill-resume");
+    cfg.health |= flags.switch("--health");
+    let json = flags.switch("--json");
+    let out = flags.value("--out")?;
+    flags.finish()?;
     cfg.validate().map_err(|e| e.to_string())?;
 
     let report = cfg.run_sweep().map_err(|e| e.to_string())?;

@@ -8,44 +8,44 @@
 //! EXPERIMENTS.md "drift_adaptation" for the full experiment.
 
 use ramsis_bench::drift::{run_drift, DriftConfig};
+use ramsis_bench::Flags;
 use ramsis_core::ShedPolicy;
 
 use crate::cli_args::CommonArgs;
-use crate::commands::{build_profile, write_json_file};
+use crate::commands::write_json_file;
+
+fn parse_shed(value: &str) -> Result<ShedPolicy, String> {
+    match value {
+        "never" => Ok(ShedPolicy::Never),
+        "hopeless" => Ok(ShedPolicy::Hopeless),
+        depth => depth
+            .parse()
+            .map(ShedPolicy::QueueDepth)
+            .map_err(|_| format!("bad --shed {depth:?} (never|hopeless|<queue depth>)")),
+    }
+}
 
 pub fn run(args: &[String]) -> Result<(), String> {
-    // Like `robustness`, this experiment defaults to the bench
-    // harness's coarser D = 10 grid unless --d is given explicitly.
-    let d_overridden = args.iter().any(|a| a == "--d");
-    let args = CommonArgs::parse(args, &["--seed", "--shed", "--peak"])?;
-    let shed = match args.extra("--shed").unwrap_or("hopeless") {
-        "never" => ShedPolicy::Never,
-        "hopeless" => ShedPolicy::Hopeless,
-        depth => ShedPolicy::QueueDepth(
-            depth
-                .parse()
-                .map_err(|_| format!("bad --shed {depth:?} (never|hopeless|<queue depth>)"))?,
-        ),
-    };
+    let mut flags = Flags::parse(args, &[]);
+    let args = CommonArgs::read(&mut flags)?;
     let mut cfg = DriftConfig {
         slo_s: args.slo_s(),
         workers: args.workers,
-        shed,
-        d: if d_overridden { args.d } else { 10 },
-        seed: args
-            .extra("--seed")
-            .unwrap_or("53791")
-            .parse()
-            .map_err(|e| format!("bad --seed: {e}"))?,
+        shed: flags
+            .value_with("--shed", parse_shed)?
+            .unwrap_or(ShedPolicy::Hopeless),
+        // Like `robustness`, this experiment defaults to the bench
+        // harness's coarser D = 10 grid unless --d is given explicitly.
+        d: if flags.given("--d") { args.d } else { 10 },
+        seed: flags.get_or("--seed", 53791)?,
         ..DriftConfig::default()
     };
     if let Some(load) = args.load {
         cfg.base_qps = load;
         cfg.peak_qps = load * 2.5;
     }
-    if let Some(peak) = args.extra("--peak") {
-        cfg.peak_qps = peak.parse().map_err(|e| format!("bad --peak: {e}"))?;
-    }
+    cfg.peak_qps = flags.get_or("--peak", cfg.peak_qps)?;
+    flags.finish()?;
     if cfg.peak_qps <= cfg.base_qps {
         return Err(format!(
             "peak load {} must exceed base load {}",
@@ -53,7 +53,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         ));
     }
 
-    let profile = build_profile(&args);
+    let profile = args.profile();
     let outcomes = run_drift(&profile, &cfg);
     for o in &outcomes {
         println!(

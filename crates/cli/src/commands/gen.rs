@@ -9,34 +9,33 @@
 //! grid are solved in parallel, one per core; each policy's
 //! `generation_seconds` is its own solve's wall time.
 
+use ramsis_bench::{parse_value, Flags};
 use ramsis_core::{Discretization, PolicyConfig, PolicySet};
 
 use crate::cli_args::CommonArgs;
-use crate::commands::{build_profile, policy_dir, write_json_file};
+use crate::commands::{policy_dir, write_json_file};
 
 pub fn run(args: &[String]) -> Result<(), String> {
-    let args = CommonArgs::parse(args, &["--adaptive", "--gap"])?;
-    let profile = build_profile(&args);
+    let mut flags = Flags::parse(args, &[]);
+    let args = CommonArgs::read(&mut flags)?;
+    let adaptive = flags.value("--adaptive")?;
+    let gap = flags.value("--gap")?;
+    flags.finish()?;
+    let profile = args.profile();
     let config = PolicyConfig::builder(std::time::Duration::from_secs_f64(args.slo_s()))
         .workers(args.workers)
         .discretization(Discretization::fixed_length(args.d))
         .build();
     let dir = policy_dir(&args.out, "RAMSIS", args.workers, args.slo_ms);
 
-    let set = if let Some(range) = args.extra("--adaptive") {
+    let set = if let Some(range) = adaptive {
         // §6: refine until adjacent expected accuracies differ < 1%.
         let (lo, hi) = range
             .split_once(':')
             .ok_or("--adaptive expects LO:HI, e.g. 200:4000")?;
-        let lo: f64 = lo.parse().map_err(|e| format!("bad --adaptive low: {e}"))?;
-        let hi: f64 = hi
-            .parse()
-            .map_err(|e| format!("bad --adaptive high: {e}"))?;
-        let gap: f64 = args
-            .extra("--gap")
-            .unwrap_or("1.0")
-            .parse()
-            .map_err(|e| format!("bad --gap: {e}"))?;
+        let lo: f64 = parse_value("--adaptive low", lo)?;
+        let hi: f64 = parse_value("--adaptive high", hi)?;
+        let gap: f64 = parse_value("--gap", gap.as_deref().unwrap_or("1.0"))?;
         let set = PolicySet::generate_poisson_adaptive(&profile, lo, hi, &config, gap, 64)
             .map_err(|e| e.to_string())?;
         println!(

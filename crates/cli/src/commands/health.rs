@@ -22,11 +22,9 @@
 //! Individual probe failures are elided from the timeline by default
 //! (a dead worker fails every probe, drowning the state changes);
 //! `--probes` includes them.
-//!
-//! ```text
-//! ```
 
-use ramsis_profiles::{ModelCatalog, ProfilerConfig, Task, WorkerProfile};
+use ramsis_bench::{build_profile, parse_task, Flags};
+use ramsis_profiles::Task;
 use ramsis_sim::{
     FastestFixed, FaultPlan, HealthPolicy, Routing, RunOutcome, RunSpec, Simulation,
     SimulationConfig,
@@ -34,70 +32,24 @@ use ramsis_sim::{
 use ramsis_telemetry::{Event, VecSink};
 use ramsis_workload::{LoadMonitor, Trace};
 
-use crate::commands::write_json_file;
+use crate::commands::{secs, write_json_file};
 
-/// Formats a Nanos timestamp as seconds.
-fn secs(at: u64) -> f64 {
-    at as f64 / 1e9
-}
-
-#[allow(clippy::too_many_lines)]
 pub fn run(args: &[String]) -> Result<(), String> {
-    let mut task = Task::ImageClassification;
-    let mut slo_s = 0.1;
-    let mut seed = 7u64;
-    let mut workers = 6usize;
-    let mut load_qps = 120.0;
-    let mut duration_s = 40.0;
-    let mut probe_ms = 20.0;
-    let mut max_events = 40usize;
-    let mut show_probes = false;
-    let mut json = false;
-    let mut out: Option<String> = None;
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} requires a value"))
-        };
-        let parsed = |flag: &str, v: String| -> Result<f64, String> {
-            v.parse().map_err(|e| format!("bad {flag}: {e}"))
-        };
-        match arg.as_str() {
-            "--task" => {
-                task = match value("--task")?.as_str() {
-                    "image" => Task::ImageClassification,
-                    "text" => Task::TextClassification,
-                    other => return Err(format!("unknown task {other:?}")),
-                }
-            }
-            "--SLO" | "--slo" => slo_s = parsed("--SLO", value("--SLO")?)? / 1e3,
-            "--seed" => {
-                seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("bad --seed: {e}"))?;
-            }
-            "--workers" => {
-                workers = value("--workers")?
-                    .parse()
-                    .map_err(|e| format!("bad --workers: {e}"))?;
-            }
-            "--load" => load_qps = parsed("--load", value("--load")?)?,
-            "--duration" => duration_s = parsed("--duration", value("--duration")?)?,
-            "--probe" => probe_ms = parsed("--probe", value("--probe")?)?,
-            "--events" => {
-                max_events = value("--events")?
-                    .parse()
-                    .map_err(|e| format!("bad --events: {e}"))?;
-            }
-            "--probes" => show_probes = true,
-            "--json" => json = true,
-            "--out" => out = Some(value("--out")?),
-            other => return Err(format!("unknown flag {other:?}")),
-        }
-    }
+    let mut flags = Flags::parse(args, &["--probes", "--json"]);
+    let task = flags
+        .value_with("--task", parse_task)?
+        .unwrap_or(Task::ImageClassification);
+    let slo_s = flags.get("--SLO|--slo")?.map_or(0.1, |ms: f64| ms / 1e3);
+    let seed = flags.get_or("--seed", 7u64)?;
+    let workers = flags.get_or("--workers", 6usize)?;
+    let load_qps = flags.get_or("--load", 120.0)?;
+    let duration_s = flags.get_or("--duration", 40.0)?;
+    let probe_ms = flags.get_or("--probe", 20.0)?;
+    let max_events = flags.get_or("--events", 40usize)?;
+    let show_probes = flags.switch("--probes");
+    let json = flags.switch("--json");
+    let out = flags.value("--out")?;
+    flags.finish()?;
     if workers < 4 {
         return Err("--workers must be at least 4 (the scenario faults three workers)".into());
     }
@@ -105,15 +57,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         return Err("--probe must be positive".into());
     }
 
-    let catalog = match task {
-        Task::ImageClassification => ModelCatalog::torchvision_image(),
-        Task::TextClassification => ModelCatalog::bert_text(),
-    };
-    let profile = WorkerProfile::build(
-        &catalog,
-        std::time::Duration::from_secs_f64(slo_s),
-        ProfilerConfig::default(),
-    );
+    let profile = build_profile(task, slo_s);
 
     // Canonical gray-failure scenario, scaled to the horizon: one real
     // crash (later recovered), one heartbeat partition of a healthy

@@ -3,17 +3,19 @@
 //! state→action dictionary ("Each file contains a policy, which is a
 //! dictionary mapping states of the MDP to actions", §A.4.2).
 
+use ramsis_bench::{build_profile, Flags};
 use ramsis_core::WorkerPolicy;
 
 use crate::cli_args::CommonArgs;
-use crate::commands::build_profile;
 
 pub fn run(args: &[String]) -> Result<(), String> {
-    let args = CommonArgs::parse(args, &["--policy", "--states"])?;
-    let path = args
-        .extra("--policy")
-        .ok_or("inspect requires --policy PATH")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
+    let mut flags = Flags::parse(args, &[]);
+    let args = CommonArgs::read(&mut flags)?;
+    let path = flags.value("--policy")?;
+    let limit = flags.get_or("--states", 30usize)?;
+    flags.finish()?;
+    let path = path.ok_or("inspect requires --policy PATH")?;
+    let text = std::fs::read_to_string(&path).map_err(|e| format!("read {path}: {e}"))?;
     let policy = WorkerPolicy::from_json(&text)?;
 
     println!(
@@ -42,11 +44,8 @@ pub fn run(args: &[String]) -> Result<(), String> {
 
     // Resolve model names via the matching profile (the policy stores
     // catalog indices).
-    let profile = build_profile(&CommonArgs {
-        slo_ms: (policy.config.slo_s * 1e3).round() as u64,
-        workers: policy.config.workers,
-        ..args.clone()
-    });
+    let slo_ms = (policy.config.slo_s * 1e3).round() as u64;
+    let profile = build_profile(args.task, slo_ms as f64 / 1e3);
     let names: Vec<&str> = policy
         .models_used()
         .iter()
@@ -91,11 +90,6 @@ pub fn run(args: &[String]) -> Result<(), String> {
         );
     }
 
-    let limit: usize = args
-        .extra("--states")
-        .unwrap_or("30")
-        .parse()
-        .map_err(|e| format!("bad --states: {e}"))?;
     println!("\nstate -> action (first {limit} entries; --states N for more):");
     for (state, action) in policy.artifact_map(&profile).into_iter().take(limit) {
         println!("  {state:<16} -> {action}");

@@ -5,23 +5,18 @@
 //! `policy_gen/MS_WORKERS_SLO/table.json`.
 
 use ramsis_baselines::profile_response_latency;
+use ramsis_bench::Flags;
 
 use crate::cli_args::CommonArgs;
-use crate::commands::{build_profile, policy_dir, write_json_file};
+use crate::commands::{policy_dir, write_json_file};
 
 pub fn run(args: &[String]) -> Result<(), String> {
-    let args = CommonArgs::parse(args, &["--step", "--duration"])?;
-    let profile = build_profile(&args);
-    let step: u64 = args
-        .extra("--step")
-        .unwrap_or("100")
-        .parse()
-        .map_err(|e| format!("bad --step: {e}"))?;
-    let duration: f64 = args
-        .extra("--duration")
-        .unwrap_or("5")
-        .parse()
-        .map_err(|e| format!("bad --duration: {e}"))?;
+    let mut flags = Flags::parse(args, &[]);
+    let args = CommonArgs::read(&mut flags)?;
+    let step = flags.get_or("--step", 100u64)?;
+    let duration = flags.get_or("--duration", 5.0)?;
+    flags.finish()?;
+    let profile = args.profile();
     let loads: Vec<f64> = match args.load {
         Some(l) => vec![l],
         None => (0..)

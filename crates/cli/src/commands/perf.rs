@@ -12,7 +12,7 @@
 //! per-solver sweep summaries. `--json` emits the full
 //! [`ramsis_telemetry::ProfileReport`] instead.
 
-use ramsis_bench::{run_scenario, PerfBaselineConfig, SCENARIOS};
+use ramsis_bench::{run_scenario, Flags, PerfBaselineConfig, SCENARIOS};
 use serde::Serialize;
 
 /// The `--json` document: headline run facts plus the full profile.
@@ -26,31 +26,15 @@ struct PerfSummary {
 }
 
 pub fn run(args: &[String]) -> Result<(), String> {
-    let mut scenario = "constant_load".to_string();
-    let mut json = false;
-    let mut smoke = false;
+    let mut flags = Flags::parse(args, &["--smoke", "--json"]);
+    let scenario = flags.get_or("--scenario", "constant_load".to_string())?;
     let mut cfg = PerfBaselineConfig::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--scenario" => {
-                scenario = it.next().ok_or("--scenario requires a name")?.clone();
-            }
-            "--seed" => {
-                cfg.seed = it
-                    .next()
-                    .ok_or("--seed requires a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --seed: {e}"))?;
-            }
-            "--smoke" => smoke = true,
-            "--json" => json = true,
-            other => return Err(format!("unknown flag {other:?}")),
-        }
-    }
-    if smoke {
+    cfg.seed = flags.get_or("--seed", cfg.seed)?;
+    if flags.switch("--smoke") {
         cfg = cfg.smoke();
     }
+    let json = flags.switch("--json");
+    flags.finish()?;
     if !SCENARIOS.contains(&scenario.as_str()) {
         return Err(format!(
             "unknown scenario {scenario:?} (expected one of {SCENARIOS:?})"

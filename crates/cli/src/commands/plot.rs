@@ -13,7 +13,7 @@ use ramsis_sim::SimulationReport;
 use crate::cli_args::CommonArgs;
 
 pub fn run(args: &[String]) -> Result<(), String> {
-    let args = CommonArgs::parse(args, &[])?;
+    let args = CommonArgs::parse(args)?;
     let dir = args.out.join("results");
     let prefix = format!("{}_", args.task.name());
     let infix = format!("_{}_{}_", args.trace, args.slo_ms);

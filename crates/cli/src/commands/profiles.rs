@@ -7,37 +7,44 @@
 //! real TorchServe/Triton deployment), reduces it with the p95 pipeline,
 //! and prints the Fig. 3-style profile summary.
 
-use ramsis_bench::render_table;
-use ramsis_profiles::{pareto_front, ModelCatalog, RawProfiles, Task};
+use ramsis_bench::{parse_value, render_table, task_catalog, Flags};
+use ramsis_profiles::{pareto_front, RawProfiles};
 
 use crate::cli_args::CommonArgs;
 
 pub fn run(args: &[String]) -> Result<(), String> {
-    let args = CommonArgs::parse(args, &["--export", "--import", "--invocations", "--seed"])?;
-    match (args.extra("--export"), args.extra("--import")) {
-        (Some(dir), None) => export(&args, std::path::Path::new(dir)),
-        (None, Some(dir)) => import(&args, std::path::Path::new(dir)),
+    let mut flags = Flags::parse(args, &[]);
+    let args = CommonArgs::read(&mut flags)?;
+    let export_dir = flags.value("--export")?;
+    let import_dir = flags.value("--import")?;
+    let invocations = flags.value("--invocations")?;
+    let seed = flags.value("--seed")?;
+    flags.finish()?;
+    match (export_dir, import_dir) {
+        (Some(dir), None) => export(&args, dir.as_ref(), invocations, seed),
+        (None, Some(dir)) => import(&args, dir.as_ref()),
         _ => Err("profiles requires exactly one of --export DIR or --import DIR".into()),
     }
 }
 
-fn export(args: &CommonArgs, dir: &std::path::Path) -> Result<(), String> {
-    let catalog = match args.task {
-        Task::ImageClassification => ModelCatalog::torchvision_image(),
-        Task::TextClassification => ModelCatalog::bert_text(),
-    };
-    let invocations: usize = args
-        .extra("--invocations")
-        .unwrap_or("100")
-        .parse()
-        .map_err(|e| format!("bad --invocations: {e}"))?;
-    let seed: u64 = args
-        .extra("--seed")
-        .unwrap_or("0x5241")
-        .trim_start_matches("0x")
-        .parse()
-        .or_else(|_| u64::from_str_radix(args.extra("--seed").unwrap_or("5241"), 16))
-        .map_err(|e| format!("bad --seed: {e}"))?;
+/// Parses a `--seed`: hex after a `0x` prefix, decimal otherwise.
+fn parse_seed(value: &str) -> Result<u64, String> {
+    match value.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => value.parse(),
+    }
+    .map_err(|e| format!("bad --seed: {e}"))
+}
+
+fn export(
+    args: &CommonArgs,
+    dir: &std::path::Path,
+    invocations: Option<String>,
+    seed: Option<String>,
+) -> Result<(), String> {
+    let catalog = task_catalog(args.task);
+    let invocations: usize = parse_value("--invocations", invocations.as_deref().unwrap_or("100"))?;
+    let seed = parse_seed(seed.as_deref().unwrap_or("5241"))?;
     // Profile enough batches for the loosest paper SLO.
     let raw = RawProfiles::synthesize(&catalog, 64, invocations, seed);
     raw.write_dir(dir)?;

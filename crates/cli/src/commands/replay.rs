@@ -32,6 +32,7 @@
 
 use std::path::Path;
 
+use ramsis_bench::Flags;
 use ramsis_sim::EngineSnapshot;
 use ramsis_telemetry::{aggregates, conservation, parse_jsonl_tolerant};
 use serde::Serialize;
@@ -57,23 +58,16 @@ struct ReplayReport {
 }
 
 pub fn run(args: &[String]) -> Result<i32, String> {
-    let mut log_path: Option<String> = None;
-    let mut snap_path: Option<String> = None;
-    let mut json = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--snapshot" => {
-                snap_path = Some(it.next().ok_or("--snapshot requires a path")?.clone());
-            }
-            "--json" => json = true,
-            "--log" => log_path = Some(it.next().ok_or("--log requires a value")?.clone()),
-            other if !other.starts_with("--") && log_path.is_none() => {
-                log_path = Some(other.to_string());
-            }
-            other => return Err(format!("unknown flag {other:?}")),
-        }
-    }
+    let mut flags = Flags::parse(args, &["--json"]);
+    let snap_path = flags.value("--snapshot")?;
+    let json = flags.switch("--json");
+    // A log given both ways leaves the positional unread, so `finish`
+    // rejects it.
+    let log_path = match flags.value("--log")? {
+        Some(log) => Some(log),
+        None => flags.positional(),
+    };
+    flags.finish()?;
     let log_path =
         log_path.ok_or("replay requires a log: ramsis-cli replay LOG.jsonl --snapshot CKPT")?;
     let snap_path = snap_path.ok_or("replay requires --snapshot CKPT.json")?;

@@ -8,45 +8,45 @@
 //! "robustness_faults" for the full experiment.
 
 use ramsis_bench::robustness::{run_robustness, RobustnessConfig};
+use ramsis_bench::Flags;
 use ramsis_sim::CrashPolicy;
 
 use crate::cli_args::CommonArgs;
-use crate::commands::{build_profile, write_json_file};
+use crate::commands::write_json_file;
+
+fn parse_crash_policy(value: &str) -> Result<CrashPolicy, String> {
+    match value {
+        "requeue" => Ok(CrashPolicy::RequeueToSurvivors),
+        "drop" => Ok(CrashPolicy::Drop),
+        other => Err(format!("bad --crash-policy {other:?} (requeue|drop)")),
+    }
+}
 
 pub fn run(args: &[String]) -> Result<(), String> {
-    // This experiment defaults to the bench harness's coarser D = 10
-    // grid (not the CLI-wide 25): degradation margins are reported with
-    // the same discretization the robustness_faults binary uses.
-    let d_overridden = args.iter().any(|a| a == "--d");
-    let args = CommonArgs::parse(args, &["--seed", "--duration", "--crash-policy"])?;
-    if args.workers < 2 {
-        return Err("the canonical fault schedule needs at least 2 workers".into());
-    }
-    let crash_policy = match args.extra("--crash-policy").unwrap_or("requeue") {
-        "requeue" => CrashPolicy::RequeueToSurvivors,
-        "drop" => CrashPolicy::Drop,
-        other => return Err(format!("bad --crash-policy {other:?} (requeue|drop)")),
-    };
+    let mut flags = Flags::parse(args, &[]);
+    let args = CommonArgs::read(&mut flags)?;
     let cfg = RobustnessConfig {
         slo_s: args.slo_s(),
         workers: args.workers,
         min_workers: (args.workers / 2).max(1),
         load_qps: args.load.unwrap_or(100.0),
-        duration_s: args
-            .extra("--duration")
-            .unwrap_or("60")
-            .parse()
-            .map_err(|e| format!("bad --duration: {e}"))?,
-        d: if d_overridden { args.d } else { 10 },
-        seed: args
-            .extra("--seed")
-            .unwrap_or("64023")
-            .parse()
-            .map_err(|e| format!("bad --seed: {e}"))?,
-        crash_policy,
+        duration_s: flags.get_or("--duration", 60.0)?,
+        // This experiment defaults to the bench harness's coarser
+        // D = 10 grid (not the CLI-wide 25): degradation margins are
+        // reported with the same discretization the robustness_faults
+        // binary uses.
+        d: if flags.given("--d") { args.d } else { 10 },
+        seed: flags.get_or("--seed", 64023)?,
+        crash_policy: flags
+            .value_with("--crash-policy", parse_crash_policy)?
+            .unwrap_or(CrashPolicy::RequeueToSurvivors),
     };
+    flags.finish()?;
+    if args.workers < 2 {
+        return Err("the canonical fault schedule needs at least 2 workers".into());
+    }
 
-    let profile = build_profile(&args);
+    let profile = args.profile();
     let outcomes = run_robustness(&profile, &cfg);
     for o in &outcomes {
         println!(

@@ -14,7 +14,7 @@
 //! any discrepancy is reported as a conservation violation.
 
 use crate::commands::telemetry::{load_trace, warn_unknown};
-use ramsis_bench::render_table;
+use ramsis_bench::{render_table, Flags};
 use ramsis_telemetry::{
     critical_path, reconstruct_spans, reconstruct_spans_sampled, QuerySpan, SegmentStats,
     SpanOutcome,
@@ -56,24 +56,11 @@ fn segment_row(name: &str, s: &SegmentStats) -> Vec<String> {
 }
 
 pub fn run(args: &[String]) -> Result<(), String> {
-    let mut path: Option<String> = None;
-    let mut top: usize = 10;
-    let mut json = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--top" => {
-                top = it
-                    .next()
-                    .ok_or("--top requires a count")?
-                    .parse()
-                    .map_err(|e| format!("bad --top: {e}"))?;
-            }
-            "--json" => json = true,
-            other if !other.starts_with("--") && path.is_none() => path = Some(other.to_string()),
-            other => return Err(format!("unknown flag {other:?}")),
-        }
-    }
+    let mut flags = Flags::parse(args, &["--json"]);
+    let top = flags.get_or("--top", 10usize)?;
+    let json = flags.switch("--json");
+    let path = flags.positional();
+    flags.finish()?;
     let path = path.ok_or("spans requires a trace path: ramsis-cli spans LOG.jsonl")?;
     let parsed = load_trace(&path)?;
     if let Some(tail) = &parsed.torn_tail {

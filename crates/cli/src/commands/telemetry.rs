@@ -21,7 +21,7 @@
 //! nothing but the violation summary (and nothing at all on a clean
 //! trace).
 
-use ramsis_bench::render_table;
+use ramsis_bench::{render_table, Flags};
 use ramsis_telemetry::{
     aggregates, conservation, is_binary_stream, kind_counts, parse_tolerant, sampled_aggregates,
     window_breakdown, write_bin, write_jsonl, Conservation, KindCount, ParsedLog, WindowStats,
@@ -116,29 +116,19 @@ pub fn run(args: &[String]) -> Result<i32, String> {
     if args.first().map(String::as_str) == Some("convert") {
         return convert(&args[1..]);
     }
-    let mut path: Option<String> = None;
-    let mut window_ms: f64 = 1_000.0;
-    let mut json = false;
-    let mut quiet = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--window" => {
-                window_ms = it
-                    .next()
-                    .ok_or("--window requires a value (milliseconds)")?
-                    .parse()
-                    .map_err(|e| format!("bad --window: {e}"))?;
-                if window_ms <= 0.0 || !window_ms.is_finite() {
-                    return Err("--window must be positive".into());
-                }
-            }
-            "--json" => json = true,
-            "--quiet" => quiet = true,
-            "--log" => path = Some(it.next().ok_or("--log requires a value")?.clone()),
-            other if !other.starts_with("--") && path.is_none() => path = Some(other.to_string()),
-            other => return Err(format!("unknown flag {other:?}")),
-        }
+    let mut flags = Flags::parse(args, &["--json", "--quiet"]);
+    let window_ms: f64 = flags.get_or("--window", 1_000.0)?;
+    let json = flags.switch("--json");
+    let quiet = flags.switch("--quiet");
+    // A log given both ways leaves the positional unread, so `finish`
+    // rejects it.
+    let path = match flags.value("--log")? {
+        Some(log) => Some(log),
+        None => flags.positional(),
+    };
+    flags.finish()?;
+    if window_ms <= 0.0 || !window_ms.is_finite() {
+        return Err("--window must be positive".into());
     }
     let path = path.ok_or("telemetry requires a trace path: ramsis-cli telemetry LOG.jsonl")?;
     let parsed = load_trace(&path)?;
@@ -418,15 +408,10 @@ pub fn run(args: &[String]) -> Result<i32, String> {
 /// round trip; converting a converted file back reproduces the
 /// original sink's bytes exactly.
 fn convert(args: &[String]) -> Result<i32, String> {
-    let mut paths: Vec<&String> = Vec::new();
-    let mut quiet = false;
-    for arg in args {
-        match arg.as_str() {
-            "--quiet" => quiet = true,
-            other if !other.starts_with("--") => paths.push(arg),
-            other => return Err(format!("unknown flag {other:?}")),
-        }
-    }
+    let mut flags = Flags::parse(args, &["--quiet"]);
+    let quiet = flags.switch("--quiet");
+    let paths = flags.positionals();
+    flags.finish()?;
     let [input, output] = paths.as_slice() else {
         return Err(
             "convert requires exactly two paths: ramsis-cli telemetry convert IN OUT".into(),

@@ -2,16 +2,23 @@
 //! the artifact's text format (one average-QPS value per ten-second
 //! interval, like `twitter_trace/twitter_04_25_norm.txt`).
 
+use ramsis_bench::{parse_value, Flags};
 use ramsis_workload::Trace;
 
 use crate::cli_args::CommonArgs;
 
 pub fn run(args: &[String]) -> Result<(), String> {
-    let args = CommonArgs::parse(args, &["--kind", "--seed", "--file", "--duration"])?;
-    match args.extra("--file") {
+    let mut flags = Flags::parse(args, &[]);
+    let args = CommonArgs::read(&mut flags)?;
+    let kind = flags.value("--kind")?;
+    let seed = flags.value("--seed")?;
+    let file = flags.value("--file")?;
+    let duration = flags.value("--duration")?;
+    flags.finish()?;
+    match file {
         // Inspect an existing file.
         Some(path) => {
-            let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
+            let text = std::fs::read_to_string(&path).map_err(|e| format!("read {path}: {e}"))?;
             let trace = Trace::parse_artifact_text(&text)?;
             println!(
                 "{path}: {} intervals, {:.0}s total, {:.0}-{:.0} QPS, ~{:.0} expected queries",
@@ -37,21 +44,14 @@ pub fn run(args: &[String]) -> Result<(), String> {
         }
         // Generate a new one.
         None => {
-            let kind = args.extra("--kind").unwrap_or("twitter");
-            let seed: u64 = args
-                .extra("--seed")
-                .unwrap_or("42")
-                .parse()
-                .map_err(|e| format!("bad --seed: {e}"))?;
+            let kind = kind.as_deref().unwrap_or("twitter");
+            let seed: u64 = parse_value("--seed", seed.as_deref().unwrap_or("42"))?;
             let trace = match kind {
                 "twitter" => Trace::twitter_like(seed),
                 "constant" => {
                     let load = args.load.ok_or("--kind constant requires --load")?;
-                    let duration: f64 = args
-                        .extra("--duration")
-                        .unwrap_or("300")
-                        .parse()
-                        .map_err(|e| format!("bad --duration: {e}"))?;
+                    let duration: f64 =
+                        parse_value("--duration", duration.as_deref().unwrap_or("300"))?;
                     let n = (duration / Trace::ARTIFACT_INTERVAL_S).round() as usize;
                     Trace::from_interval_qps(
                         &vec![load; n.max(1)],

@@ -26,7 +26,7 @@
 //! regime, reason, and fault-window membership. Baseline replays are
 //! verified byte-identical against the factual run.
 
-use ramsis_bench::render_table;
+use ramsis_bench::{render_table, Flags};
 use ramsis_sim::{
     regret_study, FaultPlan, RegretStudyConfig, Selection, Simulation, SimulationConfig,
 };
@@ -37,7 +37,7 @@ use ramsis_telemetry::{
 use serde::Serialize;
 
 use crate::cli_args::CommonArgs;
-use crate::commands::{build_profile, RunSetup};
+use crate::commands::RunSetup;
 
 fn ms(ns: u64) -> String {
     format!("{:.1}", ns as f64 / 1e6)
@@ -252,58 +252,25 @@ fn compose_cause(e: &Explanation) -> String {
 }
 
 pub fn run(args: &[String]) -> Result<i32, String> {
-    let mut json = false;
-    let mut counterfactual = false;
-    let mut filtered: Vec<String> = Vec::new();
-    for a in args {
-        match a.as_str() {
-            "--json" => json = true,
-            "--counterfactual" => counterfactual = true,
-            _ => filtered.push(a.clone()),
-        }
-    }
-    if counterfactual {
-        run_counterfactual(&filtered, json)
+    let mut flags = Flags::parse(args, &["--json", "--counterfactual"]);
+    let json = flags.switch("--json");
+    if flags.switch("--counterfactual") {
+        run_counterfactual(flags, json)
     } else {
-        run_log(&filtered, json)
+        run_log(flags, json)
     }
 }
 
 /// Log mode: join recorded decisions + telemetry into per-violation
 /// explanations.
-fn run_log(args: &[String], json: bool) -> Result<i32, String> {
-    let mut decisions_path: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-    let mut top: usize = 10;
-    let mut budget: f64 = 0.1;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--telemetry" => {
-                trace_path = Some(it.next().ok_or("--telemetry requires a path")?.clone());
-            }
-            "--top" => {
-                top = it
-                    .next()
-                    .ok_or("--top requires a count")?
-                    .parse()
-                    .map_err(|e| format!("bad --top: {e}"))?;
-            }
-            "--budget" => {
-                budget = it
-                    .next()
-                    .ok_or("--budget requires a fraction")?
-                    .parse()
-                    .map_err(|e| format!("bad --budget: {e}"))?;
-                if !(budget > 0.0 && budget < 1.0) {
-                    return Err("--budget must be in (0, 1)".into());
-                }
-            }
-            other if !other.starts_with("--") && decisions_path.is_none() => {
-                decisions_path = Some(other.to_string());
-            }
-            other => return Err(format!("unknown flag {other:?}")),
-        }
+fn run_log(mut flags: Flags, json: bool) -> Result<i32, String> {
+    let trace_path = flags.value("--telemetry")?;
+    let top = flags.get_or("--top", 10usize)?;
+    let budget = flags.get_or("--budget", 0.1)?;
+    let decisions_path = flags.positional();
+    flags.finish()?;
+    if !(budget > 0.0 && budget < 1.0) {
+        return Err("--budget must be in (0, 1)".into());
     }
     let decisions_path = decisions_path.ok_or(
         "why requires a decision log: ramsis-cli why DECISIONS.jsonl --telemetry TRACE.jsonl \
@@ -484,32 +451,24 @@ struct EntryRow {
 
 /// Scenario mode: re-run with provenance and quantify exact regret by
 /// forced-alternative replay.
-fn run_counterfactual(args: &[String], json: bool) -> Result<i32, String> {
-    let args = CommonArgs::parse(
-        args,
-        &["--seed", "--duration", "--max-decisions", "--alternatives"],
-    )?;
+fn run_counterfactual(mut flags: Flags, json: bool) -> Result<i32, String> {
+    let args = CommonArgs::read(&mut flags)?;
+    let seed = flags.get_or("--seed", 42)?;
+    let duration = flags.get_or("--duration", 10.0)?;
+    let max_decisions = flags.get_or("--max-decisions", 6)?;
+    let alternatives = flags.get_or("--alternatives", 2)?;
+    flags.finish()?;
     let method = args.method.as_deref().unwrap_or("RAMSIS");
-    let profile = build_profile(&args);
-    let max_decisions: usize = args
-        .extra("--max-decisions")
-        .unwrap_or("6")
-        .parse()
-        .map_err(|e| format!("bad --max-decisions: {e}"))?;
-    let alternatives: usize = args
-        .extra("--alternatives")
-        .unwrap_or("2")
-        .parse()
-        .map_err(|e| format!("bad --alternatives: {e}"))?;
+    let profile = args.profile();
 
     // Replays mutate scheme and estimator state, so each run gets a
     // fresh pair; the expensive artifacts (policy set, MS table) are
     // loaded once and cloned.
-    let setup = RunSetup::load(&args, method, &profile, "10", false)?;
+    let setup = RunSetup::load(&args, method, &profile, seed, duration, false)?;
     let mut make_scheme = || setup.schemes.scheme();
     let mut make_estimator = || setup.estimator();
 
-    let config = SimulationConfig::new(args.workers, args.slo_s()).seeded(setup.seed);
+    let config = SimulationConfig::new(args.workers, args.slo_s()).seeded(seed);
     let sim = Simulation::new(&profile, config).expect("valid simulation config");
     let plan = FaultPlan::none();
     let cfg = RegretStudyConfig {

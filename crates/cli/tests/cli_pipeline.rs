@@ -140,6 +140,37 @@ fn profiles_export_import_round_trip() {
         run(&["profiles", "--export", "/tmp/x", "--import", "/tmp/y"]),
         0
     );
+
+    // `--seed` reads `0x…` as hex and anything else as decimal; the
+    // default is 5241.
+    let export_with = |name: &str, seed: Option<&str>| {
+        let to = dir.join(name);
+        let mut words = vec![
+            "profiles",
+            "--export",
+            to.to_str().unwrap(),
+            "--task",
+            "text",
+        ];
+        words.extend(["--invocations", "20"]);
+        if let Some(seed) = seed {
+            words.extend(["--seed", seed]);
+        }
+        assert_eq!(run(&words), 0, "profiles {words:?}");
+        std::fs::read(to.join("profiles/bert_tiny/1.json")).expect("exported samples")
+    };
+    assert_eq!(
+        export_with("hex", Some("0x1F")),
+        export_with("dec", Some("31"))
+    );
+    assert_ne!(
+        export_with("hex10", Some("0x10")),
+        export_with("dec10", Some("10"))
+    );
+    assert_eq!(
+        std::fs::read(pdir.join("profiles/bert_tiny/1.json")).unwrap(),
+        export_with("default", Some("5241"))
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -343,4 +374,143 @@ fn bad_invocations_fail_cleanly() {
     assert_ne!(run(&["sim", "--m", "RAMSIS", "--trace", "constant"]), 0); // no --load
     assert_ne!(run(&["inspect"]), 0); // no --policy
     assert_eq!(run(&["help"]), 0);
+
+    // Every subcommand rejects an unknown flag, a malformed number and
+    // a value flag with no value, each with exit 2 and the same
+    // wording. Each row is (argv, expected stderr substring).
+    let dir = tempdir("bad_invocations");
+    let out = dir.to_str().unwrap();
+    let export = dir.join("export");
+    let export = export.to_str().unwrap();
+    let table: &[(&[&str], &str)] = &[
+        (&["gen", "--frobnicate"], "unknown flag \"--frobnicate\""),
+        (&["gen", "--load", "x"], "bad --load:"),
+        (&["gen", "--load"], "--load requires a value"),
+        (&["ms-gen", "--frobnicate"], "unknown flag \"--frobnicate\""),
+        (&["ms-gen", "--step", "x"], "bad --step:"),
+        (&["ms-gen", "--step"], "--step requires a value"),
+        (&["sim", "--frobnicate"], "unknown flag \"--frobnicate\""),
+        (&["sim", "--seed", "x"], "bad --seed:"),
+        (&["sim", "--telemetry"], "--telemetry requires a value"),
+        (&["plot", "--frobnicate"], "unknown flag \"--frobnicate\""),
+        (&["plot", "--SLO", "x"], "bad --SLO:"),
+        (&["plot", "--trace"], "--trace requires a value"),
+        (&["trace", "--frobnicate"], "unknown flag \"--frobnicate\""),
+        (&["trace", "--seed", "x"], "bad --seed:"),
+        (&["trace", "--kind"], "--kind requires a value"),
+        (
+            &["inspect", "--frobnicate"],
+            "unknown flag \"--frobnicate\"",
+        ),
+        (&["inspect", "--worker", "x"], "bad --worker:"),
+        (&["inspect", "--policy"], "--policy requires a value"),
+        (
+            &["profiles", "--frobnicate"],
+            "unknown flag \"--frobnicate\"",
+        ),
+        (
+            &["profiles", "--export", export, "--invocations", "x"],
+            "bad --invocations:",
+        ),
+        (&["profiles", "--export"], "--export requires a value"),
+        (
+            &["robustness", "--frobnicate"],
+            "unknown flag \"--frobnicate\"",
+        ),
+        (&["robustness", "--duration", "x"], "bad --duration:"),
+        (&["robustness", "--seed"], "--seed requires a value"),
+        (&["drift", "--frobnicate"], "unknown flag \"--frobnicate\""),
+        (&["drift", "--peak", "x"], "bad --peak:"),
+        (&["drift", "--shed"], "--shed requires a value"),
+        (
+            &["telemetry", "--frobnicate"],
+            "unknown flag \"--frobnicate\"",
+        ),
+        (&["telemetry", "--window", "x"], "bad --window:"),
+        (&["telemetry", "--window"], "--window requires a value"),
+        (&["telemetry", "--log", "a", "b"], "unknown flag \"b\""),
+        (&["telemetry", "b", "--log", "a"], "unknown flag \"b\""),
+        (
+            &["telemetry", "convert", "a", "b", "--frobnicate"],
+            "unknown flag \"--frobnicate\"",
+        ),
+        (&["replay", "--frobnicate"], "unknown flag \"--frobnicate\""),
+        (&["replay", "--snapshot"], "--snapshot requires a value"),
+        (&["replay", "--log", "a", "b"], "unknown flag \"b\""),
+        (&["perf", "--frobnicate"], "unknown flag \"--frobnicate\""),
+        (&["perf", "--seed", "x"], "bad --seed:"),
+        (&["perf", "--scenario"], "--scenario requires a value"),
+        (&["spans", "--frobnicate"], "unknown flag \"--frobnicate\""),
+        (&["spans", "--top", "x"], "bad --top:"),
+        (&["spans", "--top"], "--top requires a value"),
+        (&["chaos", "--frobnicate"], "unknown flag \"--frobnicate\""),
+        (&["chaos", "--runs", "x"], "bad --runs:"),
+        (&["chaos", "--runs"], "--runs requires a value"),
+        (
+            &["autoscale", "--frobnicate"],
+            "unknown flag \"--frobnicate\"",
+        ),
+        (&["autoscale", "--trough", "x"], "bad --trough:"),
+        (&["autoscale", "--trough"], "--trough requires a value"),
+        (&["health", "--frobnicate"], "unknown flag \"--frobnicate\""),
+        (&["health", "--probe", "x"], "bad --probe:"),
+        (&["health", "--probe"], "--probe requires a value"),
+        (&["why", "--frobnicate"], "unknown flag \"--frobnicate\""),
+        (&["why", "--top", "x"], "bad --top:"),
+        (&["why", "--budget"], "--budget requires a value"),
+        (
+            &["why", "--counterfactual", "--frobnicate"],
+            "unknown flag \"--frobnicate\"",
+        ),
+        (
+            &["why", "--counterfactual", "--max-decisions", "x"],
+            "bad --max-decisions:",
+        ),
+        (
+            &["why", "--counterfactual", "--alternatives"],
+            "--alternatives requires a value",
+        ),
+    ];
+    for (words, expected) in table {
+        let o = cli(words);
+        let err = String::from_utf8_lossy(&o.stderr);
+        assert_eq!(o.status.code(), Some(2), "{words:?}: {err}");
+        assert!(
+            err.contains(expected),
+            "{words:?}: want {expected:?}, got {err}"
+        );
+    }
+
+    // Every alias parses: these invocations get past the flags and fail
+    // later, on a missing artifact or a range check.
+    let missing = dir.join("missing.jsonl");
+    let missing = missing.to_str().unwrap();
+    let aliases: &[&[&str]] = &[
+        &["plot", "--SLO", "150", "--worker", "4", "--out", out],
+        &["plot", "--slo", "150", "--workers", "4", "--out", out],
+        &[
+            "sim", "--m", "WAT", "--trace", "constant", "--load", "10", "--out", out,
+        ],
+        &[
+            "sim", "--method", "WAT", "--trace", "constant", "--load", "10", "--out", out,
+        ],
+        &["telemetry", "--log", missing],
+        &["replay", "--log", missing, "--snapshot", missing],
+        &["autoscale", "--slo", "150", "--min", "9", "--max", "2"],
+        &["health", "--slo", "100", "--workers", "2"],
+    ];
+    for words in aliases {
+        let o = cli(words);
+        let err = String::from_utf8_lossy(&o.stderr);
+        assert_eq!(o.status.code(), Some(2), "{words:?}: {err}");
+        assert!(
+            !err.contains("unknown flag") && !err.contains("requires a value"),
+            "{words:?}: {err}"
+        );
+    }
+    assert!(
+        !dir.join("export").exists(),
+        "a bad flag must write nothing"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }

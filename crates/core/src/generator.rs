@@ -4,9 +4,8 @@
 use std::time::Instant;
 
 use ramsis_mdp::{
-    policy_iteration, relative_value_iteration, stationary_distribution,
-    value_iteration_gauss_seidel_traced, value_iteration_traced, ConvergenceTrace, MdpBuilder,
-    SolveOptions, SparseMdp, StationaryOptions,
+    policy_iteration, relative_value_iteration, stationary_distribution, value_iteration,
+    value_iteration_gauss_seidel, MdpBuilder, SolveOptions, SparseMdp, StationaryOptions,
 };
 use ramsis_profiles::WorkerProfile;
 use ramsis_stats::counts::ArrivalProcess;
@@ -77,21 +76,6 @@ pub fn generate_policy(
     process: &dyn ArrivalProcess,
     config: &PolicyConfig,
 ) -> Result<WorkerPolicy, CoreError> {
-    generate_policy_traced(profile, process, config).map(|(policy, _)| policy)
-}
-
-/// [`generate_policy`] plus the solver's [`ConvergenceTrace`] when the
-/// configured method supports per-sweep tracing (the two value-iteration
-/// variants; `None` for policy iteration and relative value iteration).
-///
-/// # Errors
-///
-/// Same failure modes as [`generate_policy`].
-pub fn generate_policy_traced(
-    profile: &WorkerProfile,
-    process: &dyn ArrivalProcess,
-    config: &PolicyConfig,
-) -> Result<(WorkerPolicy, Option<ConvergenceTrace>), CoreError> {
     config.validate()?;
     if (profile.slo() - config.slo_s).abs() > 1e-9 {
         return Err(CoreError::InvalidConfig(format!(
@@ -113,17 +97,11 @@ pub fn generate_policy_traced(
         discount: config.discount,
         ..SolveOptions::default()
     };
-    let (solution, trace) = match config.solver {
-        SolverKind::ValueIteration => {
-            let (s, t) = value_iteration_traced(&mdp, &opts);
-            (s, Some(t))
-        }
-        SolverKind::GaussSeidelValueIteration => {
-            let (s, t) = value_iteration_gauss_seidel_traced(&mdp, &opts);
-            (s, Some(t))
-        }
-        SolverKind::PolicyIteration => (policy_iteration(&mdp, &opts, 10_000), None),
-        SolverKind::RelativeValueIteration => (relative_value_iteration(&mdp, &opts), None),
+    let solution = match config.solver {
+        SolverKind::ValueIteration => value_iteration(&mdp, &opts),
+        SolverKind::GaussSeidelValueIteration => value_iteration_gauss_seidel(&mdp, &opts),
+        SolverKind::PolicyIteration => policy_iteration(&mdp, &opts, 10_000),
+        SolverKind::RelativeValueIteration => relative_value_iteration(&mdp, &opts),
     };
 
     // Decode the per-state actions and compute the §5.1 guarantees.
@@ -135,20 +113,17 @@ pub fn generate_policy_traced(
     let stationary = stationary_distribution(&mdp, &solution.policy, &StationaryOptions::default());
     let guarantees = compute_guarantees(profile, &grid, &space, &actions, &stationary);
 
-    Ok((
-        WorkerPolicy::new(
-            config.clone(),
-            process.rate(),
-            process.name().to_owned(),
-            grid,
-            space,
-            actions,
-            guarantees,
-            stationary,
-            solution.iterations,
-            started.elapsed().as_secs_f64(),
-        ),
-        trace,
+    Ok(WorkerPolicy::new(
+        config.clone(),
+        process.rate(),
+        process.name().to_owned(),
+        grid,
+        space,
+        actions,
+        guarantees,
+        stationary,
+        solution.iterations,
+        started.elapsed().as_secs_f64(),
     ))
 }
 
@@ -363,28 +338,6 @@ mod tests {
             panic!("must serve");
         };
         assert_eq!(model, p.fastest_model());
-    }
-
-    #[test]
-    fn traced_generation_exposes_solver_convergence() {
-        let p = profile();
-        let process = PoissonProcess::per_second(100.0);
-        let (policy, trace) = generate_policy_traced(p, &process, &quick_config(4)).unwrap();
-        let trace = trace.expect("value iteration is traceable");
-        assert_eq!(trace.method, "value-iteration");
-        assert!(trace.converged);
-        assert_eq!(trace.sweeps.len(), policy.solve_iterations);
-        assert_eq!(
-            trace.states_touched(),
-            (policy.solve_iterations * policy.space().len()) as u64
-        );
-
-        // Untraceable solvers report None but still generate.
-        let mut config = quick_config(4);
-        config.solver = SolverKind::PolicyIteration;
-        config.discretization = Discretization::fixed_length(8);
-        let (_, trace) = generate_policy_traced(p, &process, &config).unwrap();
-        assert!(trace.is_none());
     }
 
     #[test]

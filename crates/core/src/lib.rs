@@ -45,13 +45,10 @@ pub use config::{
 pub use discretize::{Discretization, TimeGrid};
 pub use error::CoreError;
 pub use fallback::FallbackPolicy;
-pub use generator::{
-    assemble_mdp as assemble_mdp_for_bench, generate_policy, generate_policy_traced, mdp_dimensions,
-};
+pub use generator::{assemble_mdp as assemble_mdp_for_bench, generate_policy, mdp_dimensions};
 pub use guarantees::{AccuracyDistribution, Guarantees};
 pub use policy::{Decision, WorkerPolicy};
 pub use policy_set::{DegradablePolicySet, PolicySet};
-pub use ramsis_mdp::{ConvergenceTrace, SweepRecord};
 pub use regime::{ElasticPolicyLibrary, PolicyLibrary, ShedPolicy};
 pub use state::{State, StateSpace};
 

@@ -29,7 +29,5 @@ pub use analysis::{evaluate_policy, stationary_distribution, StationaryOptions};
 pub use model::{MdpBuilder, MdpError, SparseMdp};
 pub use solve::{
     policy_iteration, relative_value_iteration, value_iteration, value_iteration_gauss_seidel,
-    value_iteration_gauss_seidel_profiled, value_iteration_gauss_seidel_traced,
-    value_iteration_profiled, value_iteration_traced, ConvergenceTrace, Solution, SolveOptions,
-    SweepRecord,
+    value_iteration_gauss_seidel_profiled, value_iteration_profiled, Solution, SolveOptions,
 };

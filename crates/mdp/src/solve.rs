@@ -16,80 +16,55 @@
 use std::time::Instant;
 
 use ramsis_telemetry::{Phase, Profiler, SolverProfile};
-use serde::{Deserialize, Serialize};
 
 use crate::model::SparseMdp;
 
-/// One sweep of an iterative solver, as recorded by the traced
-/// variants ([`value_iteration_traced`],
-/// [`value_iteration_gauss_seidel_traced`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SweepRecord {
-    /// 1-based sweep number.
-    pub sweep: u32,
-    /// Sup-norm of the value update after the sweep.
-    pub residual: f64,
-    /// States backed up in the sweep.
-    pub states: u64,
-    /// Wall-clock time of the sweep, seconds.
-    pub elapsed_s: f64,
+/// The per-sweep cost of one profiled solve, folded as it runs into
+/// the profiler's [`SolverProfile`]. Wall-clock timing is fine here:
+/// solves run offline, never on the simulated clock, so profiling
+/// doesn't perturb simulation determinism.
+struct SweepLog {
+    profile: SolverProfile,
+    started: Instant,
+    sweep_s: f64,
 }
 
-/// Per-sweep convergence record of one solve — makes offline solve
-/// cost visible (sweeps to convergence, residual decay, time per
-/// sweep). Wall-clock timing is fine here: solves run offline, never
-/// on the simulated clock, so traces don't perturb simulation
-/// determinism.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub struct ConvergenceTrace {
-    /// Solver name (e.g. `"value-iteration"`).
-    pub method: String,
-    /// Whether the residual crossed the stopping threshold (false when
-    /// the sweep cap was hit first).
-    pub converged: bool,
-    /// Total wall-clock solve time, seconds.
-    pub total_s: f64,
-    /// Every sweep, in order.
-    pub sweeps: Vec<SweepRecord>,
-}
-
-impl ConvergenceTrace {
+impl SweepLog {
     fn new(method: &str) -> Self {
         Self {
-            method: method.to_owned(),
-            ..Self::default()
-        }
-    }
-
-    /// Residual after the last sweep (`INFINITY` when no sweep ran).
-    pub fn final_residual(&self) -> f64 {
-        self.sweeps.last().map_or(f64::INFINITY, |s| s.residual)
-    }
-
-    /// Total states backed up across all sweeps.
-    pub fn states_touched(&self) -> u64 {
-        self.sweeps.iter().map(|s| s.states).sum()
-    }
-
-    /// Summarizes the trace as a [`SolverProfile`] for
-    /// [`Profiler::record_solver`] — the bridge between the solver's
-    /// per-sweep record and the profiling layer's flat report.
-    pub fn profile(&self) -> SolverProfile {
-        let sweeps = self.sweeps.len() as u64;
-        SolverProfile {
-            method: self.method.clone(),
-            converged: self.converged,
-            sweeps,
-            states_touched: self.states_touched(),
-            total_s: self.total_s,
-            mean_sweep_s: if sweeps == 0 {
-                0.0
-            } else {
-                self.sweeps.iter().map(|s| s.elapsed_s).sum::<f64>() / sweeps as f64
+            profile: SolverProfile {
+                method: method.to_owned(),
+                converged: false,
+                sweeps: 0,
+                states_touched: 0,
+                total_s: 0.0,
+                mean_sweep_s: 0.0,
+                max_sweep_s: 0.0,
+                final_residual: f64::INFINITY,
             },
-            max_sweep_s: self.sweeps.iter().map(|s| s.elapsed_s).fold(0.0, f64::max),
-            final_residual: self.final_residual(),
+            started: Instant::now(),
+            sweep_s: 0.0,
         }
+    }
+
+    fn sweep(&mut self, residual: f64, states: usize, started: Instant) {
+        let elapsed = started.elapsed().as_secs_f64();
+        let p = &mut self.profile;
+        p.sweeps += 1;
+        p.states_touched += states as u64;
+        p.max_sweep_s = p.max_sweep_s.max(elapsed);
+        p.final_residual = residual;
+        self.sweep_s += elapsed;
+    }
+
+    fn finish(mut self, converged: bool) -> SolverProfile {
+        let p = &mut self.profile;
+        p.converged = converged;
+        p.total_s = self.started.elapsed().as_secs_f64();
+        if p.sweeps > 0 {
+            p.mean_sweep_s = self.sweep_s / p.sweeps as f64;
+        }
+        self.profile
     }
 }
 
@@ -146,104 +121,7 @@ fn span(delta_min: f64, delta_max: f64) -> f64 {
 /// Panics if `discount` is outside `(0, 1)` or `tolerance` is not
 /// positive.
 pub fn value_iteration(mdp: &SparseMdp, options: &SolveOptions) -> Solution {
-    value_iteration_impl(mdp, options, None)
-}
-
-/// [`value_iteration`] with a per-sweep [`ConvergenceTrace`]. The
-/// returned solution is bit-identical to the untraced one (tracing
-/// only observes, never steers).
-pub fn value_iteration_traced(
-    mdp: &SparseMdp,
-    options: &SolveOptions,
-) -> (Solution, ConvergenceTrace) {
-    let mut trace = ConvergenceTrace::new("value-iteration");
-    let solution = value_iteration_impl(mdp, options, Some(&mut trace));
-    (solution, trace)
-}
-
-/// [`value_iteration`] timed under the profiler's `solve` phase, with
-/// the per-sweep trace folded into the profile
-/// ([`ConvergenceTrace::profile`]). With the profiler disabled this is
-/// exactly [`value_iteration`]: no trace is collected and the returned
-/// solution is bit-identical.
-pub fn value_iteration_profiled(
-    mdp: &SparseMdp,
-    options: &SolveOptions,
-    prof: &mut Profiler,
-) -> Solution {
-    if !prof.is_on() {
-        return value_iteration(mdp, options);
-    }
-    prof.enter(Phase::Solve);
-    let (solution, trace) = value_iteration_traced(mdp, options);
-    prof.record_solver(trace.profile());
-    prof.exit(Phase::Solve);
-    solution
-}
-
-fn value_iteration_impl(
-    mdp: &SparseMdp,
-    options: &SolveOptions,
-    mut trace: Option<&mut ConvergenceTrace>,
-) -> Solution {
-    assert!(
-        options.discount > 0.0 && options.discount < 1.0,
-        "discount must lie in (0, 1), got {}",
-        options.discount
-    );
-    assert!(
-        options.tolerance > 0.0,
-        "tolerance must be positive, got {}",
-        options.tolerance
-    );
-    let n = mdp.n_states();
-    let mut values = vec![0.0; n];
-    let mut next = vec![0.0; n];
-    let stop = options.tolerance * (1.0 - options.discount) / (2.0 * options.discount);
-    let mut residual = f64::INFINITY;
-    let mut iterations = 0;
-    let solve_start = trace.is_some().then(Instant::now);
-    while iterations < options.max_iterations {
-        let sweep_start = trace.is_some().then(Instant::now);
-        let mut max_delta = 0.0f64;
-        for s in 0..n {
-            let (v, _) = mdp.bellman_backup(s, &values, options.discount);
-            max_delta = max_delta.max((v - values[s]).abs());
-            next[s] = v;
-        }
-        std::mem::swap(&mut values, &mut next);
-        iterations += 1;
-        residual = max_delta;
-        if let Some(t) = trace.as_deref_mut() {
-            t.sweeps.push(SweepRecord {
-                sweep: iterations as u32,
-                residual,
-                states: n as u64,
-                elapsed_s: sweep_start
-                    .expect("timed with trace")
-                    .elapsed()
-                    .as_secs_f64(),
-            });
-        }
-        if residual < stop {
-            break;
-        }
-    }
-    if let Some(t) = trace {
-        t.converged = residual < stop;
-        t.total_s = solve_start
-            .expect("timed with trace")
-            .elapsed()
-            .as_secs_f64();
-    }
-    let policy = greedy_policy(mdp, &values, options.discount);
-    Solution {
-        values,
-        policy,
-        iterations,
-        residual,
-        gain: None,
-    }
+    iterate::<false>(mdp, options, None)
 }
 
 /// Solves the discounted MDP by Gauss–Seidel value iteration: backups
@@ -256,19 +134,21 @@ fn value_iteration_impl(
 ///
 /// Panics on the same invalid options as [`value_iteration`].
 pub fn value_iteration_gauss_seidel(mdp: &SparseMdp, options: &SolveOptions) -> Solution {
-    value_iteration_gauss_seidel_impl(mdp, options, None)
+    iterate::<true>(mdp, options, None)
 }
 
-/// [`value_iteration_gauss_seidel`] with a per-sweep
-/// [`ConvergenceTrace`]. The returned solution is bit-identical to the
-/// untraced one.
-pub fn value_iteration_gauss_seidel_traced(
+/// [`value_iteration`] timed under the profiler's `solve` phase, with
+/// the solve's per-sweep cost folded into the profile as a
+/// [`SolverProfile`]. The returned solution is bit-identical to the
+/// unprofiled one (profiling only observes, never steers); with the
+/// profiler disabled this is exactly [`value_iteration`] and makes no
+/// timing calls.
+pub fn value_iteration_profiled(
     mdp: &SparseMdp,
     options: &SolveOptions,
-) -> (Solution, ConvergenceTrace) {
-    let mut trace = ConvergenceTrace::new("gauss-seidel");
-    let solution = value_iteration_gauss_seidel_impl(mdp, options, Some(&mut trace));
-    (solution, trace)
+    prof: &mut Profiler,
+) -> Solution {
+    profiled::<false>(mdp, options, prof)
 }
 
 /// [`value_iteration_gauss_seidel`] timed under the profiler's `solve`
@@ -278,20 +158,43 @@ pub fn value_iteration_gauss_seidel_profiled(
     options: &SolveOptions,
     prof: &mut Profiler,
 ) -> Solution {
+    profiled::<true>(mdp, options, prof)
+}
+
+fn profiled<const GAUSS_SEIDEL: bool>(
+    mdp: &SparseMdp,
+    options: &SolveOptions,
+    prof: &mut Profiler,
+) -> Solution {
     if !prof.is_on() {
-        return value_iteration_gauss_seidel(mdp, options);
+        return iterate::<GAUSS_SEIDEL>(mdp, options, None);
     }
     prof.enter(Phase::Solve);
-    let (solution, trace) = value_iteration_gauss_seidel_traced(mdp, options);
-    prof.record_solver(trace.profile());
+    let mut log = SweepLog::new(if GAUSS_SEIDEL {
+        "gauss-seidel"
+    } else {
+        "value-iteration"
+    });
+    let solution = iterate::<GAUSS_SEIDEL>(mdp, options, Some(&mut log));
+    prof.record_solver(log.finish(solution.residual < stop_threshold(options)));
     prof.exit(Phase::Solve);
     solution
 }
 
-fn value_iteration_gauss_seidel_impl(
+/// The sup-norm bound on a sweep's update that stops value iteration.
+fn stop_threshold(options: &SolveOptions) -> f64 {
+    options.tolerance * (1.0 - options.discount) / (2.0 * options.discount)
+}
+
+/// The value-iteration loop both variants share: the stop test, the
+/// optional per-sweep log, and the greedy extraction. Only the sweep
+/// body differs: Jacobi writes `next[s]` from the previous sweep's
+/// values and swaps, Gauss–Seidel updates `values[s]` in place, so
+/// later backups in the sweep already read it.
+fn iterate<const GAUSS_SEIDEL: bool>(
     mdp: &SparseMdp,
     options: &SolveOptions,
-    mut trace: Option<&mut ConvergenceTrace>,
+    mut log: Option<&mut SweepLog>,
 ) -> Solution {
     assert!(
         options.discount > 0.0 && options.discount < 1.0,
@@ -305,41 +208,37 @@ fn value_iteration_gauss_seidel_impl(
     );
     let n = mdp.n_states();
     let mut values = vec![0.0; n];
-    let stop = options.tolerance * (1.0 - options.discount) / (2.0 * options.discount);
+    let mut next = if GAUSS_SEIDEL {
+        Vec::new()
+    } else {
+        vec![0.0; n]
+    };
+    let stop = stop_threshold(options);
     let mut residual = f64::INFINITY;
     let mut iterations = 0;
-    let solve_start = trace.is_some().then(Instant::now);
     while iterations < options.max_iterations {
-        let sweep_start = trace.is_some().then(Instant::now);
+        let started = log.is_some().then(Instant::now);
         let mut max_delta = 0.0f64;
         for s in 0..n {
             let (v, _) = mdp.bellman_backup(s, &values, options.discount);
             max_delta = max_delta.max((v - values[s]).abs());
-            values[s] = v;
+            if GAUSS_SEIDEL {
+                values[s] = v;
+            } else {
+                next[s] = v;
+            }
+        }
+        if !GAUSS_SEIDEL {
+            std::mem::swap(&mut values, &mut next);
         }
         iterations += 1;
         residual = max_delta;
-        if let Some(t) = trace.as_deref_mut() {
-            t.sweeps.push(SweepRecord {
-                sweep: iterations as u32,
-                residual,
-                states: n as u64,
-                elapsed_s: sweep_start
-                    .expect("timed with trace")
-                    .elapsed()
-                    .as_secs_f64(),
-            });
+        if let (Some(log), Some(started)) = (log.as_deref_mut(), started) {
+            log.sweep(residual, n, started);
         }
         if residual < stop {
             break;
         }
-    }
-    if let Some(t) = trace {
-        t.converged = residual < stop;
-        t.total_s = solve_start
-            .expect("timed with trace")
-            .elapsed()
-            .as_secs_f64();
     }
     let policy = greedy_policy(mdp, &values, options.discount);
     Solution {
@@ -626,8 +525,22 @@ mod tests {
         );
     }
 
+    /// The solver summaries a profiled solve folds into a fresh
+    /// profiler, with the solution.
+    fn profile_solve(
+        solve: fn(&SparseMdp, &SolveOptions, &mut Profiler) -> Solution,
+        mdp: &SparseMdp,
+        opts: &SolveOptions,
+    ) -> (Solution, SolverProfile) {
+        let mut prof = Profiler::on();
+        let solution = solve(mdp, opts, &mut prof);
+        let mut solvers = prof.report().solvers;
+        assert_eq!(solvers.len(), 1);
+        (solution, solvers.remove(0))
+    }
+
     #[test]
-    fn traced_solution_is_identical_to_untraced() {
+    fn profiled_solution_is_identical_to_plain() {
         let mdp = invest_mdp();
         let opts = SolveOptions {
             discount: 0.95,
@@ -635,63 +548,55 @@ mod tests {
             max_iterations: 100_000,
         };
         let plain = value_iteration(&mdp, &opts);
-        let (traced, trace) = value_iteration_traced(&mdp, &opts);
-        assert_eq!(plain, traced, "tracing must not perturb the solve");
-        assert_eq!(trace.method, "value-iteration");
-        assert!(trace.converged);
-        assert_eq!(trace.sweeps.len(), traced.iterations);
-        assert_eq!(trace.final_residual(), traced.residual);
+        let (profiled, p) = profile_solve(value_iteration_profiled, &mdp, &opts);
+        assert_eq!(plain, profiled, "profiling must not perturb the solve");
+        assert_eq!(p.method, "value-iteration");
+        assert!(p.converged);
+        assert_eq!(p.sweeps as usize, profiled.iterations);
+        assert_eq!(p.final_residual, profiled.residual);
         assert_eq!(
-            trace.states_touched(),
-            (traced.iterations * mdp.n_states()) as u64
+            p.states_touched,
+            (profiled.iterations * mdp.n_states()) as u64
         );
-        // Sweep numbers are 1-based and contiguous.
-        for (i, s) in trace.sweeps.iter().enumerate() {
-            assert_eq!(s.sweep as usize, i + 1);
-            assert_eq!(s.states, mdp.n_states() as u64);
-            assert!(s.elapsed_s >= 0.0);
-        }
-        // Geometric convergence: the residual must shrink overall.
-        assert!(trace.final_residual() < trace.sweeps[0].residual);
+        assert!(p.mean_sweep_s <= p.max_sweep_s && p.max_sweep_s <= p.total_s);
 
         let plain_gs = value_iteration_gauss_seidel(&mdp, &opts);
-        let (traced_gs, trace_gs) = value_iteration_gauss_seidel_traced(&mdp, &opts);
-        assert_eq!(plain_gs, traced_gs);
-        assert_eq!(trace_gs.method, "gauss-seidel");
-        assert!(trace_gs.converged);
-        assert_eq!(trace_gs.sweeps.len(), traced_gs.iterations);
+        let (profiled_gs, p_gs) = profile_solve(value_iteration_gauss_seidel_profiled, &mdp, &opts);
+        assert_eq!(plain_gs, profiled_gs);
+        assert_eq!(p_gs.method, "gauss-seidel");
+        assert!(p_gs.converged);
+        assert_eq!(p_gs.sweeps as usize, profiled_gs.iterations);
+
+        // A disabled profiler records nothing.
+        let mut off = Profiler::off();
+        assert_eq!(value_iteration_profiled(&mdp, &opts, &mut off), plain);
+        assert!(off.report().solvers.is_empty());
     }
 
     #[test]
-    fn trace_reports_nonconvergence_at_sweep_cap() {
+    fn profile_reports_nonconvergence_at_sweep_cap() {
         let mdp = invest_mdp();
-        let (sol, trace) = value_iteration_traced(
-            &mdp,
-            &SolveOptions {
-                discount: 0.999_9,
-                tolerance: 1e-15,
-                max_iterations: 7,
-            },
-        );
+        let opts = SolveOptions {
+            discount: 0.999_9,
+            tolerance: 1e-15,
+            max_iterations: 7,
+        };
+        let (sol, p) = profile_solve(value_iteration_profiled, &mdp, &opts);
         assert_eq!(sol.iterations, 7);
-        assert!(!trace.converged, "cap hit before tolerance");
-        assert_eq!(trace.sweeps.len(), 7);
+        assert!(!p.converged, "cap hit before tolerance");
+        assert_eq!(p.sweeps, 7);
     }
 
     #[test]
-    fn empty_trace_final_residual_is_infinite() {
-        let t = ConvergenceTrace::new("value-iteration");
-        assert_eq!(t.final_residual(), f64::INFINITY);
-        assert_eq!(t.states_touched(), 0);
-    }
-
-    #[test]
-    fn convergence_trace_serde_round_trip() {
-        let mdp = invest_mdp();
-        let (_, trace) = value_iteration_traced(&mdp, &SolveOptions::default());
-        let json = serde_json::to_string(&trace).unwrap();
-        let back: ConvergenceTrace = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, trace);
+    fn sweepless_profile_has_an_infinite_residual() {
+        let opts = SolveOptions {
+            max_iterations: 0,
+            ..SolveOptions::default()
+        };
+        let (_, p) = profile_solve(value_iteration_profiled, &invest_mdp(), &opts);
+        assert_eq!(p.final_residual, f64::INFINITY);
+        assert_eq!((p.sweeps, p.states_touched, p.mean_sweep_s), (0, 0, 0.0));
+        assert!(!p.converged);
     }
 
     #[test]

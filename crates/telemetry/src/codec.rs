@@ -30,7 +30,7 @@ use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
 use crate::event::{Action, Event, QueueId, ShedCause};
-use crate::sink::{Latched, ParsedLog, StreamHeader, TelemetrySink, UNKNOWN_SAMPLE_CAP};
+use crate::sink::{Latched, LogFile, ParsedLog, StreamHeader, TelemetrySink, UNKNOWN_SAMPLE_CAP};
 
 /// Magic bytes a binary telemetry stream starts with.
 pub const BIN_MAGIC: [u8; 4] = *b"RMTB";
@@ -747,6 +747,16 @@ impl<W: Write> BinSink<W> {
     /// Returns the first write or flush error encountered.
     pub fn finish(self) -> io::Result<W> {
         self.out.finish()
+    }
+}
+
+impl<W: Write> LogFile for BinSink<W> {
+    fn records(&self) -> u64 {
+        self.out.records()
+    }
+
+    fn close(self) -> io::Result<u64> {
+        self.out.close()
     }
 }
 

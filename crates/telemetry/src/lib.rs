@@ -77,7 +77,7 @@ pub use profile::{
 };
 pub use sample::{batch_weights, query_weights, SamplePolicy, SamplingSink};
 pub use sink::{
-    parse_jsonl, parse_jsonl_tolerant, JsonlLog, JsonlSink, NullSink, ParsedLog, Record,
+    parse_jsonl, parse_jsonl_tolerant, JsonlLog, JsonlSink, LogFile, NullSink, ParsedLog, Record,
     StreamHeader, TelemetrySink, VecSink, JSONL_SCHEMA_VERSION, TELEMETRY_STREAM,
     UNKNOWN_SAMPLE_CAP,
 };

@@ -24,8 +24,7 @@
 //! as a text flame-table ([`ProfileReport::flame_table`]).
 //!
 //! Offline solver cost is folded in through [`SolverProfile`] — a
-//! summary of a per-sweep convergence trace recorded by the MDP
-//! crate's traced solvers.
+//! summary of the sweeps the MDP crate's profiled solvers time.
 
 use std::time::Instant;
 
@@ -472,9 +471,8 @@ pub struct GaugeStat {
     pub samples: u64,
 }
 
-/// Summary of one offline MDP solve, distilled from a per-sweep
-/// convergence trace (the MDP crate's traced solvers produce the
-/// trace; its `profile()` adapter builds this).
+/// Summary of one offline MDP solve, built sweep by sweep by the MDP
+/// crate's profiled solvers.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SolverProfile {
     /// Solver name (e.g. `"value-iteration"`).

@@ -213,6 +213,27 @@ impl<W: Write> Latched<W> {
         self.out.flush()?;
         Ok(self.out)
     }
+
+    pub(crate) fn close(self) -> io::Result<u64> {
+        let records = self.records;
+        self.finish().map(|_| records)
+    }
+}
+
+/// A log file's writer ([`JsonlLog`], [`crate::BinSink`]), as the
+/// program that opened it closes it at the end of a run.
+pub trait LogFile {
+    /// Records written so far (headers not counted).
+    fn records(&self) -> u64;
+
+    /// Flushes and closes the log, returning the records it holds. A
+    /// lost record is a lie in the log, so a write that failed mid-run
+    /// fails the close as surely as a failed final flush.
+    ///
+    /// # Errors
+    ///
+    /// The first write or flush error.
+    fn close(self) -> io::Result<u64>;
 }
 
 /// A log writing one JSON record per line (JSONL) to any writer: the
@@ -371,6 +392,16 @@ impl<R: Record, W: Write> JsonlLog<R, W> {
     /// Returns the first write or flush error encountered.
     pub fn finish(self) -> io::Result<W> {
         self.out.finish()
+    }
+}
+
+impl<R: Record, W: Write> LogFile for JsonlLog<R, W> {
+    fn records(&self) -> u64 {
+        self.out.records()
+    }
+
+    fn close(self) -> io::Result<u64> {
+        self.out.close()
     }
 }
 
@@ -742,6 +773,21 @@ mod tests {
         assert!(sink.take_error().is_none(), "error moves out once");
         sink.record(&ev(9));
         assert_eq!(sink.lines(), 2, "failed sinks drop further records");
+    }
+
+    #[test]
+    fn closing_a_log_counts_its_records_or_fails_on_a_lost_one() {
+        let flaky = |ok_lines| FlakyWriter { ok_lines, seen: 0 };
+        let mut whole = JsonlSink::new(flaky(3));
+        let mut torn = JsonlSink::new(flaky(2));
+        for t in 0..3 {
+            whole.record(&ev(t));
+            torn.record(&ev(t));
+        }
+        assert_eq!(LogFile::records(&whole), 3);
+        assert_eq!(whole.close().unwrap(), 3);
+        assert_eq!(LogFile::records(&torn), 2);
+        assert_eq!(torn.close().unwrap_err().to_string(), "disk full");
     }
 
     #[test]

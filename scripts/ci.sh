@@ -158,5 +158,28 @@ telemetry_smoke() {
     rm -rf "${out}"
 }
 stage "telemetry-smoke" telemetry_smoke
+# Experiment-binary flag smoke: two binaries that read the shared
+# experiment flags run and write their results, and a bench binary
+# given a value flag with no value exits 2 (usage error), not 101 (a
+# panic).
+experiment_args_smoke() {
+    local out code=0
+    out="$(mktemp -d)"
+    cargo run --release -q -p ramsis-bench --bin table1_features -- --out "${out}" > /dev/null
+    if [[ ! -s "${out}/table1_features.csv" ]]; then
+        echo "table1_features wrote no CSV under ${out}" >&2
+        return 1
+    fi
+    cargo run --release -q -p ramsis-bench --bin fig3_image_profiles -- --slo 150 \
+        --out "${out}" > /dev/null
+    cargo run --release -q -p ramsis-bench --bin detection_frontier -- --out 2> /dev/null ||
+        code=$?
+    if (( code != 2 )); then
+        echo "detection_frontier --out with no value exited ${code}, not 2" >&2
+        return 1
+    fi
+    rm -rf "${out}"
+}
+stage "experiment-args-smoke" experiment_args_smoke
 
 echo "ci.sh: all green"
