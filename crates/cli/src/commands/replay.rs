@@ -13,10 +13,11 @@
 //! ramsis-cli replay LOG.jsonl --snapshot CKPT.json [--json]
 //! ```
 //!
-//! The log is read as JSONL only: `sim --checkpoint` refuses a `.bin`
-//! telemetry path (the resume contract truncates the log to a record
-//! count, which the JSONL sink implements), so no checkpointed run has
-//! a binary log to validate.
+//! The log may be JSONL or the binary codec (`.bin`, for instance a
+//! `telemetry convert`ed copy of the JSONL log); the encoding is
+//! detected from the file's first bytes. It is read once, as a stream:
+//! the first `events_emitted` events are folded into the checks, the
+//! rest only counted.
 //!
 //! Checks, in order:
 //! 1. the snapshot is canonical (parses and re-serializes to the exact
@@ -34,7 +35,7 @@ use std::path::Path;
 
 use ramsis_bench::Flags;
 use ramsis_sim::EngineSnapshot;
-use ramsis_telemetry::{aggregates, conservation, parse_jsonl_tolerant};
+use ramsis_telemetry::{ConservationFold, EventAggregates, EventReader, ReadError};
 use serde::Serialize;
 
 /// One validation check's outcome in the `--json` document.
@@ -94,13 +95,12 @@ pub fn run(args: &[String]) -> Result<i32, String> {
     // truncates it — but fewer *whole* records than the snapshot says
     // it flushed means this log and snapshot are not from the same run
     // (or the log was truncated past the checkpoint).
-    let text = std::fs::read_to_string(&log_path).map_err(|e| format!("read {log_path}: {e}"))?;
-    let parsed = parse_jsonl_tolerant(&text)?;
-    if let Some(at) = parsed.torn_tail_offset {
+    let claimed = snap.meta.events_emitted;
+    let prefix = fold_prefix(&log_path, claimed)?;
+    if let Some(at) = prefix.torn_tail_offset {
         eprintln!("note: torn tail at byte offset {at} ignored (killed mid-write)");
     }
-    let claimed = snap.meta.events_emitted;
-    let have = parsed.events.len() as u64;
+    let have = prefix.events;
     let covered = have >= claimed;
     checks.push(Check {
         name: "log-covers-checkpoint",
@@ -110,11 +110,9 @@ pub fn run(args: &[String]) -> Result<i32, String> {
 
     let mut all_ok = checks.iter().all(|c| c.ok);
     if covered {
-        let prefix = &parsed.events[..claimed as usize];
-
         // 3. Conservation over the prefix: every arrival is terminal or
         // in flight, no duplicates.
-        let cons = conservation(prefix);
+        let cons = prefix.cons;
         checks.push(Check {
             name: "prefix-conservation",
             ok: cons.holds(),
@@ -128,7 +126,7 @@ pub fn run(args: &[String]) -> Result<i32, String> {
         // 4. Counter agreement: the snapshot's metrics must equal what
         // the log prefix implies, and no prefix event may postdate the
         // snapshot's clock.
-        let agg = aggregates(prefix);
+        let agg = prefix.agg;
         let m = &snap.metrics;
         let counters_ok = agg.served == m.served()
             && agg.violations == m.violations()
@@ -146,11 +144,7 @@ pub fn run(args: &[String]) -> Result<i32, String> {
                 m.dropped()
             ),
         });
-        let max_at = prefix
-            .iter()
-            .map(ramsis_telemetry::Event::at)
-            .max()
-            .unwrap_or(0);
+        let max_at = prefix.max_at;
         checks.push(Check {
             name: "clock-bound",
             ok: max_at <= snap.meta.sim_time_ns,
@@ -200,4 +194,45 @@ pub fn run(args: &[String]) -> Result<i32, String> {
         );
     }
     Ok(i32::from(!all_ok))
+}
+
+/// The log's first `claimed` events, folded; the rest only counted.
+struct Prefix {
+    /// Whole events in the log.
+    events: u64,
+    torn_tail_offset: Option<usize>,
+    cons: ramsis_telemetry::Conservation,
+    agg: EventAggregates,
+    max_at: u64,
+}
+
+/// Reads the log once, folding its first `claimed` events.
+fn fold_prefix(path: &str, claimed: u64) -> Result<Prefix, String> {
+    // Worded as when the log was read whole as text.
+    let error = |e: ReadError| match e {
+        ReadError::Io(e) => format!("read {path}: {e}"),
+        ReadError::NotUtf8 { .. } => format!("read {path}: stream did not contain valid UTF-8"),
+        ReadError::Malformed(msg) => msg,
+    };
+    let file = std::fs::File::open(path).map_err(|e| format!("read {path}: {e}"))?;
+    let mut reader = EventReader::new(file).map_err(error)?;
+    let mut cons = ConservationFold::new();
+    let mut agg = EventAggregates::new();
+    let (mut events, mut max_at) = (0u64, 0u64);
+    for event in &mut reader {
+        let event = event.map_err(error)?;
+        if events < claimed {
+            cons.observe(&event);
+            agg.observe(&event);
+            max_at = max_at.max(event.at());
+        }
+        events += 1;
+    }
+    Ok(Prefix {
+        events,
+        torn_tail_offset: reader.summary().torn_tail_offset,
+        cons: cons.finish(),
+        agg,
+        max_at,
+    })
 }

@@ -13,11 +13,11 @@
 //! segment sums equal the engine's measured response times exactly;
 //! any discrepancy is reported as a conservation violation.
 
-use crate::commands::telemetry::{load_trace, warn_unknown};
+use crate::commands::telemetry::{each_event, open_trace, warn_unknown};
 use ramsis_bench::{render_table, Flags};
 use ramsis_telemetry::{
-    critical_path, reconstruct_spans, reconstruct_spans_sampled, QuerySpan, SegmentStats,
-    SpanOutcome,
+    CriticalPathFold, CriticalPathReport, QuerySpan, SegmentStats, SpanFold, SpanLog, SpanOutcome,
+    StreamSummary,
 };
 
 fn ms(ns: u64) -> String {
@@ -55,6 +55,26 @@ fn segment_row(name: &str, s: &SegmentStats) -> Vec<String> {
     ]
 }
 
+/// One pass over the trace: spans folded straight into the critical
+/// path, so only open queries and the top-k are held.
+fn analyze(
+    path: &str,
+    sample_rate: Option<f64>,
+    top: usize,
+) -> Result<(u64, StreamSummary, SpanLog, CriticalPathReport), String> {
+    let reader = open_trace(path)?;
+    let mut spans = match sample_rate {
+        Some(rate) => SpanFold::sampled(rate),
+        None => SpanFold::new(),
+    };
+    let mut critical = CriticalPathFold::new(top);
+    let mut out = |s: QuerySpan| critical.add(&s);
+    let (events, summary) = each_event(reader, path, |e| spans.observe(e, &mut out))?;
+    let log = spans.finish(&mut out);
+    let report = critical.finish(&log);
+    Ok((events, summary, log, report))
+}
+
 pub fn run(args: &[String]) -> Result<(), String> {
     let mut flags = Flags::parse(args, &["--json"]);
     let top = flags.get_or("--top", 10usize)?;
@@ -62,7 +82,13 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let path = flags.positional();
     flags.finish()?;
     let path = path.ok_or("spans requires a trace path: ramsis-cli spans LOG.jsonl")?;
-    let parsed = load_trace(&path)?;
+    let rate = open_trace(&path)?.sample_rate();
+    let mut analysis = analyze(&path, rate, top)?;
+    if analysis.1.sample_rate != rate {
+        // A JSONL sampling header after the first record.
+        analysis = analyze(&path, analysis.1.sample_rate, top)?;
+    }
+    let (events, parsed, log, report) = analysis;
     if let Some(tail) = &parsed.torn_tail {
         eprintln!(
             "warning: trailing partial record ignored ({} bytes)",
@@ -70,12 +96,6 @@ pub fn run(args: &[String]) -> Result<(), String> {
         );
     }
     warn_unknown(&parsed);
-
-    let log = match parsed.sample_rate {
-        Some(rate) => reconstruct_spans_sampled(&parsed.events, rate),
-        None => reconstruct_spans(&parsed.events),
-    };
-    let report = critical_path(&log, top);
 
     if json {
         println!(
@@ -87,8 +107,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
 
     println!(
         "trace: {path} ({} events, {} queries)",
-        parsed.events.len(),
-        report.queries
+        events, report.queries
     );
     if let Some(rate) = log.sample_rate {
         // Kept spans are exact (query-coherent sampling never splits a

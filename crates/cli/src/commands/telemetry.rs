@@ -21,35 +21,65 @@
 //! nothing but the violation summary (and nothing at all on a clean
 //! trace).
 
+use std::fs::File;
+
 use ramsis_bench::{render_table, Flags};
 use ramsis_telemetry::{
-    aggregates, conservation, is_binary_stream, kind_counts, parse_tolerant, sampled_aggregates,
-    window_breakdown, write_bin, write_jsonl, Conservation, KindCount, ParsedLog, WindowStats,
+    BinSink, Conservation, ConservationFold, Event, EventAggregates, EventReader, JsonlSink,
+    KindCount, KindCountFold, LogFile, ReadError, SampledAggregates, SampledAggregatesFold,
+    StreamSummary, TelemetrySink, WindowFold, WindowStats,
 };
 use serde::Serialize;
 
-/// Reads and parses a trace in either encoding, shared by every
-/// command that takes a trace path (`telemetry`, `spans`, `convert`).
-pub(crate) fn load_trace(path: &str) -> Result<ParsedLog, String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("read {path}: {e}"))?;
-    parse_tolerant(&bytes).map_err(|e| format!("{path}: {e}"))
+/// Opens a trace in either encoding for streaming, shared by every
+/// command that takes a trace path (`telemetry`, `spans`, `convert`,
+/// `why`).
+pub(crate) fn open_trace(path: &str) -> Result<EventReader<File>, String> {
+    let file = File::open(path).map_err(|e| format!("read {path}: {e}"))?;
+    EventReader::new(file).map_err(|e| trace_error(path, e))
+}
+
+/// The message for a trace that cannot be read: I/O failures name the
+/// read, format failures the file.
+pub(crate) fn trace_error(path: &str, e: ReadError) -> String {
+    match e {
+        ReadError::Io(e) => format!("read {path}: {e}"),
+        ReadError::NotUtf8 { .. } => {
+            format!("{path}: trace is neither RMTB binary nor UTF-8 JSONL: {e}")
+        }
+        ReadError::Malformed(msg) => format!("{path}: {msg}"),
+    }
+}
+
+/// Feeds every event of `reader` to `f`, returning what the tolerant
+/// contract reports about the stream.
+pub(crate) fn each_event(
+    mut reader: EventReader<File>,
+    path: &str,
+    mut f: impl FnMut(&Event),
+) -> Result<(u64, StreamSummary), String> {
+    for event in &mut reader {
+        f(&event.map_err(|e| trace_error(path, e))?);
+    }
+    Ok((reader.records(), reader.summary().clone()))
 }
 
 /// Prints the forward-compatibility warning for skipped unknown
 /// records: a few capped previews, then a suppression count — a trace
 /// from a much newer writer warns in O(1) output, not O(records).
-pub(crate) fn warn_unknown(parsed: &ParsedLog) {
-    if parsed.unknown_events == 0 {
+pub(crate) fn warn_unknown(summary: &StreamSummary) {
+    if summary.unknown_events == 0 {
         return;
     }
     eprintln!(
         "warning: {} unknown event record(s) skipped (trace from a newer writer?)",
-        parsed.unknown_events
+        summary.unknown_events
     );
-    for s in &parsed.unknown_samples {
+    for s in &summary.unknown_samples {
         eprintln!("  {s}");
     }
-    let suppressed = (parsed.unknown_events as usize).saturating_sub(parsed.unknown_samples.len());
+    let suppressed =
+        (summary.unknown_events as usize).saturating_sub(summary.unknown_samples.len());
     if suppressed > 0 {
         eprintln!("  … +{suppressed} more suppressed");
     }
@@ -112,6 +142,70 @@ struct TraceSummary {
     windows: Vec<WindowStats>,
 }
 
+/// What one pass over a trace yields: conservation always, the rest
+/// unless `--quiet`.
+struct Analysis {
+    events: u64,
+    summary: StreamSummary,
+    cons: Conservation,
+    report: Option<Report>,
+}
+
+struct Report {
+    agg: EventAggregates,
+    samp: Option<SampledAggregates>,
+    kinds: Vec<KindCount>,
+    windows: Vec<WindowStats>,
+}
+
+/// Reads the trace once through every fold the report needs, weighting
+/// by `sample_rate` (the stream header's).
+fn analyze(
+    path: &str,
+    sample_rate: Option<f64>,
+    window_ns: u64,
+    quiet: bool,
+) -> Result<Analysis, String> {
+    let reader = open_trace(path)?;
+    let mut cons = ConservationFold::new();
+    let mut folds = (!quiet).then(|| {
+        (
+            EventAggregates::new(),
+            sample_rate.map(SampledAggregatesFold::new),
+            KindCountFold::default(),
+            WindowFold::new(window_ns),
+        )
+    });
+    let (events, summary) = each_event(reader, path, |e| {
+        cons.observe(e);
+        if let Some((agg, samp, kinds, windows)) = &mut folds {
+            agg.observe(e);
+            match samp {
+                Some(samp) => samp.observe(e),
+                None => kinds.observe(e),
+            }
+            windows.observe(e);
+        }
+    })?;
+    let report = folds.map(|(agg, samp, kinds, windows)| {
+        let samp = samp.map(SampledAggregatesFold::finish);
+        Report {
+            agg,
+            kinds: samp
+                .as_ref()
+                .map_or_else(|| kinds.finish(), |s| s.kinds.clone()),
+            samp,
+            windows: windows.finish(),
+        }
+    });
+    Ok(Analysis {
+        events,
+        summary,
+        cons: cons.finish(),
+        report,
+    })
+}
+
 pub fn run(args: &[String]) -> Result<i32, String> {
     if args.first().map(String::as_str) == Some("convert") {
         return convert(&args[1..]);
@@ -131,7 +225,20 @@ pub fn run(args: &[String]) -> Result<i32, String> {
         return Err("--window must be positive".into());
     }
     let path = path.ok_or("telemetry requires a trace path: ramsis-cli telemetry LOG.jsonl")?;
-    let parsed = load_trace(&path)?;
+    let window_ns = (window_ms * 1e6).round() as u64;
+    let rate = open_trace(&path)?.sample_rate();
+    let mut analysis = analyze(&path, rate, window_ns.max(1), quiet)?;
+    if analysis.summary.sample_rate != rate {
+        // A JSONL sampling header after the first record: weigh the
+        // whole stream by it, as a reader of the whole file would.
+        analysis = analyze(&path, analysis.summary.sample_rate, window_ns.max(1), quiet)?;
+    }
+    let Analysis {
+        events,
+        summary: parsed,
+        cons,
+        report,
+    } = analysis;
     if let Some(tail) = &parsed.torn_tail {
         // A truncated final line usually means the writer was killed
         // mid-record; the complete prefix is still analyzable. The byte
@@ -149,11 +256,15 @@ pub fn run(args: &[String]) -> Result<i32, String> {
     warn_unknown(&parsed);
     let sample_rate = parsed.sample_rate;
     let sample_seed = parsed.sample_seed;
-    let events = parsed.events;
 
-    let cons = conservation(&events);
     let exit_code = if cons.holds() { 0 } else { 1 };
-    if quiet {
+    let Some(Report {
+        agg,
+        samp,
+        kinds,
+        windows,
+    }) = report
+    else {
         // Violations only: a clean trace prints nothing, so CI logs
         // stay silent unless something is actually wrong.
         if !cons.holds() {
@@ -169,20 +280,12 @@ pub fn run(args: &[String]) -> Result<i32, String> {
             );
         }
         return Ok(exit_code);
-    }
-
-    let agg = aggregates(&events);
-    let samp = sample_rate.map(|r| sampled_aggregates(&events, r));
-    let kinds = samp
-        .as_ref()
-        .map_or_else(|| kind_counts(&events), |s| s.kinds.clone());
-    let window_ns = (window_ms * 1e6).round() as u64;
-    let windows = window_breakdown(&events, window_ns.max(1));
+    };
     let pctl = |p: f64| agg.response.percentile(p).map_or(0.0, |ns| ns as f64 / 1e9);
 
     if json {
         let summary = TraceSummary {
-            events: events.len() as u64,
+            events,
             schema_version: parsed.schema_version,
             torn_tail: parsed.torn_tail.is_some(),
             torn_tail_offset: parsed.torn_tail_offset,
@@ -227,7 +330,7 @@ pub fn run(args: &[String]) -> Result<i32, String> {
 
     println!(
         "trace: {path} ({} events, schema {})",
-        events.len(),
+        events,
         parsed
             .schema_version
             .map_or_else(|| "v0 headerless".to_string(), |v| format!("v{v}"))
@@ -417,10 +520,42 @@ fn convert(args: &[String]) -> Result<i32, String> {
             "convert requires exactly two paths: ramsis-cli telemetry convert IN OUT".into(),
         );
     };
-    let bytes = std::fs::read(input.as_str()).map_err(|e| format!("read {input}: {e}"))?;
-    let from_binary = is_binary_stream(&bytes);
-    let parsed = parse_tolerant(&bytes).map_err(|e| format!("{input}: {e}"))?;
-    if let Some(tail) = &parsed.torn_tail {
+    let reader = open_trace(input)?;
+    let from_binary = reader.is_binary();
+    let to_binary = if output.ends_with(".bin") {
+        true
+    } else if output.ends_with(".jsonl") || output.ends_with(".json") {
+        false
+    } else {
+        !from_binary
+    };
+    // Written beside OUT and renamed over it once whole, so a failed
+    // conversion leaves OUT as it was (and IN may be OUT).
+    let partial = format!("{output}.partial");
+    let result = copy_trace(reader, input, &partial, to_binary).and_then(|mut copied| {
+        if copied.summary.sampling() != copied.sampling {
+            // A JSONL sampling header after the first record: the
+            // output's header carries it, as a reader of the whole
+            // file would write it.
+            let reader = open_trace(input)?;
+            copied = copy_trace_with(
+                reader,
+                input,
+                &partial,
+                to_binary,
+                copied.summary.sampling(),
+            )?;
+        }
+        Ok(copied)
+    });
+    let copied = match result {
+        Ok(copied) => copied,
+        Err(e) => {
+            let _ = std::fs::remove_file(&partial);
+            return Err(e);
+        }
+    };
+    if let Some(tail) = &copied.summary.torn_tail {
         eprintln!(
             "warning: trailing partial record dropped ({} bytes); output holds the clean prefix",
             tail.len()
@@ -429,37 +564,89 @@ fn convert(args: &[String]) -> Result<i32, String> {
     // Unknown records carry payloads this binary cannot decode, so a
     // conversion necessarily drops them — warn loudly, it is the one
     // lossy case.
-    warn_unknown(&parsed);
-    let to_binary = if output.ends_with(".bin") {
-        true
-    } else if output.ends_with(".jsonl") || output.ends_with(".json") {
-        false
-    } else {
-        !from_binary
-    };
-    let sampling = match (parsed.sample_rate, parsed.sample_seed) {
-        (Some(rate), Some(seed)) => Some((rate, seed)),
-        _ => None,
-    };
-    let out_bytes = if to_binary {
-        write_bin(&parsed.events, sampling)
-    } else {
-        write_jsonl(&parsed.events, sampling).into_bytes()
-    };
-    std::fs::write(output.as_str(), &out_bytes).map_err(|e| format!("write {output}: {e}"))?;
+    warn_unknown(&copied.summary);
+    std::fs::rename(&partial, output.as_str()).map_err(|e| format!("write {output}: {e}"))?;
     if !quiet {
         let enc = |b: bool| if b { "binary" } else { "jsonl" };
+        let out_bytes = std::fs::metadata(output.as_str())
+            .map_err(|e| format!("write {output}: {e}"))?
+            .len();
         println!(
             "converted {input} ({}, {} bytes) -> {output} ({}, {} bytes): {} events{}",
             enc(from_binary),
-            bytes.len(),
+            copied.in_bytes,
             enc(to_binary),
-            out_bytes.len(),
-            parsed.events.len(),
-            parsed
+            out_bytes,
+            copied.events,
+            copied
+                .summary
                 .sample_rate
                 .map_or_else(String::new, |r| format!(", sampled at rate {r}"))
         );
     }
     Ok(0)
+}
+
+/// What one streaming copy of a trace read and wrote.
+struct Copied {
+    events: u64,
+    in_bytes: usize,
+    /// The sampling metadata the output's header carries.
+    sampling: Option<(f64, u64)>,
+    summary: StreamSummary,
+}
+
+/// Streams `reader` into a new log at `out`, stamped with the input's
+/// sampling header.
+fn copy_trace(
+    reader: EventReader<File>,
+    input: &str,
+    out: &str,
+    to_binary: bool,
+) -> Result<Copied, String> {
+    let sampling = reader.sampling();
+    copy_trace_with(reader, input, out, to_binary, sampling)
+}
+
+/// Streams `reader` into a new log at `out` — the bytes the run's own
+/// sink would have written for the same events and sampling header.
+fn copy_trace_with(
+    reader: EventReader<File>,
+    input: &str,
+    out: &str,
+    to_binary: bool,
+    sampling: Option<(f64, u64)>,
+) -> Result<Copied, String> {
+    let write_err = |e: std::io::Error| format!("write {out}: {e}");
+    fn pipe<S: TelemetrySink + LogFile>(
+        mut reader: EventReader<File>,
+        input: &str,
+        mut sink: S,
+    ) -> Result<(EventReader<File>, Result<u64, std::io::Error>), String> {
+        for event in &mut reader {
+            sink.record(&event.map_err(|e| trace_error(input, e))?);
+        }
+        Ok((reader, sink.close()))
+    }
+    let (reader, closed) = match (to_binary, sampling) {
+        (true, None) => pipe(reader, input, BinSink::create(out).map_err(write_err)?)?,
+        (true, Some((rate, seed))) => pipe(
+            reader,
+            input,
+            BinSink::create_sampled(out, rate, seed).map_err(write_err)?,
+        )?,
+        (false, None) => pipe(reader, input, JsonlSink::create(out).map_err(write_err)?)?,
+        (false, Some((rate, seed))) => pipe(
+            reader,
+            input,
+            JsonlSink::create_sampled(out, rate, seed).map_err(write_err)?,
+        )?,
+    };
+    let events = closed.map_err(write_err)?;
+    Ok(Copied {
+        events,
+        in_bytes: reader.bytes_read(),
+        sampling,
+        summary: reader.summary().clone(),
+    })
 }

@@ -26,17 +26,22 @@
 //! regime, reason, and fault-window membership. Baseline replays are
 //! verified byte-identical against the factual run.
 
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
+use std::fs::File;
+
 use ramsis_bench::{render_table, Flags};
 use ramsis_sim::{
     regret_study, FaultPlan, RegretStudyConfig, Selection, Simulation, SimulationConfig,
 };
 use ramsis_telemetry::{
-    burn_analysis, parse_decisions_tolerant, parse_tolerant, reconstruct_spans, BurnAlertKind,
-    BurnConfig, BurnSummary, ChosenAction, DecisionRecord, Nanos, QuerySpan, SpanOutcome,
+    BurnAlertKind, BurnConfig, BurnMonitor, BurnSummary, ChosenAction, DecisionRecord, EventReader,
+    Nanos, QuerySpan, ReadError, SpanFold, SpanLog, SpanOutcome, StreamSummary,
 };
 use serde::Serialize;
 
 use crate::cli_args::CommonArgs;
+use crate::commands::telemetry::{each_event, open_trace};
 use crate::commands::RunSetup;
 
 fn ms(ns: u64) -> String {
@@ -156,25 +161,98 @@ fn dominant_segment(s: &QuerySpan) -> (&'static str, f64) {
     (name, val as f64 / total as f64)
 }
 
-/// Finds the decision record that routed a violated span's terminating
-/// dispatch: prefer the last record anchored on the query itself, fall
-/// back to the last selection-site record at or before the dispatch
-/// start.
-fn join_decision(
-    records: &[DecisionRecord],
-    query: u64,
-    dispatch_start: Nanos,
-) -> Option<&DecisionRecord> {
-    records
-        .iter()
-        .rev()
-        .find(|r| r.query == Some(query))
-        .or_else(|| {
-            records
+/// Finds, in one pass over the decision log, the record that routed
+/// each violated span's terminating dispatch: the last record anchored
+/// on the query itself, or else the last selection-site record (in file
+/// order) at or before the dispatch start.
+///
+/// Anchored records are keyed by query. Selection-site records are
+/// placed against the violations sorted by dispatch start: a record at
+/// `at` covers every violation from the first one starting at or after
+/// `at`, and that position keeps only the latest record placed there.
+/// A violation's fallback is then the latest record placed at or
+/// before its position. A cursor finds each position in amortized
+/// O(1) while record times rise, as the engine writes them, and a
+/// binary search otherwise: O(records + V log V) for V violations, and
+/// at most two records held per violation.
+#[derive(Debug)]
+struct DecisionJoin {
+    /// Violation index by query.
+    by_query: BTreeMap<u64, usize>,
+    anchored: Vec<Option<DecisionRecord>>,
+    /// Violation indices in dispatch-start order, and their starts.
+    order: Vec<usize>,
+    starts: Vec<Nanos>,
+    /// Per position in `order`: the latest selection-site record placed
+    /// there, with its index in the log.
+    placed: Vec<Option<(u64, DecisionRecord)>>,
+    /// Records seen, and the last one's position and time.
+    records: u64,
+    cursor: usize,
+    last_at: Nanos,
+}
+
+impl DecisionJoin {
+    /// A join for violations given as `(query, dispatch start)`.
+    fn new(violations: &[(u64, Nanos)]) -> Self {
+        let mut order: Vec<usize> = (0..violations.len()).collect();
+        order.sort_by_key(|&v| violations[v].1);
+        Self {
+            by_query: violations
                 .iter()
-                .rev()
-                .find(|r| r.state.is_some() && r.at <= dispatch_start)
-        })
+                .enumerate()
+                .map(|(v, &(q, _))| (q, v))
+                .collect(),
+            anchored: vec![None; violations.len()],
+            starts: order.iter().map(|&v| violations[v].1).collect(),
+            order,
+            placed: vec![None; violations.len()],
+            records: 0,
+            cursor: 0,
+            last_at: 0,
+        }
+    }
+
+    fn observe(&mut self, record: DecisionRecord) {
+        let index = self.records;
+        self.records += 1;
+        if let Some(&v) = record.query.and_then(|q| self.by_query.get(&q)) {
+            self.anchored[v] = Some(record.clone());
+        }
+        if record.state.is_none() {
+            return;
+        }
+        // The first violation whose dispatch starts at or after it.
+        let at = record.at;
+        if at < self.last_at {
+            self.cursor = self.starts.partition_point(|&s| s < at);
+        }
+        while self.cursor < self.starts.len() && self.starts[self.cursor] < at {
+            self.cursor += 1;
+        }
+        self.last_at = at;
+        if let Some(slot) = self.placed.get_mut(self.cursor) {
+            *slot = Some((index, record));
+        }
+    }
+
+    /// The joined record of each violation, in the order given.
+    fn finish(self) -> Vec<Option<DecisionRecord>> {
+        let mut joined = self.anchored;
+        let mut latest: Option<(u64, DecisionRecord)> = None;
+        for (position, placed) in self.placed.into_iter().enumerate() {
+            if let Some((index, record)) = placed {
+                if latest.as_ref().is_none_or(|(i, _)| index > *i) {
+                    latest = Some((index, record));
+                }
+            }
+            let v = self.order[position];
+            if joined[v].is_none() {
+                joined[v] = latest.as_ref().map(|(_, r)| r.clone());
+            }
+        }
+        joined
+    }
 }
 
 /// Whether the chosen model's own candidate entry expected to meet
@@ -261,6 +339,140 @@ pub fn run(args: &[String]) -> Result<i32, String> {
     }
 }
 
+/// A violated span as `why` keeps it: what ranks and explains it.
+#[derive(Debug)]
+struct Violation {
+    query: u64,
+    late_ns: Nanos,
+    terminal: Nanos,
+    dispatch_start: Nanos,
+    dominant: &'static str,
+    share: f64,
+}
+
+impl Violation {
+    /// Latest first, then by query: the explanation order.
+    fn rank(&self) -> (Reverse<Nanos>, u64) {
+        (Reverse(self.late_ns), self.query)
+    }
+}
+
+impl PartialEq for Violation {
+    fn eq(&self, other: &Self) -> bool {
+        self.rank() == other.rank()
+    }
+}
+
+impl Eq for Violation {}
+
+impl PartialOrd for Violation {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Violations order by [`Violation::rank`].
+impl Ord for Violation {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.rank().cmp(&other.rank())
+    }
+}
+
+/// What one pass over the telemetry trace keeps: counts, the `top`
+/// latest violations, and the windows and burn alerts that settle
+/// their membership once the stream has ended.
+struct TraceFacts {
+    events: u64,
+    summary: StreamSummary,
+    queries: u64,
+    violations: u64,
+    shed: u64,
+    top: Vec<Violation>,
+    log: SpanLog,
+    burn: BurnSummary,
+}
+
+fn read_trace(path: &str, top: usize, budget: f64) -> Result<TraceFacts, String> {
+    let reader = open_trace(path)?;
+    let mut spans = SpanFold::new();
+    let mut burn = BurnMonitor::new(BurnConfig::for_budget(budget));
+    let (mut queries, mut violations, mut shed) = (0u64, 0u64, 0u64);
+    // The `top` latest violations, the least late on top.
+    let mut latest: BinaryHeap<Violation> = BinaryHeap::new();
+    let mut out = |s: QuerySpan| {
+        queries += 1;
+        match s.outcome {
+            SpanOutcome::Completed { violated: true, .. } => {}
+            SpanOutcome::Shed { .. } => {
+                shed += 1;
+                return;
+            }
+            _ => return,
+        }
+        violations += 1;
+        let terminal = s.terminal_at.unwrap_or(s.deadline);
+        let (dominant, share) = dominant_segment(&s);
+        let v = Violation {
+            query: s.query,
+            late_ns: terminal.saturating_sub(s.deadline),
+            terminal,
+            dispatch_start: terminal.saturating_sub(s.service_ns),
+            dominant,
+            share,
+        };
+        if top == 0 {
+            return;
+        }
+        if latest.len() < top {
+            latest.push(v);
+        } else if latest.peek().is_some_and(|least| v < *least) {
+            latest.pop();
+            latest.push(v);
+        }
+    };
+    let (events, summary) = each_event(reader, path, |e| {
+        spans.observe(e, &mut out);
+        burn.observe_event(e);
+    })?;
+    let log = spans.finish(&mut out);
+    let top = latest.into_sorted_vec();
+    Ok(TraceFacts {
+        events,
+        summary,
+        queries,
+        violations,
+        shed,
+        top,
+        log,
+        burn: burn.summary(),
+    })
+}
+
+/// The message for a decision log that cannot be read, worded as when
+/// the log was read whole as text.
+fn decisions_error(path: &str, e: ReadError) -> String {
+    match e {
+        ReadError::Io(e) => format!("read {path}: {e}"),
+        ReadError::NotUtf8 { .. } => format!("read {path}: stream did not contain valid UTF-8"),
+        ReadError::Malformed(msg) => msg,
+    }
+}
+
+/// Reads the decision log through `f`, returning its record count and
+/// summary.
+fn read_decisions(
+    path: &str,
+    mut f: impl FnMut(DecisionRecord),
+) -> Result<(u64, StreamSummary), String> {
+    let file = File::open(path).map_err(|e| format!("read {path}: {e}"))?;
+    let mut reader: EventReader<File, DecisionRecord> =
+        EventReader::new(file).map_err(|e| decisions_error(path, e))?;
+    for record in &mut reader {
+        f(record.map_err(|e| decisions_error(path, e))?);
+    }
+    Ok((reader.records(), reader.summary().clone()))
+}
+
 /// Log mode: join recorded decisions + telemetry into per-violation
 /// explanations.
 fn run_log(mut flags: Flags, json: bool) -> Result<i32, String> {
@@ -279,68 +491,78 @@ fn run_log(mut flags: Flags, json: bool) -> Result<i32, String> {
     let trace_path = trace_path
         .ok_or("why needs the run's telemetry trace to find violations: --telemetry TRACE.jsonl")?;
 
-    let dec_text = std::fs::read_to_string(&decisions_path)
-        .map_err(|e| format!("read {decisions_path}: {e}"))?;
-    let decisions = parse_decisions_tolerant(&dec_text)?;
+    // The decision log is checked first, as it is reported first.
+    File::open(&decisions_path).map_err(|e| format!("read {decisions_path}: {e}"))?;
+    let facts = match read_trace(&trace_path, top, budget) {
+        Ok(facts) => facts,
+        Err(e) => {
+            // A damaged decision log outranks a damaged trace.
+            let (_, decisions) = read_decisions(&decisions_path, |_| {})?;
+            if decisions.torn_tail.is_some() {
+                eprintln!("warning: decision log has a torn final record (ignored)");
+            }
+            return Err(e);
+        }
+    };
+    let anchors: Vec<(u64, Nanos)> = facts
+        .top
+        .iter()
+        .map(|v| (v.query, v.dispatch_start))
+        .collect();
+    let mut join = DecisionJoin::new(&anchors);
+    let (decision_count, decisions) = read_decisions(&decisions_path, |r| join.observe(r))?;
     if decisions.torn_tail.is_some() {
         eprintln!("warning: decision log has a torn final record (ignored)");
     }
-    let trace_bytes = std::fs::read(&trace_path).map_err(|e| format!("read {trace_path}: {e}"))?;
-    let parsed = parse_tolerant(&trace_bytes).map_err(|e| format!("{trace_path}: {e}"))?;
-    if parsed.torn_tail.is_some() {
+    if facts.summary.torn_tail.is_some() {
         eprintln!("warning: telemetry trace has a torn final record (ignored)");
     }
 
-    let log = reconstruct_spans(&parsed.events);
-    let burn = burn_analysis(&parsed.events, BurnConfig::for_budget(budget));
+    let TraceFacts {
+        events,
+        summary: parsed,
+        queries,
+        violations,
+        shed,
+        top: latest,
+        log,
+        burn,
+    } = facts;
     let alert_wins = alert_windows(&burn);
-
-    let mut shed = 0u64;
-    let mut explanations: Vec<Explanation> = Vec::new();
-    for s in &log.spans {
-        match s.outcome {
-            SpanOutcome::Completed { violated: true, .. } => {}
-            SpanOutcome::Shed { .. } => {
-                shed += 1;
-                continue;
-            }
-            _ => continue,
-        }
-        let terminal = s.terminal_at.unwrap_or(s.deadline);
-        let late_ns = terminal.saturating_sub(s.deadline);
-        let (dominant, share) = dominant_segment(s);
-        let dispatch_start = terminal.saturating_sub(s.service_ns);
-        let rec = join_decision(&decisions.events, s.query, dispatch_start);
-        let mut e = Explanation {
-            query: s.query,
-            late_ns,
-            dominant_segment: dominant,
-            dominant_share: share,
-            during_warming: in_windows(&log.warming_windows, terminal),
-            during_brownout: in_windows(&log.brownout_windows, terminal),
-            during_burn_alert: in_windows(&alert_wins, terminal),
-            during_detection_lag: in_windows(&log.detection_lag_windows, terminal),
-            during_false_suspicion: in_windows(&log.false_suspicion_windows, terminal),
-            reason: rec.map(|r| r.reason.name().to_string()),
-            regime: rec.and_then(|r| r.regime.clone()),
-            chosen: rec.map(|r| chosen_cell(&r.chosen)),
-            feasible_alternative: rec.and_then(feasible_alternative),
-            chosen_expected_feasible: rec.and_then(chosen_expected_feasible),
-            cause: String::new(),
-        };
-        e.cause = compose_cause(&e);
-        explanations.push(e);
-    }
-    let violations = explanations.len() as u64;
-    explanations.sort_by(|a, b| b.late_ns.cmp(&a.late_ns).then(a.query.cmp(&b.query)));
-    explanations.truncate(top);
+    let explanations: Vec<Explanation> = latest
+        .iter()
+        .zip(join.finish())
+        .map(|(v, rec)| {
+            let rec = rec.as_ref();
+            let terminal = v.terminal;
+            let mut e = Explanation {
+                query: v.query,
+                late_ns: v.late_ns,
+                dominant_segment: v.dominant,
+                dominant_share: v.share,
+                during_warming: in_windows(&log.warming_windows, terminal),
+                during_brownout: in_windows(&log.brownout_windows, terminal),
+                during_burn_alert: in_windows(&alert_wins, terminal),
+                during_detection_lag: in_windows(&log.detection_lag_windows, terminal),
+                during_false_suspicion: in_windows(&log.false_suspicion_windows, terminal),
+                reason: rec.map(|r| r.reason.name().to_string()),
+                regime: rec.and_then(|r| r.regime.clone()),
+                chosen: rec.map(|r| chosen_cell(&r.chosen)),
+                feasible_alternative: rec.and_then(feasible_alternative),
+                chosen_expected_feasible: rec.and_then(chosen_expected_feasible),
+                cause: String::new(),
+            };
+            e.cause = compose_cause(&e);
+            e
+        })
+        .collect();
 
     if json {
         let report = WhyReport {
-            decisions: decisions.events.len() as u64,
+            decisions: decision_count,
             decision_schema_version: decisions.schema_version,
             trace_schema_version: parsed.schema_version,
-            queries: log.spans.len() as u64,
+            queries,
             violations,
             shed,
             explained: explanations.len() as u64,
@@ -356,17 +578,14 @@ fn run_log(mut flags: Flags, json: bool) -> Result<i32, String> {
 
     println!(
         "decisions: {decisions_path} ({} records, schema {})",
-        decisions.events.len(),
+        decision_count,
         decisions
             .schema_version
             .map_or_else(|| "v0 headerless".to_string(), |v| format!("v{v}")),
     );
     println!(
         "trace: {trace_path} ({} events, {} queries, {} violations, {} shed)",
-        parsed.events.len(),
-        log.spans.len(),
-        violations,
-        shed
+        events, queries, violations, shed
     );
     println!(
         "burn rate (budget {:.1}%): overall {:.2}x, peak fast {:.2}x, {} alert(s), {} in alert",

@@ -7,13 +7,14 @@
 //! exactly, which is what makes the trace trustworthy for
 //! miss-attribution.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use ramsis_stats::LogHistogram;
 use serde::{Deserialize, Serialize};
 
 use crate::event::{Action, Event, Nanos};
-use crate::sample::{batch_weights, query_weights};
+use crate::ids::IdWindow;
+use crate::sample::{BatchClasses, QueryClasses};
 
 /// Per-query conservation accounting over a trace: every arrival must
 /// end in exactly one terminal state (complete, shed, dropped) or still
@@ -50,37 +51,89 @@ impl Conservation {
     }
 }
 
-/// Checks conservation over a trace (audit events are ignored).
-pub fn conservation(events: &[Event]) -> Conservation {
-    // Per query: (arrived count, terminal count).
-    let mut queries: BTreeMap<u64, (u32, u32)> = BTreeMap::new();
-    let mut c = Conservation::default();
-    for e in events {
-        match *e {
-            Event::Arrival { query, .. } => queries.entry(query).or_insert((0, 0)).0 += 1,
+/// A query's arrival and terminal events seen so far; `(0, 0)` is an id
+/// nothing has touched.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
+    arrived: u32,
+    terminal: u32,
+}
+
+impl Tally {
+    fn vacant(&self) -> bool {
+        self.arrived == 0 && self.terminal == 0
+    }
+}
+
+/// [`conservation`] one event at a time. A query is classified and
+/// leaves the id window once it has arrived and ended; a query still
+/// open at the end of the stream is in flight. An event for a query the
+/// window has let go is counted as a query of its own, so a second
+/// terminal event is an anomaly (the first one's query was counted
+/// whole).
+#[derive(Debug)]
+pub struct ConservationFold {
+    c: Conservation,
+    queries: IdWindow<Tally>,
+}
+
+impl Default for ConservationFold {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl ConservationFold {
+    /// An empty fold.
+    pub fn new() -> Self {
+        Self {
+            c: Conservation::default(),
+            queries: IdWindow::new(),
+        }
+    }
+
+    /// Folds in one event (audit events are ignored).
+    pub fn observe(&mut self, event: &Event) {
+        let c = &mut self.c;
+        let (query, terminal) = match *event {
+            Event::Arrival { query, .. } => {
+                self.queries.skip_to(query);
+                (query, false)
+            }
             Event::Complete { query, .. } => {
                 c.completions += 1;
-                queries.entry(query).or_insert((0, 0)).1 += 1;
+                (query, true)
             }
             Event::Shed { query, .. } => {
                 c.sheds += 1;
-                queries.entry(query).or_insert((0, 0)).1 += 1;
+                (query, true)
             }
             Event::Drop { query, .. } => {
                 c.drops += 1;
-                queries.entry(query).or_insert((0, 0)).1 += 1;
+                (query, true)
             }
             Event::Admission { query, .. } => {
                 c.admissions += 1;
-                queries.entry(query).or_insert((0, 0)).1 += 1;
+                (query, true)
             }
             // Timeout and Retry are non-terminal lifecycle steps: the
             // query stays accounted for by its eventual Complete, Shed,
             // or in-flight status.
-            _ => {}
+            _ => return,
+        };
+        let tally = self.queries.entry(query);
+        if terminal {
+            tally.terminal += 1;
+        } else {
+            tally.arrived += 1;
         }
+        if tally.arrived > 0 && tally.terminal > 0 {
+            Self::classify(c, std::mem::take(tally));
+        }
+        self.queries.settle(query, Tally::vacant, |_, _| {});
     }
-    for &(arrived, terminal) in queries.values() {
+
+    fn classify(c: &mut Conservation, Tally { arrived, terminal }: Tally) {
         if arrived > 0 {
             c.arrivals += 1;
         }
@@ -90,7 +143,24 @@ pub fn conservation(events: &[Event]) -> Conservation {
             c.in_flight += 1;
         }
     }
-    c
+
+    /// The accounting, with every query still open counted in flight.
+    pub fn finish(self) -> Conservation {
+        let mut c = self.c;
+        for (_, tally) in self.queries.drain() {
+            Self::classify(&mut c, tally);
+        }
+        c
+    }
+}
+
+/// Checks conservation over a trace (audit events are ignored).
+pub fn conservation(events: &[Event]) -> Conservation {
+    let mut fold = ConservationFold::new();
+    for e in events {
+        fold.observe(e);
+    }
+    fold.finish()
 }
 
 /// Aggregates reconstructed purely from a trace's lifecycle events —
@@ -146,47 +216,65 @@ impl EventAggregates {
     }
 }
 
-/// Reconstructs run aggregates from a trace.
-pub fn aggregates(events: &[Event]) -> EventAggregates {
-    let mut a = EventAggregates {
-        arrivals: 0,
-        served: 0,
-        violations: 0,
-        dropped: 0,
-        crash_requeued: 0,
-        timeouts: 0,
-        retries: 0,
-        hedges_issued: 0,
-        hedges_cancelled: 0,
-        admissions: 0,
-        response_sum_ns: 0,
-        response: LogHistogram::new(),
-    };
-    for e in events {
-        match *e {
-            Event::Arrival { .. } => a.arrivals += 1,
+impl Default for EventAggregates {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl EventAggregates {
+    /// Aggregates of an empty trace, to fold events into.
+    pub fn new() -> Self {
+        Self {
+            arrivals: 0,
+            served: 0,
+            violations: 0,
+            dropped: 0,
+            crash_requeued: 0,
+            timeouts: 0,
+            retries: 0,
+            hedges_issued: 0,
+            hedges_cancelled: 0,
+            admissions: 0,
+            response_sum_ns: 0,
+            response: LogHistogram::new(),
+        }
+    }
+
+    /// Folds in one event.
+    pub fn observe(&mut self, event: &Event) {
+        match *event {
+            Event::Arrival { .. } => self.arrivals += 1,
             Event::Complete {
                 response_ns,
                 violated,
                 ..
             } => {
-                a.served += 1;
-                a.violations += u64::from(violated);
-                a.response_sum_ns += response_ns as u128;
-                a.response.record(response_ns);
+                self.served += 1;
+                self.violations += u64::from(violated);
+                self.response_sum_ns += response_ns as u128;
+                self.response.record(response_ns);
             }
-            Event::Shed { .. } | Event::Drop { .. } => a.dropped += 1,
+            Event::Shed { .. } | Event::Drop { .. } => self.dropped += 1,
             Event::Admission { .. } => {
-                a.admissions += 1;
-                a.dropped += 1;
+                self.admissions += 1;
+                self.dropped += 1;
             }
-            Event::CrashRequeue { .. } => a.crash_requeued += 1,
-            Event::Timeout { .. } => a.timeouts += 1,
-            Event::Retry { .. } => a.retries += 1,
-            Event::HedgeIssued { .. } => a.hedges_issued += 1,
-            Event::HedgeCancelled { .. } => a.hedges_cancelled += 1,
+            Event::CrashRequeue { .. } => self.crash_requeued += 1,
+            Event::Timeout { .. } => self.timeouts += 1,
+            Event::Retry { .. } => self.retries += 1,
+            Event::HedgeIssued { .. } => self.hedges_issued += 1,
+            Event::HedgeCancelled { .. } => self.hedges_cancelled += 1,
             _ => {}
         }
+    }
+}
+
+/// Reconstructs run aggregates from a trace.
+pub fn aggregates(events: &[Event]) -> EventAggregates {
+    let mut a = EventAggregates::new();
+    for e in events {
+        a.observe(e);
     }
     a
 }
@@ -228,14 +316,30 @@ pub struct KindCount {
     pub std_error: f64,
 }
 
+/// Per-kind event counts of a complete stream, one event at a time.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct KindCountFold([u64; 6]);
+
+impl KindCountFold {
+    /// Folds in one event.
+    pub fn observe(&mut self, event: &Event) {
+        self.0[kind_row(event)] += 1;
+    }
+
+    /// The table: every estimate is the count itself.
+    pub fn finish(self) -> Vec<KindCount> {
+        kind_table(self.0, self.0.map(|n| n as f64), [0.0; 6])
+    }
+}
+
 /// Per-kind event counts of a complete stream: every estimate is the
 /// count itself.
 pub fn kind_counts(events: &[Event]) -> Vec<KindCount> {
-    let mut kept = [0u64; 6];
+    let mut fold = KindCountFold::default();
     for e in events {
-        kept[kind_row(e)] += 1;
+        fold.observe(e);
     }
-    kind_table(kept, kept.map(|n| n as f64), [0.0; 6])
+    fold.finish()
 }
 
 fn kind_table(kept: [u64; 6], est: [f64; 6], std_error: [f64; 6]) -> Vec<KindCount> {
@@ -321,73 +425,199 @@ impl SampledAggregates {
     }
 }
 
-/// Computes sampled-vs-exact aggregates for a stream recorded at
-/// `sample_rate` (pass 1.0 for a complete stream; every weight is then
-/// 1 and the estimates coincide with the exact counts).
-pub fn sampled_aggregates(events: &[Event], sample_rate: f64) -> SampledAggregates {
-    let weights = query_weights(events, sample_rate);
-    let batches = batch_weights(events, &weights, sample_rate);
-    let boring_queries = weights.values().filter(|&&w| w != 1.0).count() as u64;
-    let query_weight = |q: u64| weights.get(&q).copied().unwrap_or(1.0);
-    // Per kind: events kept, their weight sum, and the sum of
-    // w·(w − 1) — the Horvitz-Thompson variance estimate.
-    let mut kept = [0u64; 6];
-    let mut est = [0.0f64; 6];
-    let mut var = [0.0f64; 6];
-    let mut est_response_sum_ns = 0.0;
-    // Index of the next dispatch's batch weight.
-    let mut next_batch = 0;
-    for (i, e) in events.iter().enumerate() {
-        let w = match *e {
-            Event::Arrival { query, .. } | Event::Enqueue { query, .. } => query_weight(query),
-            Event::Complete {
-                query, response_ns, ..
-            } => {
-                let w = query_weight(query);
-                est_response_sum_ns += w * response_ns as f64;
-                w
+/// A weight an arrival, enqueue, dispatch or `Serve` decision adds to
+/// the estimates once it is known.
+#[derive(Debug, Clone, Copy)]
+enum Deferred {
+    Known(f64),
+    /// The weight of this query.
+    Query(u64),
+    /// The weight of this batch.
+    Batch(u64),
+    /// A `Serve` decision on this worker: the weight of the dispatch
+    /// right after it when that dispatch is the worker's, else 1.
+    Serve(u32),
+}
+
+/// [`sampled_aggregates`] one event at a time.
+///
+/// An event's Horvitz-Thompson weight can depend on what comes after
+/// it: an arrival's on its query's fate, a dispatch's on its batch's
+/// member ends. The estimates are `f64` sums, which depend on the order
+/// of their terms, so deferred weights wait in two in-order FIFOs —
+/// arrivals and enqueues on query fates, dispatches and decisions on
+/// batch fates — and are added in stream order as they resolve, as the
+/// sampler's own queue releases events. Both FIFOs span the events
+/// since the oldest undecided query or batch.
+#[derive(Debug)]
+pub struct SampledAggregatesFold {
+    rate: f64,
+    kept: EventAggregates,
+    queries: QueryClasses,
+    batches: BatchClasses,
+    kinds: [u64; 6],
+    est: [f64; 6],
+    var: [f64; 6],
+    est_response_sum_ns: f64,
+    query_fifo: VecDeque<(usize, Deferred)>,
+    batch_fifo: VecDeque<(usize, Deferred)>,
+}
+
+impl SampledAggregatesFold {
+    /// An empty fold for a stream recorded at `sample_rate` (1.0 for a
+    /// complete stream).
+    pub fn new(sample_rate: f64) -> Self {
+        Self {
+            rate: sample_rate,
+            kept: EventAggregates::new(),
+            queries: QueryClasses::new(sample_rate),
+            batches: BatchClasses::new(sample_rate),
+            kinds: [0; 6],
+            est: [0.0; 6],
+            var: [0.0; 6],
+            est_response_sum_ns: 0.0,
+            query_fifo: VecDeque::new(),
+            batch_fifo: VecDeque::new(),
+        }
+    }
+
+    fn add(&mut self, k: usize, w: f64) {
+        self.est[k] += w;
+        self.var[k] += w * (w - 1.0);
+    }
+
+    /// Folds in one event.
+    pub fn observe(&mut self, event: &Event) {
+        self.kept.observe(event);
+        let k = kind_row(event);
+        self.kinds[k] += 1;
+        let serve = match self.batch_fifo.back() {
+            Some(&(_, Deferred::Serve(worker))) => Some(worker),
+            _ => None,
+        };
+        let qw = self.queries.observe(event, |_, _| {});
+        let b = self.batches.observe(event, qw == Some(1.0), |_, _| {});
+        // A `Serve` decision shares its dispatch's fate: the dispatch
+        // right after it on the same worker.
+        if let Some(w) = serve {
+            let weight = match (event, b) {
+                (&Event::Dispatch { worker, .. }, Some(b)) if worker == w => {
+                    self.batches.wait(b);
+                    Deferred::Batch(b)
+                }
+                _ => Deferred::Known(1.0),
+            };
+            self.batch_fifo.back_mut().expect("the decision waits").1 = weight;
+        }
+        match *event {
+            Event::Arrival { query, .. } | Event::Enqueue { query, .. } => {
+                let weight = match qw {
+                    Some(w) => Deferred::Known(w),
+                    None => {
+                        self.queries.wait(query);
+                        Deferred::Query(query)
+                    }
+                };
+                self.query_fifo.push_back((k, weight));
+            }
+            Event::Complete { response_ns, .. } => {
+                let w = qw.unwrap_or(1.0);
+                self.est_response_sum_ns += w * response_ns as f64;
+                self.add(k, w);
             }
             Event::Dispatch { .. } => {
-                next_batch += 1;
-                batches[next_batch - 1]
+                let b = b.expect("a dispatch opens a batch");
+                self.batches.wait(b);
+                self.batch_fifo.push_back((k, Deferred::Batch(b)));
             }
-            // A `Serve` decision shares its dispatch's fate: the
-            // dispatch right after it on the same worker.
             Event::PolicyDecision {
                 worker,
                 action: Action::Serve { .. },
                 ..
-            } => match events.get(i + 1) {
-                Some(&Event::Dispatch { worker: d, .. }) if d == worker => batches[next_batch],
-                _ => 1.0,
+            } => self.batch_fifo.push_back((k, Deferred::Serve(worker))),
+            Event::PolicyDecision { .. } => self.batch_fifo.push_back((k, Deferred::Known(1.0))),
+            _ => self.add(k, 1.0),
+        }
+        self.drain(false);
+    }
+
+    /// Adds every deferred weight that is known, in order; at the end
+    /// of the stream every one is.
+    fn drain(&mut self, end: bool) {
+        while let Some(&(k, d)) = self.query_fifo.front() {
+            let w = match d {
+                Deferred::Query(q) => match self.queries.weight(q) {
+                    Some(w) => w,
+                    // No terminal event: in flight, kept with certainty.
+                    None if end => 1.0,
+                    None => break,
+                },
+                Deferred::Known(w) => w,
+                Deferred::Batch(_) | Deferred::Serve(_) => unreachable!("a query weight"),
+            };
+            self.query_fifo.pop_front();
+            if let Deferred::Query(q) = d {
+                self.queries.release(q, |_, _| {});
+            }
+            self.add(k, w);
+        }
+        while let Some(&(k, d)) = self.batch_fifo.front() {
+            let w = match d {
+                Deferred::Batch(b) => match self.batches.weight(b) {
+                    Some(w) => w,
+                    None => break,
+                },
+                Deferred::Known(w) => w,
+                // Nothing came after it.
+                Deferred::Serve(_) if end => 1.0,
+                Deferred::Serve(_) => break,
+                Deferred::Query(_) => unreachable!("a batch weight"),
+            };
+            self.batch_fifo.pop_front();
+            if let Deferred::Batch(b) = d {
+                self.batches.release(b, |_, _| {});
+            }
+            self.add(k, w);
+        }
+    }
+
+    /// The aggregates, every weight resolved.
+    pub fn finish(mut self) -> SampledAggregates {
+        self.batches.close();
+        self.drain(true);
+        let (rate, boring) = (self.rate, self.queries.boring);
+        let std_error = self.var.map(f64::sqrt);
+        SampledAggregates {
+            kept: self.kept,
+            sample_rate: rate,
+            interesting_queries: self.queries.queries - boring,
+            boring_queries: boring,
+            est_arrivals: self.est[0],
+            est_served: self.est[3],
+            est_response_sum_ns: self.est_response_sum_ns,
+            est_std_error: if rate < 1.0 {
+                (boring as f64 * (1.0 - rate)).sqrt() / rate
+            } else {
+                0.0
             },
-            _ => 1.0,
-        };
-        let k = kind_row(e);
-        kept[k] += 1;
-        est[k] += w;
-        var[k] += w * (w - 1.0);
+            est_dispatches: self.est[2],
+            est_dispatches_std_error: std_error[2],
+            est_decisions: self.est[4],
+            est_decisions_std_error: std_error[4],
+            kinds: kind_table(self.kinds, self.est, std_error),
+        }
     }
-    let std_error = var.map(f64::sqrt);
-    SampledAggregates {
-        kept: aggregates(events),
-        sample_rate,
-        interesting_queries: weights.len() as u64 - boring_queries,
-        boring_queries,
-        est_arrivals: est[0],
-        est_served: est[3],
-        est_response_sum_ns,
-        est_std_error: if sample_rate < 1.0 {
-            (boring_queries as f64 * (1.0 - sample_rate)).sqrt() / sample_rate
-        } else {
-            0.0
-        },
-        est_dispatches: est[2],
-        est_dispatches_std_error: std_error[2],
-        est_decisions: est[4],
-        est_decisions_std_error: std_error[4],
-        kinds: kind_table(kept, est, std_error),
+}
+
+/// Computes sampled-vs-exact aggregates for a stream recorded at
+/// `sample_rate` (pass 1.0 for a complete stream; every weight is then
+/// 1 and the estimates coincide with the exact counts).
+pub fn sampled_aggregates(events: &[Event], sample_rate: f64) -> SampledAggregates {
+    let mut fold = SampledAggregatesFold::new(sample_rate);
+    for e in events {
+        fold.observe(e);
     }
+    fold.finish()
 }
 
 /// One fixed-length window of a trace's per-window breakdown.
@@ -464,39 +694,70 @@ impl WindowStats {
     }
 }
 
-/// Buckets a trace into fixed windows of `window_ns`.
-///
-/// Busy time is reconstructed from dispatch→completion spans per
-/// worker and apportioned to every window each span overlaps; a span
-/// cut short by a crash (its batch never completes) is discarded when
-/// the worker's next dispatch appears.
-///
-/// # Panics
-///
-/// Panics if `window_ns` is zero.
-pub fn window_breakdown(events: &[Event], window_ns: Nanos) -> Vec<WindowStats> {
-    assert!(window_ns > 0, "window must be positive");
-    fn bucket(windows: &mut Vec<WindowStats>, at: Nanos, window_ns: Nanos) -> &mut WindowStats {
-        let i = (at / window_ns) as usize;
-        if windows.len() <= i {
-            for k in windows.len()..=i {
-                windows.push(WindowStats {
-                    start_ns: k as Nanos * window_ns,
+/// [`window_breakdown`] one event at a time: the rows grow with the
+/// trace's duration, and each worker's open service span is apportioned
+/// to the windows it overlaps when it closes.
+#[derive(Debug)]
+pub struct WindowFold {
+    window_ns: Nanos,
+    windows: Vec<WindowStats>,
+    horizon: Nanos,
+    /// Per-worker open service span: worker -> start of in-flight batch.
+    open: BTreeMap<u32, Nanos>,
+}
+
+impl WindowFold {
+    /// An empty breakdown into windows of `window_ns`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window_ns` is zero.
+    pub fn new(window_ns: Nanos) -> Self {
+        assert!(window_ns > 0, "window must be positive");
+        Self {
+            window_ns,
+            windows: Vec::new(),
+            horizon: 0,
+            open: BTreeMap::new(),
+        }
+    }
+
+    fn bucket(&mut self, at: Nanos) -> &mut WindowStats {
+        let i = (at / self.window_ns) as usize;
+        if self.windows.len() <= i {
+            for k in self.windows.len()..=i {
+                self.windows.push(WindowStats {
+                    start_ns: k as Nanos * self.window_ns,
                     ..WindowStats::default()
                 });
             }
         }
-        &mut windows[i]
+        &mut self.windows[i]
     }
-    let mut windows: Vec<WindowStats> = Vec::new();
-    let mut horizon: Nanos = 0;
-    // Per-worker open service span: worker -> start of in-flight batch.
-    let mut open: BTreeMap<u32, Nanos> = BTreeMap::new();
-    let mut spans: Vec<(Nanos, Nanos)> = Vec::new();
-    for e in events {
-        horizon = horizon.max(e.at());
-        match *e {
-            Event::Arrival { at, .. } => bucket(&mut windows, at, window_ns).arrivals += 1,
+
+    /// Closes `worker`'s open span at `end`, apportioning it across the
+    /// windows it overlaps (all exist: `end`'s own was just bucketed).
+    fn close(&mut self, worker: u32, end: Nanos) {
+        let Some(start) = self.open.remove(&worker) else {
+            return;
+        };
+        let mut t = start;
+        while t < end {
+            let i = (t / self.window_ns) as usize;
+            let window_end = (i as Nanos + 1) * self.window_ns;
+            let upto = end.min(window_end);
+            if i < self.windows.len() {
+                self.windows[i].busy_ns += upto - t;
+            }
+            t = upto;
+        }
+    }
+
+    /// Folds in one event.
+    pub fn observe(&mut self, event: &Event) {
+        self.horizon = self.horizon.max(event.at());
+        match *event {
+            Event::Arrival { at, .. } => self.bucket(at).arrivals += 1,
             Event::Dispatch {
                 at,
                 worker,
@@ -504,13 +765,13 @@ pub fn window_breakdown(events: &[Event], window_ns: Nanos) -> Vec<WindowStats> 
                 depth,
                 ..
             } => {
-                let w = bucket(&mut windows, at, window_ns);
+                let w = self.bucket(at);
                 w.dispatches += 1;
                 w.batch_sum += u64::from(batch);
                 w.max_queue_depth = w.max_queue_depth.max(depth);
                 // A still-open span means the previous batch was
                 // displaced by a crash; it never completed.
-                open.insert(worker, at);
+                self.open.insert(worker, at);
             }
             Event::Complete {
                 at,
@@ -518,56 +779,50 @@ pub fn window_breakdown(events: &[Event], window_ns: Nanos) -> Vec<WindowStats> 
                 violated,
                 ..
             } => {
-                let w = bucket(&mut windows, at, window_ns);
+                let w = self.bucket(at);
                 w.completions += 1;
                 w.violations += u64::from(violated);
-                if let Some(start) = open.remove(&worker) {
-                    spans.push((start, at));
-                }
+                self.close(worker, at);
             }
-            Event::Shed { at, .. } => bucket(&mut windows, at, window_ns).sheds += 1,
-            Event::Drop { at, .. } => bucket(&mut windows, at, window_ns).drops += 1,
+            Event::Shed { at, .. } => self.bucket(at).sheds += 1,
+            Event::Drop { at, .. } => self.bucket(at).drops += 1,
             Event::PolicyDecision { at, action, .. } => {
-                let w = bucket(&mut windows, at, window_ns);
+                let w = self.bucket(at);
                 match action {
                     Action::Serve { .. } => w.decisions_serve += 1,
                     Action::Drop { .. } => w.decisions_drop += 1,
                     Action::Idle => w.decisions_idle += 1,
                 }
             }
-            Event::RegimeSwap { at, .. } => bucket(&mut windows, at, window_ns).swaps += 1,
-            Event::LazySolve { at, .. } => bucket(&mut windows, at, window_ns).lazy_solves += 1,
-            Event::FallbackEngaged { at, .. } => bucket(&mut windows, at, window_ns).fallbacks += 1,
+            Event::RegimeSwap { at, .. } => self.bucket(at).swaps += 1,
+            Event::LazySolve { at, .. } => self.bucket(at).lazy_solves += 1,
+            Event::FallbackEngaged { at, .. } => self.bucket(at).fallbacks += 1,
             Event::Timeout { at, worker, .. } => {
-                bucket(&mut windows, at, window_ns).timeouts += 1;
+                self.bucket(at).timeouts += 1;
                 // The worker was busy until the timeout abandoned the
                 // dispatch; close the span here so the wasted work
                 // still shows up as utilization. A batch emits one
                 // Timeout per query — only the first closes the span.
-                if let Some(start) = open.remove(&worker) {
-                    spans.push((start, at));
-                }
+                self.close(worker, at);
             }
-            Event::Retry { at, .. } => bucket(&mut windows, at, window_ns).retries += 1,
-            Event::HedgeIssued { at, .. } => bucket(&mut windows, at, window_ns).hedges += 1,
+            Event::Retry { at, .. } => self.bucket(at).retries += 1,
+            Event::HedgeIssued { at, .. } => self.bucket(at).hedges += 1,
             Event::HedgeCancelled { at, worker, .. } => {
-                let _ = bucket(&mut windows, at, window_ns);
-                if let Some(start) = open.remove(&worker) {
-                    spans.push((start, at));
-                }
+                let _ = self.bucket(at);
+                self.close(worker, at);
             }
-            Event::Admission { at, .. } => bucket(&mut windows, at, window_ns).admission_sheds += 1,
+            Event::Admission { at, .. } => self.bucket(at).admission_sheds += 1,
             Event::ScaleUp { at, .. } | Event::ScaleDown { at, .. } => {
-                bucket(&mut windows, at, window_ns).scale_actions += 1;
+                self.bucket(at).scale_actions += 1;
             }
             Event::BrownoutEnter { at, .. } | Event::BrownoutExit { at, .. } => {
-                bucket(&mut windows, at, window_ns).brownout_moves += 1;
+                self.bucket(at).brownout_moves += 1;
             }
             Event::Suspect { at, .. } | Event::Reinstate { at, .. } => {
-                bucket(&mut windows, at, window_ns).health_moves += 1;
+                self.bucket(at).health_moves += 1;
             }
             Event::ProbeFailed { at, .. } => {
-                bucket(&mut windows, at, window_ns).probe_failures += 1;
+                self.bucket(at).probe_failures += 1;
             }
             Event::Enqueue { .. }
             | Event::CrashRequeue { .. }
@@ -579,24 +834,32 @@ pub fn window_breakdown(events: &[Event], window_ns: Nanos) -> Vec<WindowStats> 
             | Event::BreakerClose { .. } => {}
         }
     }
-    // Apportion each completed service span across the windows it
-    // overlaps. Ensure the window list covers the horizon first.
-    if horizon > 0 {
-        let _ = bucket(&mut windows, horizon.saturating_sub(1), window_ns);
-    }
-    for (start, end) in spans {
-        let mut t = start;
-        while t < end {
-            let i = (t / window_ns) as usize;
-            let window_end = (i as Nanos + 1) * window_ns;
-            let upto = end.min(window_end);
-            if i < windows.len() {
-                windows[i].busy_ns += upto - t;
-            }
-            t = upto;
+
+    /// The rows, covering the trace up to its last event.
+    pub fn finish(mut self) -> Vec<WindowStats> {
+        if self.horizon > 0 {
+            let _ = self.bucket(self.horizon.saturating_sub(1));
         }
+        self.windows
     }
-    windows
+}
+
+/// Buckets a trace into fixed windows of `window_ns`.
+///
+/// Busy time is reconstructed from dispatch→completion spans per
+/// worker and apportioned to every window each span overlaps; a span
+/// cut short by a crash (its batch never completes) is discarded when
+/// the worker's next dispatch appears.
+///
+/// # Panics
+///
+/// Panics if `window_ns` is zero.
+pub fn window_breakdown(events: &[Event], window_ns: Nanos) -> Vec<WindowStats> {
+    let mut fold = WindowFold::new(window_ns);
+    for e in events {
+        fold.observe(e);
+    }
+    fold.finish()
 }
 
 #[cfg(test)]

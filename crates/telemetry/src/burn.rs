@@ -26,6 +26,7 @@ use std::collections::VecDeque;
 use serde::{Deserialize, Serialize};
 
 use crate::event::{Event, Nanos};
+use crate::sample::QueryClasses;
 
 /// Burn-rate monitor configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -348,15 +349,22 @@ impl BurnMonitor {
     }
 }
 
+impl BurnMonitor {
+    /// Folds in one event of a recorded stream (completions only).
+    pub fn observe_event(&mut self, event: &Event) {
+        if let Event::Complete { at, violated, .. } = *event {
+            self.observe(at, violated);
+        }
+    }
+}
+
 /// Runs the monitor over a recorded event stream (completions only —
 /// the same universe as the engine's `served`/`violations` counters,
 /// which the summary's counts must match exactly).
 pub fn burn_analysis(events: &[Event], cfg: BurnConfig) -> BurnSummary {
     let mut monitor = BurnMonitor::new(cfg);
     for ev in events {
-        if let Event::Complete { at, violated, .. } = *ev {
-            monitor.observe(at, violated);
-        }
+        monitor.observe_event(ev);
     }
     monitor.summary()
 }
@@ -392,30 +400,59 @@ pub fn sampled_burn_analysis(
     cfg: BurnConfig,
     sample_rate: f64,
 ) -> SampledBurnSummary {
-    let weights = crate::sample::query_weights(events, sample_rate);
-    let mut monitor = BurnMonitor::new(cfg);
+    let mut fold = SampledBurnFold::new(cfg, sample_rate);
     for ev in events {
-        if let Event::Complete {
-            at,
-            query,
-            violated,
-            ..
-        } = *ev
-        {
-            let w = weights.get(&query).copied().unwrap_or(1.0);
-            monitor.observe_weighted(at, violated, w);
+        fold.observe(ev);
+    }
+    fold.finish()
+}
+
+/// [`sampled_burn_analysis`] one event at a time: a completion's weight
+/// is final at the completion itself, the query's terminal event.
+#[derive(Debug)]
+pub struct SampledBurnFold {
+    monitor: BurnMonitor,
+    queries: QueryClasses,
+    sample_rate: f64,
+}
+
+impl SampledBurnFold {
+    /// An empty fold for a stream sampled at `sample_rate`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the configuration is invalid.
+    pub fn new(cfg: BurnConfig, sample_rate: f64) -> Self {
+        Self {
+            monitor: BurnMonitor::new(cfg),
+            queries: QueryClasses::new(sample_rate),
+            sample_rate,
         }
     }
-    let est_overall_burn = if monitor.w_completions == 0.0 {
-        0.0
-    } else {
-        (monitor.w_violations / monitor.w_completions) / cfg.budget
-    };
-    SampledBurnSummary {
-        kept: monitor.summary(),
-        sample_rate,
-        est_completions: monitor.w_completions,
-        est_overall_burn,
+
+    /// Folds in one event.
+    pub fn observe(&mut self, event: &Event) {
+        let weight = self.queries.observe(event, |_, _| {});
+        if let Event::Complete { at, violated, .. } = *event {
+            self.monitor
+                .observe_weighted(at, violated, weight.unwrap_or(1.0));
+        }
+    }
+
+    /// The summary.
+    pub fn finish(self) -> SampledBurnSummary {
+        let m = self.monitor;
+        let est_overall_burn = if m.w_completions == 0.0 {
+            0.0
+        } else {
+            (m.w_violations / m.w_completions) / m.cfg.budget
+        };
+        SampledBurnSummary {
+            kept: m.summary(),
+            sample_rate: self.sample_rate,
+            est_completions: m.w_completions,
+            est_overall_burn,
+        }
     }
 }
 

@@ -30,7 +30,8 @@ use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
 use crate::event::{Action, Event, QueueId, ShedCause};
-use crate::sink::{Latched, LogFile, ParsedLog, StreamHeader, TelemetrySink, UNKNOWN_SAMPLE_CAP};
+use crate::reader::{EventReader, Format, ReadError};
+use crate::sink::{Latched, LogFile, ParsedLog, StreamHeader, TelemetrySink};
 
 /// Magic bytes a binary telemetry stream starts with.
 pub const BIN_MAGIC: [u8; 4] = *b"RMTB";
@@ -42,7 +43,11 @@ pub const BIN_SCHEMA_VERSION: u32 = 1;
 
 /// Header flag bit: the stream was written through a sampling sink and
 /// carries its rate + seed in the header.
-const FLAG_SAMPLED: u8 = 0b0000_0001;
+pub(crate) const FLAG_SAMPLED: u8 = 0b0000_0001;
+
+/// The highest kind tag this build knows; a record tagged above it is a
+/// newer writer's, skipped and counted rather than rejected.
+pub(crate) const MAX_KIND: u8 = 28;
 
 /// True when `bytes` starts with the binary stream magic — the format
 /// auto-detection used by `ramsis-cli` for `--telemetry` paths and
@@ -459,7 +464,7 @@ fn encode_payload(buf: &mut Vec<u8>, event: &Event) {
     }
 }
 
-fn decode_payload(kind: u8, payload: &[u8]) -> Result<Event, ()> {
+pub(crate) fn decode_payload(kind: u8, payload: &[u8]) -> Result<Event, ()> {
     let mut c = Cursor::new(payload);
     let event = match kind {
         0 => Event::Arrival {
@@ -780,7 +785,8 @@ impl<W: Write> TelemetrySink for BinSink<W> {
 // ---------------------------------------------------------------------
 
 /// Parses a binary telemetry stream tolerantly — the binary mirror of
-/// [`crate::parse_jsonl_tolerant`].
+/// [`crate::parse_jsonl_tolerant`], and the streaming
+/// [`crate::EventReader`] collected.
 ///
 /// Whole known records parse into events; unknown kind tags (a stream
 /// from a newer engine) are skipped whole and counted, with the first
@@ -795,116 +801,9 @@ impl<W: Write> TelemetrySink for BinSink<W> {
 /// magic, or a *complete* record's payload is malformed — corruption in
 /// the middle of a stream is real damage, never silently skipped.
 pub fn parse_bin_tolerant(bytes: &[u8]) -> Result<ParsedLog, String> {
-    if !is_binary_stream(bytes) {
-        return Err("not a binary telemetry stream (missing RMTB magic)".into());
-    }
-    let mut pos = BIN_MAGIC.len();
-    let header_err = || "binary stream truncated inside its file header".to_string();
-    let version_bytes: [u8; 4] = bytes
-        .get(pos..pos + 4)
-        .ok_or_else(header_err)?
-        .try_into()
-        .unwrap();
-    let version = u32::from_le_bytes(version_bytes);
-    pos += 4;
-    let flags = *bytes.get(pos).ok_or_else(header_err)?;
-    pos += 1;
-    let (mut sample_rate, mut sample_seed) = (None, None);
-    if flags & FLAG_SAMPLED != 0 {
-        let rate_bytes: [u8; 8] = bytes
-            .get(pos..pos + 8)
-            .ok_or_else(header_err)?
-            .try_into()
-            .unwrap();
-        sample_rate = Some(f64::from_bits(u64::from_le_bytes(rate_bytes)));
-        pos += 8;
-        let seed_bytes: [u8; 8] = bytes
-            .get(pos..pos + 8)
-            .ok_or_else(header_err)?
-            .try_into()
-            .unwrap();
-        sample_seed = Some(u64::from_le_bytes(seed_bytes));
-        pos += 8;
-    }
-
-    let mut events = Vec::new();
-    let torn_tail = None;
-    let torn_tail_offset = None;
-    let mut unknown_events = 0u64;
-    let mut unknown_samples: Vec<String> = Vec::new();
-    while pos < bytes.len() {
-        let record_start = pos;
-        let torn = |events, unknown_events, unknown_samples, start: usize| {
-            Ok(ParsedLog {
-                events,
-                torn_tail: Some(format!(
-                    "{} trailing bytes of a torn binary record",
-                    bytes.len() - start
-                )),
-                torn_tail_offset: Some(start),
-                unknown_events,
-                unknown_samples,
-                schema_version: Some(version),
-                sample_rate,
-                sample_seed,
-            })
-        };
-        let kind = bytes[pos];
-        pos += 1;
-        // Varint payload length; running out of bytes mid-varint is a
-        // torn tail, not corruption.
-        let mut len: u64 = 0;
-        let mut shift = 0u32;
-        let len = loop {
-            let Some(&b) = bytes.get(pos) else {
-                return torn(events, unknown_events, unknown_samples, record_start);
-            };
-            pos += 1;
-            if shift >= 64 {
-                return Err(format!(
-                    "byte {record_start}: malformed record length (varint overflow)"
-                ));
-            }
-            len |= u64::from(b & 0x7f) << shift;
-            if b & 0x80 == 0 {
-                break len;
-            }
-            shift += 7;
-        };
-        let Ok(len) = usize::try_from(len) else {
-            return Err(format!("byte {record_start}: absurd record length {len}"));
-        };
-        let Some(payload) = bytes.get(pos..pos.saturating_add(len)) else {
-            return torn(events, unknown_events, unknown_samples, record_start);
-        };
-        pos += len;
-        match decode_payload(kind, payload) {
-            Ok(event) => events.push(event),
-            Err(()) if kind > 28 => {
-                // A kind tag this build has never heard of: a stream
-                // from a newer engine. Skip the whole record, count it.
-                unknown_events += 1;
-                if unknown_samples.len() < UNKNOWN_SAMPLE_CAP {
-                    unknown_samples.push(format!("kind {kind} ({len} bytes)"));
-                }
-            }
-            Err(()) => {
-                return Err(format!(
-                    "byte {record_start}: malformed payload for record kind {kind}"
-                ));
-            }
-        }
-    }
-    Ok(ParsedLog {
-        events,
-        torn_tail,
-        torn_tail_offset,
-        unknown_events,
-        unknown_samples,
-        schema_version: Some(version),
-        sample_rate,
-        sample_seed,
-    })
+    EventReader::open(bytes, Format::Binary)
+        .and_then(EventReader::collect_log)
+        .map_err(|e| e.to_string())
 }
 
 /// Parses a trace in either encoding: binary streams are recognized by
@@ -912,13 +811,14 @@ pub fn parse_bin_tolerant(bytes: &[u8]) -> Result<ParsedLog, String> {
 /// v0) JSONL. Tooling that accepts "a trace file" goes through here so
 /// `.bin` and `.jsonl` are interchangeable everywhere.
 pub fn parse_tolerant(bytes: &[u8]) -> Result<ParsedLog, String> {
-    if is_binary_stream(bytes) {
-        parse_bin_tolerant(bytes)
-    } else {
-        let text = std::str::from_utf8(bytes)
-            .map_err(|e| format!("trace is neither RMTB binary nor UTF-8 JSONL: {e}"))?;
-        crate::sink::parse_jsonl_tolerant(text)
-    }
+    EventReader::new(bytes)
+        .and_then(EventReader::collect_log)
+        .map_err(|e| match e {
+            ReadError::NotUtf8 { .. } => {
+                format!("trace is neither RMTB binary nor UTF-8 JSONL: {e}")
+            }
+            e => e.to_string(),
+        })
 }
 
 // ---------------------------------------------------------------------
@@ -964,7 +864,7 @@ pub fn write_jsonl(events: &[Event], sampling: Option<(f64, u64)>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::parse_jsonl_tolerant;
+    use crate::sink::{parse_jsonl_tolerant, UNKNOWN_SAMPLE_CAP};
 
     /// One of every variant — the same exhaustive list the event-model
     /// serde test pins, so a codec gap on any variant fails here.

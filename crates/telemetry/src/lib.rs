@@ -48,18 +48,21 @@ pub mod burn;
 pub mod codec;
 pub mod decisions;
 pub mod event;
+mod ids;
 pub mod profile;
+pub mod reader;
 pub mod sample;
 pub mod sink;
 pub mod spans;
 
 pub use analyze::{aggregates, conservation, kind_counts, sampled_aggregates, window_breakdown};
 pub use analyze::{
-    Conservation, EventAggregates, KindCount, SampledAggregates, WindowStats, EVENT_KINDS,
+    Conservation, ConservationFold, EventAggregates, KindCount, KindCountFold, SampledAggregates,
+    SampledAggregatesFold, WindowFold, WindowStats, EVENT_KINDS,
 };
 pub use burn::{
     burn_analysis, sampled_burn_analysis, BurnAlert, BurnAlertKind, BurnConfig, BurnMonitor,
-    BurnSummary, SampledBurnSummary,
+    BurnSummary, SampledBurnFold, SampledBurnSummary,
 };
 pub use codec::{
     is_binary_stream, parse_bin_tolerant, parse_tolerant, write_bin, write_jsonl, BinSink,
@@ -75,6 +78,7 @@ pub use profile::{
     CounterStat, GaugeId, GaugeStat, HotCounter, Phase, PhaseStat, ProfileReport, Profiler,
     SolverProfile,
 };
+pub use reader::{EventReader, ReadError, StreamSummary};
 pub use sample::{batch_weights, query_weights, SamplePolicy, SamplingSink};
 pub use sink::{
     parse_jsonl, parse_jsonl_tolerant, JsonlLog, JsonlSink, LogFile, NullSink, ParsedLog, Record,
@@ -82,6 +86,6 @@ pub use sink::{
     UNKNOWN_SAMPLE_CAP,
 };
 pub use spans::{
-    critical_path, reconstruct_spans, reconstruct_spans_sampled, CriticalPathReport, QuerySpan,
-    SegmentStats, SpanLog, SpanOutcome,
+    critical_path, reconstruct_spans, reconstruct_spans_sampled, CriticalPathFold,
+    CriticalPathReport, QuerySpan, SegmentStats, SpanFold, SpanLog, SpanOutcome,
 };

@@ -54,6 +54,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::mem::{discriminant, Discriminant};
 
 use crate::event::{Action, Event, Nanos};
+use crate::ids::IdWindow;
 use crate::sink::TelemetrySink;
 
 /// Per-worker hedge flags as a dense bit table: worker ids are small
@@ -104,110 +105,50 @@ impl Fate {
     }
 }
 
-/// How far past the window's end a new id may extend it; an id further
-/// out (a synthetic or adversarial stream) is tracked sparsely.
-const WINDOW_MAX_GAP: u64 = 1 << 16;
-
-/// Per-query keep/drop decisions over a window of query ids, so memory
-/// tracks the queries in flight rather than the run length.
+/// Per-query keep/drop decisions over the id window, so memory tracks
+/// the queries in flight rather than the run length.
 ///
-/// Engine query ids are sequential from zero, so every live query sits
-/// in a dense window `base..base + window.len()`, one entry per id, and
-/// every lookup is one index. The base advances past queries whose
-/// lifecycle has ended and that no FIFO slot references, so the window
-/// spans only from the oldest query whose fate can still be needed to
-/// the newest one. Ids before the window's first base, or far past its
-/// end, are tracked in `sparse` until they retire.
-///
-/// A retired id keeps a fate: the one its hash gives, kept or dropped,
-/// which is the fate every boring query had. An interesting query is
-/// kept by promotion instead, so events of it after its terminal event
-/// would be withheld — the engine emits none.
+/// An id the window has passed keeps a fate: the one its hash gives,
+/// kept or dropped, which is the fate every boring query had. An
+/// interesting query is kept by promotion instead, so events of it
+/// after its terminal event would be withheld — the engine emits none.
 #[derive(Debug)]
 struct QueryFates {
     policy: SamplePolicy,
-    /// First id the window covered; `None` until the first query.
-    origin: Option<u64>,
-    base: u64,
-    window: VecDeque<Fate>,
-    sparse: BTreeMap<u64, Fate>,
+    ids: IdWindow<Fate>,
 }
 
 impl QueryFates {
     fn new(policy: SamplePolicy) -> Self {
         Self {
             policy,
-            origin: None,
-            base: 0,
-            window: VecDeque::new(),
-            sparse: BTreeMap::new(),
+            ids: IdWindow::new(),
         }
-    }
-
-    /// Window index of `q`, when the window covers it.
-    #[inline]
-    fn index(&self, q: u64) -> Option<usize> {
-        let i = q.wrapping_sub(self.base);
-        (i < self.window.len() as u64).then_some(i as usize)
     }
 
     #[inline]
     fn get(&self, q: u64) -> u8 {
-        if let Some(i) = self.index(q) {
-            return self.window[i].fate;
+        if let Some(f) = self.ids.get(q) {
+            f.fate
+        } else if !self.ids.passed(q) {
+            FATE_UNDECIDED
+        } else if self.policy.keeps(q) {
+            FATE_KEPT
+        } else {
+            FATE_DROPPED
         }
-        if let Some(f) = self.sparse.get(&q) {
-            return f.fate;
-        }
-        match self.origin {
-            Some(origin) if (origin..self.base).contains(&q) => {
-                if self.policy.keeps(q) {
-                    FATE_KEPT
-                } else {
-                    FATE_DROPPED
-                }
-            }
-            _ => FATE_UNDECIDED,
-        }
-    }
-
-    /// The entry of undecided query `q`, created on first use.
-    #[inline]
-    fn entry(&mut self, q: u64) -> &mut Fate {
-        match self.index(q) {
-            Some(i) => &mut self.window[i],
-            None => self.insert(q),
-        }
-    }
-
-    /// Starts tracking `q`: in the window when it extends the window by
-    /// at most [`WINDOW_MAX_GAP`] ids, sparsely otherwise.
-    fn insert(&mut self, q: u64) -> &mut Fate {
-        if self.origin.is_none() {
-            self.origin = Some(q);
-            self.base = q;
-        }
-        let end = self.base + self.window.len() as u64;
-        if q < end || q - end >= WINDOW_MAX_GAP {
-            return self.sparse.entry(q).or_default();
-        }
-        for id in end..=q {
-            let migrated = self.sparse.remove(&id).unwrap_or_default();
-            self.window.push_back(migrated);
-        }
-        self.window.back_mut().expect("the window just grew")
     }
 
     /// Notes one more event of undecided query `q` waiting in the FIFO.
     #[inline]
     fn wait(&mut self, q: u64) {
-        self.entry(q).waiting += 1;
+        self.ids.entry(q).waiting += 1;
     }
 
     /// Decides `q`, returning how many of its events wait in the FIFO.
     #[inline]
     fn set(&mut self, q: u64, fate: u8) -> u64 {
-        let entry = self.entry(q);
+        let entry = self.ids.entry(q);
         entry.fate = fate;
         u64::from(entry.waiting)
     }
@@ -216,19 +157,9 @@ impl QueryFates {
     /// can be retired.
     #[inline]
     fn update(&mut self, q: u64, f: impl FnOnce(&mut Fate)) {
-        if let Some(i) = self.index(q) {
-            f(&mut self.window[i]);
-            if i == 0 {
-                while self.window.front().is_some_and(|e| e.retired()) {
-                    self.window.pop_front();
-                    self.base += 1;
-                }
-            }
-        } else if let Some(entry) = self.sparse.get_mut(&q) {
+        if let Some(entry) = self.ids.get_mut(q) {
             f(entry);
-            if entry.retired() {
-                self.sparse.remove(&q);
-            }
+            self.ids.settle(q, |e| e.retired(), |_, _| {});
         }
     }
 
@@ -247,7 +178,7 @@ impl QueryFates {
     /// Ids tracked one by one: the window plus the sparse entries.
     #[cfg(test)]
     fn tracked(&self) -> usize {
-        self.window.len() + self.sparse.len()
+        self.ids.tracked()
     }
 }
 
@@ -762,6 +693,127 @@ impl<S: TelemetrySink> TelemetrySink for SamplingSink<S> {
     }
 }
 
+/// One query's standing in the offline keep classification.
+#[derive(Debug, Clone, Copy, Default)]
+struct QueryClass {
+    seen: bool,
+    /// A promoting event was seen: kept with probability 1.
+    interesting: bool,
+    /// Its terminal event was seen.
+    ended: bool,
+    /// Deferred weights that still read this query.
+    waiting: u32,
+}
+
+impl QueryClass {
+    /// The query's weight, once it is final.
+    fn weight(self, rate: f64) -> Option<f64> {
+        if self.interesting {
+            Some(1.0)
+        } else if self.ended {
+            Some(1.0 / rate)
+        } else {
+            None
+        }
+    }
+
+    fn retired(&self) -> bool {
+        !self.seen || (self.ended && self.waiting == 0)
+    }
+}
+
+/// The offline mirror of the live keep decisions, one event at a time:
+/// each query's Horvitz-Thompson weight — `1.0` when it was kept with
+/// certainty (promoted by a tail-keep rule, or in flight at the end of
+/// the stream), `1/rate` when the hash alone kept it. A query's weight
+/// is final at its terminal event, as the engine emits nothing of a
+/// query after it; per-query state lives in the id window until then.
+#[derive(Debug)]
+pub(crate) struct QueryClasses {
+    rate: f64,
+    ids: IdWindow<QueryClass>,
+    hedged: HedgeFlags,
+    /// Distinct queries seen.
+    pub(crate) queries: u64,
+    /// Of those, the ones weighted `1/rate` (none at rate 1.0).
+    pub(crate) boring: u64,
+}
+
+impl QueryClasses {
+    pub(crate) fn new(rate: f64) -> Self {
+        Self {
+            rate,
+            ids: IdWindow::new(),
+            hedged: HedgeFlags::default(),
+            queries: 0,
+            boring: 0,
+        }
+    }
+
+    /// Folds in one event, returning the weight of its query when the
+    /// event has one and it is final; `out` receives each query's weight
+    /// as the window retires it.
+    pub(crate) fn observe(&mut self, event: &Event, out: impl FnMut(u64, f64)) -> Option<f64> {
+        let weight = event.query().and_then(|q| {
+            self.ids.skip_to(q);
+            let promote = promotes(event, &self.hedged);
+            let c = self.ids.entry(q);
+            if !c.seen {
+                c.seen = true;
+                self.queries += 1;
+            }
+            c.interesting |= promote;
+            if terminal_query(event).is_some() && !c.ended {
+                c.ended = true;
+                if !c.interesting && 1.0 / self.rate != 1.0 {
+                    self.boring += 1;
+                }
+            }
+            let weight = c.weight(self.rate);
+            self.settle(q, out);
+            weight
+        });
+        track_hedges(event, &mut self.hedged);
+        weight
+    }
+
+    /// `q`'s weight, when it is final (`None`: still undecided).
+    pub(crate) fn weight(&self, q: u64) -> Option<f64> {
+        self.ids.get(q).and_then(|c| c.weight(self.rate))
+    }
+
+    /// Keeps undecided `q` tracked until a deferred weight reads it.
+    pub(crate) fn wait(&mut self, q: u64) {
+        self.ids.entry(q).waiting += 1;
+    }
+
+    /// A deferred weight of `q` was read.
+    pub(crate) fn release(&mut self, q: u64, out: impl FnMut(u64, f64)) {
+        if let Some(c) = self.ids.get_mut(q) {
+            c.waiting -= 1;
+            self.settle(q, out);
+        }
+    }
+
+    fn settle(&mut self, q: u64, mut out: impl FnMut(u64, f64)) {
+        let rate = self.rate;
+        self.ids.settle(q, QueryClass::retired, |q, c| {
+            if c.seen {
+                out(q, c.weight(rate).unwrap_or(1.0));
+            }
+        });
+    }
+
+    /// Hands every query still tracked to `out`; one with no terminal
+    /// event was in flight, kept with certainty.
+    pub(crate) fn finish(self, mut out: impl FnMut(u64, f64)) {
+        let rate = self.rate;
+        for (q, c) in self.ids.drain().filter(|(_, c)| c.seen) {
+            out(q, c.weight(rate).unwrap_or(1.0));
+        }
+    }
+}
+
 /// Per-query Horvitz-Thompson weights for a (possibly sampled) event
 /// stream: the offline mirror of the live keep decisions.
 ///
@@ -773,31 +825,199 @@ impl<S: TelemetrySink> TelemetrySink for SamplingSink<S> {
 /// queries estimates full-stream query counts; on an unsampled stream
 /// (`rate` 1.0) every weight is 1 and the estimates are exact.
 pub fn query_weights(events: &[Event], rate: f64) -> BTreeMap<u64, f64> {
-    let mut hedged = HedgeFlags::default();
-    // query -> (has a promoting event, has a terminal event)
-    let mut fate: BTreeMap<u64, (bool, bool)> = BTreeMap::new();
+    let mut weights = BTreeMap::new();
+    let mut classes = QueryClasses::new(rate);
     for event in events {
-        if let Some(q) = event.query() {
-            let entry = fate.entry(q).or_insert((false, false));
-            if promotes(event, &hedged) {
-                entry.0 = true;
+        classes.observe(event, |q, w| {
+            weights.insert(q, w);
+        });
+    }
+    classes.finish(|q, w| {
+        weights.insert(q, w);
+    });
+    weights
+}
+
+/// The instant and kind of a batch's first member end.
+type FirstEnd = Option<(Nanos, Discriminant<Event>)>;
+
+/// One batch in the offline batch classification.
+#[derive(Debug, Clone, Copy)]
+struct BatchClass {
+    members: u32,
+    /// Kept with probability 1.
+    exact: bool,
+    /// A member end was attributed to it.
+    ended: bool,
+    /// Member ends may still be attributed to it.
+    open: bool,
+    /// Deferred weights that still read this batch.
+    waiting: u32,
+}
+
+impl BatchClass {
+    fn weight(self, rate: f64) -> f64 {
+        if self.exact || !self.ended {
+            1.0
+        } else {
+            1.0 / (1.0 - (1.0 - rate).powi(self.members as i32))
+        }
+    }
+}
+
+/// The offline mirror of the live batch decisions, one event at a time:
+/// each dispatch's Horvitz-Thompson weight, final once member ends can
+/// no longer be attributed to it (see [`batch_weights`]). Batches are
+/// numbered by dispatch order and live in a window from the oldest one
+/// still open, or still read by a deferred weight, to the newest.
+#[derive(Debug)]
+pub(crate) struct BatchClasses {
+    rate: f64,
+    batches: VecDeque<BatchClass>,
+    /// Number of `batches[0]`.
+    base: u64,
+    /// Per worker: the batch its member ends count toward, and its
+    /// first member end.
+    current: Vec<Option<(u64, FirstEnd)>>,
+}
+
+impl BatchClasses {
+    pub(crate) fn new(rate: f64) -> Self {
+        Self {
+            rate,
+            batches: VecDeque::new(),
+            base: 0,
+            current: Vec::new(),
+        }
+    }
+
+    fn batch(&mut self, b: u64) -> &mut BatchClass {
+        &mut self.batches[(b - self.base) as usize]
+    }
+
+    fn current(&mut self, worker: u32) -> &mut Option<(u64, FirstEnd)> {
+        let i = worker as usize;
+        if self.current.len() <= i {
+            self.current.resize_with(i + 1, || None);
+        }
+        &mut self.current[i]
+    }
+
+    /// Stops attributing member ends to `worker`'s batch.
+    fn detach(&mut self, worker: u32, out: &mut impl FnMut(u64, f64)) {
+        if let Some((b, _)) = self.current(worker).take() {
+            self.batch(b).open = false;
+            self.settle(out);
+        }
+    }
+
+    /// Folds in one event, given whether the query of a member end is
+    /// weighted exactly 1; returns the number of a dispatch's batch.
+    /// `out` receives each batch's weight, in dispatch order, as it
+    /// retires.
+    pub(crate) fn observe(
+        &mut self,
+        event: &Event,
+        member_exact: bool,
+        mut out: impl FnMut(u64, f64),
+    ) -> Option<u64> {
+        match *event {
+            Event::Dispatch { worker, batch, .. } => {
+                self.detach(worker, &mut out);
+                let b = self.next();
+                self.batches.push_back(BatchClass {
+                    members: batch,
+                    exact: batch == 0,
+                    ended: false,
+                    open: true,
+                    waiting: 0,
+                });
+                *self.current(worker) = Some((b, None));
+                return Some(b);
             }
-            if terminal_query(event).is_some() {
-                entry.1 = true;
+            Event::HedgeIssued { primary, hedge, .. } => {
+                if let Some((b, _)) = *self.current(primary) {
+                    self.batch(b).exact = true;
+                }
+                self.detach(hedge, &mut out);
+            }
+            Event::Drop { .. } => {
+                for i in 0..self.current.len() {
+                    if let Some((b, None)) = self.current[i] {
+                        self.batch(b).exact = true;
+                    }
+                }
+            }
+            _ => {
+                let Some((worker, _)) = member_end(event) else {
+                    return None;
+                };
+                let end = (event.at(), discriminant(event));
+                match *self.current(worker) {
+                    Some((_, Some(first))) if first != end => self.detach(worker, &mut out),
+                    Some((b, _)) => {
+                        *self.current(worker) = Some((b, Some(end)));
+                        let batch = self.batch(b);
+                        batch.ended = true;
+                        batch.exact |= member_exact;
+                    }
+                    None => {}
+                }
             }
         }
-        track_hedges(event, &mut hedged);
+        None
     }
-    fate.into_iter()
-        .map(|(q, (interesting, terminal))| {
-            let weight = if interesting || !terminal {
-                1.0
-            } else {
-                1.0 / rate
-            };
-            (q, weight)
-        })
-        .collect()
+
+    /// The number the next dispatch's batch gets.
+    pub(crate) fn next(&self) -> u64 {
+        self.base + self.batches.len() as u64
+    }
+
+    /// Batch `b`'s weight, once it is final.
+    pub(crate) fn weight(&self, b: u64) -> Option<f64> {
+        let batch = self.batches[(b - self.base) as usize];
+        (!batch.open).then(|| batch.weight(self.rate))
+    }
+
+    /// Keeps batch `b` until a deferred weight reads it.
+    pub(crate) fn wait(&mut self, b: u64) {
+        self.batch(b).waiting += 1;
+    }
+
+    /// A deferred weight of batch `b` was read.
+    pub(crate) fn release(&mut self, b: u64, mut out: impl FnMut(u64, f64)) {
+        self.batch(b).waiting -= 1;
+        self.settle(&mut out);
+    }
+
+    fn settle(&mut self, out: &mut impl FnMut(u64, f64)) {
+        while let Some(&batch) = self.batches.front() {
+            if batch.open || batch.waiting > 0 {
+                break;
+            }
+            self.batches.pop_front();
+            out(self.base, batch.weight(self.rate));
+            self.base += 1;
+        }
+    }
+
+    /// Closes every batch (the stream ended) and hands each one still
+    /// held to `out`, in dispatch order.
+    pub(crate) fn finish(mut self, mut out: impl FnMut(u64, f64)) {
+        for batch in &mut self.batches {
+            batch.open = false;
+            batch.waiting = 0;
+        }
+        self.settle(&mut out);
+    }
+
+    /// Closes every batch, so deferred weights can be read at the end of
+    /// the stream.
+    pub(crate) fn close(&mut self) {
+        for batch in &mut self.batches {
+            batch.open = false;
+        }
+    }
 }
 
 /// Per-batch Horvitz-Thompson weights for a (possibly sampled) event
@@ -822,68 +1042,15 @@ pub fn query_weights(events: &[Event], rate: f64) -> BTreeMap<u64, f64> {
 /// probability `1 − (1 − rate)^n`; its weight is the inverse. On an
 /// unsampled stream (`rate` 1.0) every weight is 1.
 pub fn batch_weights(events: &[Event], queries: &BTreeMap<u64, f64>, rate: f64) -> Vec<f64> {
-    // Per dispatch: (members, kept with certainty, saw a member end).
-    let mut batches: Vec<(u32, bool, bool)> = Vec::new();
-    // Per worker: the batch its member ends count toward, and the
-    // instant and kind of its first member end.
-    type FirstEnd = Option<(Nanos, Discriminant<Event>)>;
-    let mut current: Vec<Option<(usize, FirstEnd)>> = Vec::new();
-    fn slot<T>(v: &mut Vec<Option<T>>, worker: u32) -> &mut Option<T> {
-        let i = worker as usize;
-        if v.len() <= i {
-            v.resize_with(i + 1, || None);
-        }
-        &mut v[i]
-    }
+    let mut weights = Vec::new();
+    let mut classes = BatchClasses::new(rate);
     for event in events {
-        match *event {
-            Event::Dispatch { worker, batch, .. } => {
-                *slot(&mut current, worker) = Some((batches.len(), None));
-                batches.push((batch, batch == 0, false));
-            }
-            Event::HedgeIssued { primary, hedge, .. } => {
-                if let Some((b, _)) = *slot(&mut current, primary) {
-                    batches[b].1 = true;
-                }
-                *slot(&mut current, hedge) = None;
-            }
-            Event::Drop { .. } => {
-                for &(b, first) in current.iter().flatten() {
-                    if first.is_none() {
-                        batches[b].1 = true;
-                    }
-                }
-            }
-            _ => {
-                let Some((worker, q)) = member_end(event) else {
-                    continue;
-                };
-                let end = (event.at(), discriminant(event));
-                let cur = slot(&mut current, worker);
-                match *cur {
-                    Some((_, Some(first))) if first != end => *cur = None,
-                    Some((b, _)) => {
-                        *cur = Some((b, Some(end)));
-                        batches[b].2 = true;
-                        if queries.get(&q).copied().unwrap_or(1.0) == 1.0 {
-                            batches[b].1 = true;
-                        }
-                    }
-                    None => {}
-                }
-            }
-        }
+        let exact =
+            member_end(event).is_some_and(|(_, q)| queries.get(&q).copied().unwrap_or(1.0) == 1.0);
+        classes.observe(event, exact, |_, w| weights.push(w));
     }
-    batches
-        .into_iter()
-        .map(|(n, exact, ended)| {
-            if exact || !ended {
-                1.0
-            } else {
-                1.0 / (1.0 - (1.0 - rate).powi(n as i32))
-            }
-        })
-        .collect()
+    classes.finish(|_, w| weights.push(w));
+    weights
 }
 
 #[cfg(test)]

@@ -21,6 +21,7 @@ use std::path::Path;
 use serde::{Deserialize, Serialize};
 
 use crate::event::Event;
+use crate::reader::{EventReader, Format};
 
 /// Version of the JSONL stream schema written by this build's file
 /// sinks (telemetry and decisions). Bumped when a record's shape
@@ -42,10 +43,24 @@ pub const UNKNOWN_SAMPLE_CAP: usize = 5;
 pub trait Record: Serialize + Deserialize {
     /// The tag the stream's schema header carries.
     const STREAM: &'static str;
+
+    /// Whether the binary codec carries this record type.
+    const BINARY: bool = false;
+
+    /// Decodes one binary record from its kind tag and payload; `None`
+    /// for a kind or payload this build does not know.
+    fn from_bin(_kind: u8, _payload: &[u8]) -> Option<Self> {
+        None
+    }
 }
 
 impl Record for Event {
     const STREAM: &'static str = TELEMETRY_STREAM;
+    const BINARY: bool = true;
+
+    fn from_bin(kind: u8, payload: &[u8]) -> Option<Self> {
+        crate::codec::decode_payload(kind, payload).ok()
+    }
 }
 
 /// The metadata record a JSONL file stream starts with, e.g.
@@ -474,7 +489,8 @@ pub struct ParsedLog<R = Event> {
 /// unknown event kinds — the signature of a log from a newer engine.
 /// Every whole known record is returned; the torn fragment is reported
 /// in [`ParsedLog::torn_tail`] and skipped foreign records are counted
-/// in [`ParsedLog::unknown_events`] so callers can surface both.
+/// in [`ParsedLog::unknown_events`] so callers can surface both. It is
+/// the streaming [`crate::EventReader`] collected.
 ///
 /// # Errors
 ///
@@ -487,79 +503,14 @@ pub fn parse_jsonl_tolerant(text: &str) -> Result<ParsedLog, String> {
 }
 
 /// The tolerant line reader behind [`parse_jsonl_tolerant`] and
-/// [`crate::parse_decisions_tolerant`]: one pass over the non-blank
-/// lines (LF or CRLF), surfacing the first `R`-stream schema header and
-/// the first sampling header, counting other headers and unknown JSON
-/// as foreign, and reporting an unparseable final line as the torn
-/// tail.
+/// [`crate::parse_decisions_tolerant`]: the streaming reader over the
+/// text, collected.
 pub(crate) fn parse_records<R: Record>(text: &str) -> Result<ParsedLog<R>, String> {
-    // Sized from the line count: every record is one line.
-    let line_count = text.bytes().filter(|&b| b == b'\n').count() + 1;
-    let mut log = ParsedLog {
-        events: Vec::with_capacity(line_count),
-        torn_tail: None,
-        torn_tail_offset: None,
-        unknown_events: 0,
-        unknown_samples: Vec::new(),
-        schema_version: None,
-        sample_rate: None,
-        sample_seed: None,
-    };
-    let note_unknown = |log: &mut ParsedLog<R>, l: &str| {
-        log.unknown_events += 1;
-        if log.unknown_samples.len() < UNKNOWN_SAMPLE_CAP {
-            log.unknown_samples.push(l.chars().take(80).collect());
-        }
-    };
-    // Byte offsets are tracked by hand because `str::lines` discards
-    // them and the torn-tail offset is part of the contract.
-    let mut lines = text
-        .split_inclusive('\n')
-        .enumerate()
-        .scan(0usize, |offset, (i, raw)| {
-            let at = *offset;
-            *offset += raw.len();
-            let line = raw.strip_suffix('\n').unwrap_or(raw);
-            Some((i, at, line.strip_suffix('\r').unwrap_or(line)))
-        })
-        .filter(|(_, _, l)| !l.trim().is_empty())
-        .peekable();
-    while let Some((i, at, l)) = lines.next() {
-        // One JSON parse per line; the header and record shapes are
-        // then tried against the parsed tree.
-        let value = match serde_json::from_str::<serde::Value>(l) {
-            Ok(value) => value,
-            Err(_) if lines.peek().is_none() => {
-                log.torn_tail = Some(l.to_string());
-                log.torn_tail_offset = Some(at);
-                break;
-            }
-            Err(e) => return Err(format!("line {}: {e}", i + 1)),
-        };
-        // Stream headers are metadata: surface this stream's first
-        // schema version and the first sampling provenance, count any
-        // other as foreign.
-        match StreamHeader::from_value(&value) {
-            Ok(StreamHeader::Schema { stream, version })
-                if log.schema_version.is_none() && stream == R::STREAM =>
-            {
-                log.schema_version = Some(version);
-            }
-            Ok(StreamHeader::Sampling { rate, seed }) if log.sample_rate.is_none() => {
-                log.sample_rate = Some(rate);
-                log.sample_seed = Some(seed);
-            }
-            Ok(_) => note_unknown(&mut log, l),
-            // Valid JSON that is not a record we know: a future kind,
-            // anywhere in the log. Skip and count.
-            Err(_) => match R::from_value(&value) {
-                Ok(record) => log.events.push(record),
-                Err(_) => note_unknown(&mut log, l),
-            },
-        }
-    }
-    Ok(log)
+    EventReader::open(text.as_bytes(), Format::Jsonl)
+        .and_then(EventReader::collect_log)
+        .map_err(|e| e.to_string())
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -28,12 +28,14 @@
 //! does not say which displaced queries were in flight), so it is
 //! classified as wait — the telescoping sum stays exact.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BinaryHeap};
 
 use ramsis_stats::LogHistogram;
 use serde::{Deserialize, Serialize};
 
 use crate::event::{Event, Nanos, ShedCause};
+use crate::ids::IdWindow;
+use crate::sample::QueryClasses;
 
 /// How a query's span ended.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -175,31 +177,139 @@ struct SpanBuilder {
     degraded: bool,
 }
 
-/// Folds an event stream into per-query spans. Events must be in
-/// emission (simulation) order — the order every sink preserves.
-pub fn reconstruct_spans(events: &[Event]) -> SpanLog {
-    let mut builders: BTreeMap<u64, SpanBuilder> = BTreeMap::new();
-    let mut dispatches: BTreeMap<u32, DispatchRec> = BTreeMap::new();
-    let mut orphan_events: u64 = 0;
-    let mut warming_since: BTreeMap<u32, Nanos> = BTreeMap::new();
-    let mut warming_windows: Vec<(Nanos, Nanos)> = Vec::new();
-    let mut brownout_windows: Vec<(Nanos, Nanos)> = Vec::new();
-    let mut brownout_open: Option<Nanos> = None;
-    let mut brownout_depth: u32 = 0;
-    let mut detection_lag_windows: Vec<(Nanos, Nanos)> = Vec::new();
-    let mut false_suspect_since: BTreeMap<u32, Nanos> = BTreeMap::new();
-    let mut false_suspicion_windows: Vec<(Nanos, Nanos)> = Vec::new();
+/// A query id's span state in the id window.
+#[derive(Debug, Clone, Default)]
+enum SpanSlot {
+    /// No arrival seen for this id.
+    #[default]
+    Vacant,
+    /// Arrived; `done` once a terminal event ended it. A done span
+    /// still takes later events for its query until the window lets
+    /// it go.
+    Span {
+        builder: Box<SpanBuilder>,
+        done: bool,
+    },
+}
 
-    for ev in events {
-        match *ev {
+impl SpanSlot {
+    fn retired(&self) -> bool {
+        match self {
+            SpanSlot::Vacant => true,
+            SpanSlot::Span { done, .. } => *done,
+        }
+    }
+}
+
+/// [`reconstruct_spans`] one event at a time, handing each finished
+/// span on in query-id order.
+///
+/// Open spans live in the id window, from the oldest open query to the
+/// newest; a span leaves it, to `out`, once its query has ended and
+/// every older span has left. Spans still open when the stream ends are
+/// handed on, in id order, by [`SpanFold::finish`], which returns the
+/// log's counters and windows (its `spans` empty: they went to `out`).
+/// The window lists grow with the layer activity they record, not with
+/// the query count.
+#[derive(Debug)]
+pub struct SpanFold {
+    queries: IdWindow<SpanSlot>,
+    dispatches: BTreeMap<u32, DispatchRec>,
+    warming_since: BTreeMap<u32, Nanos>,
+    brownout_open: Option<Nanos>,
+    brownout_depth: u32,
+    false_suspect_since: BTreeMap<u32, Nanos>,
+    /// The counters and windows; `spans` stays empty.
+    log: SpanLog,
+    /// Classifies queries for [`SpanLog::est_sampled_out`] on a sampled
+    /// stream.
+    sampled: Option<QueryClasses>,
+}
+
+impl Default for SpanFold {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl SpanFold {
+    /// A fold for a complete stream.
+    pub fn new() -> Self {
+        Self {
+            queries: IdWindow::new(),
+            dispatches: BTreeMap::new(),
+            warming_since: BTreeMap::new(),
+            brownout_open: None,
+            brownout_depth: 0,
+            false_suspect_since: BTreeMap::new(),
+            log: SpanLog {
+                spans: Vec::new(),
+                orphan_events: 0,
+                degraded_spans: 0,
+                warming_windows: Vec::new(),
+                brownout_windows: Vec::new(),
+                detection_lag_windows: Vec::new(),
+                false_suspicion_windows: Vec::new(),
+                sample_rate: None,
+                est_sampled_out: 0.0,
+            },
+            sampled: None,
+        }
+    }
+
+    /// A fold for a stream sampled at `sample_rate`, which also counts
+    /// the queries sampling removed (see [`reconstruct_spans_sampled`]).
+    pub fn sampled(sample_rate: f64) -> Self {
+        let mut fold = Self::new();
+        fold.log.sample_rate = Some(sample_rate);
+        fold.sampled = Some(QueryClasses::new(sample_rate));
+        fold
+    }
+
+    /// The span of `query`, counting an orphan event when there is none.
+    fn span(&mut self, query: u64) -> Option<&mut SpanBuilder> {
+        match self.queries.get_mut(query) {
+            Some(SpanSlot::Span { builder, .. }) => Some(builder),
+            _ => {
+                self.log.orphan_events += 1;
+                None
+            }
+        }
+    }
+
+    /// Marks `query`'s span ended and hands on what can leave.
+    fn end(&mut self, query: u64, out: &mut impl FnMut(QuerySpan)) {
+        if let Some(SpanSlot::Span { done, .. }) = self.queries.get_mut(query) {
+            *done = true;
+        }
+        self.settle(query, out);
+    }
+
+    fn settle(&mut self, query: u64, out: &mut impl FnMut(QuerySpan)) {
+        let degraded = &mut self.log.degraded_spans;
+        self.queries.settle(query, SpanSlot::retired, |_, slot| {
+            if let SpanSlot::Span { builder, .. } = slot {
+                *degraded += u64::from(builder.degraded);
+                out(builder.span);
+            }
+        });
+    }
+
+    /// Folds in one event (in emission order); `out` receives the spans
+    /// that finish.
+    pub fn observe(&mut self, event: &Event, out: &mut impl FnMut(QuerySpan)) {
+        if let Some(classes) = &mut self.sampled {
+            classes.observe(event, |_, _| {});
+        }
+        match *event {
             Event::Arrival {
                 at,
                 query,
                 deadline,
             } => {
-                builders.insert(
-                    query,
-                    SpanBuilder {
+                self.queries.skip_to(query);
+                *self.queries.entry(query) = SpanSlot::Span {
+                    builder: Box::new(SpanBuilder {
                         span: QuerySpan {
                             query,
                             arrival: at,
@@ -217,11 +327,12 @@ pub fn reconstruct_spans(events: &[Event]) -> SpanLog {
                         },
                         ready: at,
                         degraded: false,
-                    },
-                );
+                    }),
+                    done: false,
+                };
             }
             Event::Dispatch { at, worker, .. } => {
-                dispatches.insert(
+                self.dispatches.insert(
                     worker,
                     DispatchRec {
                         start: at,
@@ -233,11 +344,11 @@ pub fn reconstruct_spans(events: &[Event]) -> SpanLog {
             Event::HedgeIssued {
                 at, primary, hedge, ..
             } => {
-                let primary_start = dispatches.get_mut(&primary).map(|rec| {
+                let primary_start = self.dispatches.get_mut(&primary).map(|rec| {
                     rec.had_hedge = true;
                     rec.start
                 });
-                dispatches.insert(
+                self.dispatches.insert(
                     hedge,
                     DispatchRec {
                         start: at,
@@ -247,7 +358,7 @@ pub fn reconstruct_spans(events: &[Event]) -> SpanLog {
                 );
             }
             Event::HedgeCancelled { worker, .. } => {
-                dispatches.remove(&worker);
+                self.dispatches.remove(&worker);
             }
             Event::Complete {
                 at,
@@ -257,11 +368,11 @@ pub fn reconstruct_spans(events: &[Event]) -> SpanLog {
                 response_ns,
                 violated,
             } => {
-                let Some(b) = builders.get_mut(&query) else {
-                    orphan_events += 1;
-                    continue;
+                let rec = self.dispatches.get(&worker).copied();
+                let Some(b) = self.span(query) else {
+                    return;
                 };
-                match dispatches.get(&worker) {
+                match rec {
                     Some(rec) => {
                         // For a hedge win the wait ended at the
                         // *primary's* dispatch; the stretch from there
@@ -288,15 +399,16 @@ pub fn reconstruct_spans(events: &[Event]) -> SpanLog {
                 };
                 b.span.terminal_at = Some(at);
                 b.span.response_ns = Some(response_ns);
+                self.end(query, out);
             }
             Event::Timeout {
                 at, query, worker, ..
             } => {
-                let Some(b) = builders.get_mut(&query) else {
-                    orphan_events += 1;
-                    continue;
+                let rec = self.dispatches.get(&worker).copied();
+                let Some(b) = self.span(query) else {
+                    return;
                 };
-                match dispatches.get(&worker) {
+                match rec {
                     Some(rec) => {
                         b.span.wait_ns += rec.start.saturating_sub(b.ready);
                         b.span.wasted_ns += at.saturating_sub(rec.start);
@@ -315,39 +427,38 @@ pub fn reconstruct_spans(events: &[Event]) -> SpanLog {
                 delay_ns,
                 ..
             } => {
-                let Some(b) = builders.get_mut(&query) else {
-                    orphan_events += 1;
-                    continue;
+                let Some(b) = self.span(query) else {
+                    return;
                 };
                 b.span.backoff_ns += delay_ns;
                 b.ready = at + delay_ns;
             }
             Event::Shed { at, query, cause } => {
-                let Some(b) = builders.get_mut(&query) else {
-                    orphan_events += 1;
-                    continue;
+                let Some(b) = self.span(query) else {
+                    return;
                 };
                 b.span.wait_ns += at.saturating_sub(b.ready);
                 b.span.outcome = SpanOutcome::Shed { cause };
                 b.span.terminal_at = Some(at);
+                self.end(query, out);
             }
             Event::Drop { at, query } => {
-                let Some(b) = builders.get_mut(&query) else {
-                    orphan_events += 1;
-                    continue;
+                let Some(b) = self.span(query) else {
+                    return;
                 };
                 b.span.wait_ns += at.saturating_sub(b.ready);
                 b.span.outcome = SpanOutcome::Dropped;
                 b.span.terminal_at = Some(at);
+                self.end(query, out);
             }
             Event::Admission { at, query, .. } => {
-                let Some(b) = builders.get_mut(&query) else {
-                    orphan_events += 1;
-                    continue;
+                let Some(b) = self.span(query) else {
+                    return;
                 };
                 b.span.wait_ns += at.saturating_sub(b.ready);
                 b.span.outcome = SpanOutcome::AdmissionRefused;
                 b.span.terminal_at = Some(at);
+                self.end(query, out);
             }
             // Queue placement and crash displacement do not move the
             // ready anchor: queued time keeps accruing as wait.
@@ -356,24 +467,24 @@ pub fn reconstruct_spans(events: &[Event]) -> SpanLog {
             // the scale-up decision and the moment it turns live, or
             // until a scale-in cancels its warm-up.
             Event::ScaleUp { at, worker, .. } => {
-                warming_since.insert(worker, at);
+                self.warming_since.insert(worker, at);
             }
             Event::WorkerWarm { at, worker, .. } | Event::ScaleDown { at, worker, .. } => {
-                if let Some(start) = warming_since.remove(&worker) {
-                    warming_windows.push((start, at));
+                if let Some(start) = self.warming_since.remove(&worker) {
+                    self.log.warming_windows.push((start, at));
                 }
             }
             Event::BrownoutEnter { at, .. } => {
-                if brownout_depth == 0 {
-                    brownout_open = Some(at);
+                if self.brownout_depth == 0 {
+                    self.brownout_open = Some(at);
                 }
-                brownout_depth += 1;
+                self.brownout_depth += 1;
             }
             Event::BrownoutExit { at, .. } => {
-                brownout_depth = brownout_depth.saturating_sub(1);
-                if brownout_depth == 0 {
-                    if let Some(start) = brownout_open.take() {
-                        brownout_windows.push((start, at));
+                self.brownout_depth = self.brownout_depth.saturating_sub(1);
+                if self.brownout_depth == 0 {
+                    if let Some(start) = self.brownout_open.take() {
+                        self.log.brownout_windows.push((start, at));
                     }
                 }
             }
@@ -389,15 +500,17 @@ pub fn reconstruct_spans(events: &[Event]) -> SpanLog {
             } => {
                 if genuine {
                     if lag_ns > 0 {
-                        detection_lag_windows.push((at.saturating_sub(lag_ns), at));
+                        self.log
+                            .detection_lag_windows
+                            .push((at.saturating_sub(lag_ns), at));
                     }
                 } else {
-                    false_suspect_since.entry(worker).or_insert(at);
+                    self.false_suspect_since.entry(worker).or_insert(at);
                 }
             }
             Event::Reinstate { at, worker, .. } => {
-                if let Some(start) = false_suspect_since.remove(&worker) {
-                    false_suspicion_windows.push((start, at));
+                if let Some(start) = self.false_suspect_since.remove(&worker) {
+                    self.log.false_suspicion_windows.push((start, at));
                 }
             }
             // Audit events carry no per-query time.
@@ -414,30 +527,59 @@ pub fn reconstruct_spans(events: &[Event]) -> SpanLog {
         }
     }
 
-    // A scale-up or brownout still open when the log ends keeps lagging
-    // until the end of time — later completions stay attributable.
-    for (_, start) in warming_since {
-        warming_windows.push((start, Nanos::MAX));
+    /// Hands on every span still open, in id order, and returns the
+    /// log's counters and windows (its `spans` empty).
+    pub fn finish(self, out: &mut impl FnMut(QuerySpan)) -> SpanLog {
+        let mut log = self.log;
+        for (_, slot) in self.queries.drain() {
+            if let SpanSlot::Span { builder, .. } = slot {
+                log.degraded_spans += u64::from(builder.degraded);
+                out(builder.span);
+            }
+        }
+        // A scale-up or brownout still open when the log ends keeps
+        // lagging until the end of time — later completions stay
+        // attributable.
+        for (_, start) in self.warming_since {
+            log.warming_windows.push((start, Nanos::MAX));
+        }
+        if let Some(start) = self.brownout_open {
+            log.brownout_windows.push((start, Nanos::MAX));
+        }
+        for (_, start) in self.false_suspect_since {
+            log.false_suspicion_windows.push((start, Nanos::MAX));
+        }
+        if let (Some(rate), Some(classes)) = (log.sample_rate, self.sampled) {
+            let boring = classes.boring as f64;
+            log.est_sampled_out = if rate < 1.0 {
+                boring * (1.0 / rate - 1.0)
+            } else {
+                0.0
+            };
+        }
+        log
     }
-    if let Some(start) = brownout_open {
-        brownout_windows.push((start, Nanos::MAX));
-    }
-    for (_, start) in false_suspect_since {
-        false_suspicion_windows.push((start, Nanos::MAX));
-    }
+}
 
-    let degraded_spans = builders.values().filter(|b| b.degraded).count() as u64;
-    SpanLog {
-        spans: builders.into_values().map(|b| b.span).collect(),
-        orphan_events,
-        degraded_spans,
-        warming_windows,
-        brownout_windows,
-        detection_lag_windows,
-        false_suspicion_windows,
-        sample_rate: None,
-        est_sampled_out: 0.0,
+/// Runs `fold` over `events`, collecting its spans in id order.
+fn collect_spans(mut fold: SpanFold, events: &[Event]) -> SpanLog {
+    let mut spans = Vec::new();
+    let mut out = |s| spans.push(s);
+    for ev in events {
+        fold.observe(ev, &mut out);
     }
+    let mut log = fold.finish(&mut out);
+    // Spans leave in id order; a query tracked outside the id window
+    // (an id far from its neighbours) may leave out of turn.
+    spans.sort_by_key(|s: &QuerySpan| s.query);
+    log.spans = spans;
+    log
+}
+
+/// Folds an event stream into per-query spans. Events must be in
+/// emission (simulation) order — the order every sink preserves.
+pub fn reconstruct_spans(events: &[Event]) -> SpanLog {
+    collect_spans(SpanFold::new(), events)
 }
 
 /// Folds a *sampled* event stream into per-query spans, annotating the
@@ -447,21 +589,10 @@ pub fn reconstruct_spans(events: &[Event]) -> SpanLog {
 /// query-coherent sampling keeps every event of a kept query, so each
 /// present span telescopes exactly, with zero orphans attributable to
 /// sampling. The queries sampling removed are counted as
-/// [`SpanLog::est_sampled_out`] — an estimate with explicit
-/// provenance, not a silent gap and not a degraded span.
+/// [`SpanLog::est_sampled_out`] — an estimate with explicit provenance,
+/// not a silent gap and not a degraded span.
 pub fn reconstruct_spans_sampled(events: &[Event], sample_rate: f64) -> SpanLog {
-    let mut log = reconstruct_spans(events);
-    let boring = crate::sample::query_weights(events, sample_rate)
-        .values()
-        .filter(|&&w| w != 1.0)
-        .count() as f64;
-    log.sample_rate = Some(sample_rate);
-    log.est_sampled_out = if sample_rate < 1.0 {
-        boring * (1.0 / sample_rate - 1.0)
-    } else {
-        0.0
-    };
-    log
+    collect_spans(SpanFold::sampled(sample_rate), events)
 }
 
 /// Percentile summary of one critical-path segment across completed
@@ -482,17 +613,30 @@ pub struct SegmentStats {
     pub max_ns: u64,
 }
 
-impl SegmentStats {
-    fn from_values<I: Iterator<Item = Nanos>>(values: I, response_total: f64) -> Self {
-        let mut hist = LogHistogram::new();
-        let mut total: u128 = 0;
-        for v in values {
-            hist.record(v);
-            total += u128::from(v);
-        }
-        let total_s = total as f64 / 1e9;
-        let pctl = |p: f64| hist.percentile(p).unwrap_or(0);
+/// One segment's values folded in: their histogram and exact sum.
+#[derive(Debug, Clone)]
+struct SegmentFold {
+    hist: LogHistogram,
+    total: u128,
+}
+
+impl SegmentFold {
+    fn new() -> Self {
         Self {
+            hist: LogHistogram::new(),
+            total: 0,
+        }
+    }
+
+    fn record(&mut self, v: Nanos) {
+        self.hist.record(v);
+        self.total += u128::from(v);
+    }
+
+    fn finish(&self, response_total: f64) -> SegmentStats {
+        let total_s = self.total as f64 / 1e9;
+        let pctl = |p: f64| self.hist.percentile(p).unwrap_or(0);
+        SegmentStats {
             total_s,
             share: if response_total > 0.0 {
                 total_s / response_total
@@ -502,7 +646,7 @@ impl SegmentStats {
             p50_ns: pctl(50.0),
             p95_ns: pctl(95.0),
             p99_ns: pctl(99.0),
-            max_ns: hist.max().unwrap_or(0),
+            max_ns: self.hist.max().unwrap_or(0),
         }
     }
 }
@@ -580,115 +724,190 @@ fn lifetime_ns(s: &QuerySpan) -> Option<Nanos> {
     s.terminal_at.map(|t| t.saturating_sub(s.arrival))
 }
 
+/// A span in the top-k heap, ordered so the heap's greatest is the
+/// least slow: shortest lifetime, then highest id.
+#[derive(Debug)]
+struct Slowest(QuerySpan);
+
+impl Slowest {
+    fn key(&self) -> (std::cmp::Reverse<Option<Nanos>>, u64) {
+        (std::cmp::Reverse(lifetime_ns(&self.0)), self.0.query)
+    }
+}
+
+impl PartialEq for Slowest {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for Slowest {}
+
+impl PartialOrd for Slowest {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Slowest {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.key().cmp(&other.key())
+    }
+}
+
+/// [`critical_path`] one span at a time, fed in query-id order.
+///
+/// It keeps counters, one histogram and exact sum per segment, the
+/// `top_k` slowest terminal spans in a heap, and the completion time of
+/// each violation: window membership is settled by
+/// [`CriticalPathFold::finish`], because a detection-lag window is
+/// stamped after the completions it covers. The response-time sum is
+/// an `f64` added in the order spans arrive, which is why they must
+/// come in id order.
+#[derive(Debug)]
+pub struct CriticalPathFold {
+    top_k: usize,
+    queries: u64,
+    completed: u64,
+    shed: u64,
+    dropped: u64,
+    admission_refused: u64,
+    in_flight: u64,
+    hedged: u64,
+    retried: u64,
+    conservation_violations: u64,
+    response_total: f64,
+    response: SegmentFold,
+    wait: SegmentFold,
+    service: SegmentFold,
+    wasted: SegmentFold,
+    backoff: SegmentFold,
+    hedge_overlap: SegmentFold,
+    slowest: BinaryHeap<Slowest>,
+    /// Completion time of every violation.
+    violation_times: Vec<Nanos>,
+}
+
+impl CriticalPathFold {
+    /// An empty fold keeping the `top_k` slowest terminal spans.
+    pub fn new(top_k: usize) -> Self {
+        Self {
+            top_k,
+            queries: 0,
+            completed: 0,
+            shed: 0,
+            dropped: 0,
+            admission_refused: 0,
+            in_flight: 0,
+            hedged: 0,
+            retried: 0,
+            conservation_violations: 0,
+            response_total: 0.0,
+            response: SegmentFold::new(),
+            wait: SegmentFold::new(),
+            service: SegmentFold::new(),
+            wasted: SegmentFold::new(),
+            backoff: SegmentFold::new(),
+            hedge_overlap: SegmentFold::new(),
+            slowest: BinaryHeap::new(),
+            violation_times: Vec::new(),
+        }
+    }
+
+    /// Folds in one span.
+    pub fn add(&mut self, s: &QuerySpan) {
+        self.queries += 1;
+        match s.outcome {
+            SpanOutcome::Completed { violated, .. } => {
+                self.completed += 1;
+                self.response_total += s.response_ns.unwrap_or(0) as f64 / 1e9;
+                self.response.record(s.response_ns.unwrap_or(0));
+                self.wait.record(s.wait_ns);
+                self.service.record(s.service_ns);
+                self.wasted.record(s.wasted_ns);
+                self.backoff.record(s.backoff_ns);
+                self.hedge_overlap.record(s.hedge_overlap_ns);
+                self.hedged += u64::from(s.hedged);
+                self.retried += u64::from(s.timeouts > 0);
+                self.conservation_violations += u64::from(s.conserved() == Some(false));
+                if violated {
+                    if let Some(at) = s.terminal_at {
+                        self.violation_times.push(at);
+                    }
+                }
+            }
+            SpanOutcome::Shed { .. } => self.shed += 1,
+            SpanOutcome::Dropped => self.dropped += 1,
+            SpanOutcome::AdmissionRefused => self.admission_refused += 1,
+            SpanOutcome::InFlight => self.in_flight += 1,
+        }
+        if s.terminal_at.is_some() && self.top_k > 0 {
+            let candidate = Slowest(s.clone());
+            if self.slowest.len() < self.top_k {
+                self.slowest.push(candidate);
+            } else if self.slowest.peek().is_some_and(|least| candidate < *least) {
+                self.slowest.pop();
+                self.slowest.push(candidate);
+            }
+        }
+    }
+
+    /// The report, with `log`'s counters and windows (its `spans` are
+    /// not read: they were folded in with [`CriticalPathFold::add`]).
+    pub fn finish(self, log: &SpanLog) -> CriticalPathReport {
+        let during = |windows: &[(Nanos, Nanos)]| {
+            if windows.is_empty() {
+                return 0;
+            }
+            self.violation_times
+                .iter()
+                .filter(|&&at| in_windows(windows, at))
+                .count() as u64
+        };
+        let total = self.response_total;
+        CriticalPathReport {
+            queries: self.queries,
+            completed: self.completed,
+            violations: self.violation_times.len() as u64,
+            shed: self.shed,
+            dropped: self.dropped,
+            admission_refused: self.admission_refused,
+            in_flight: self.in_flight,
+            hedged: self.hedged,
+            retried: self.retried,
+            orphan_events: log.orphan_events,
+            degraded_spans: log.degraded_spans,
+            conservation_violations: self.conservation_violations,
+            violations_during_scale_lag: during(&log.warming_windows),
+            violations_during_brownout: during(&log.brownout_windows),
+            violations_during_detection_lag: during(&log.detection_lag_windows),
+            violations_during_false_suspicion: during(&log.false_suspicion_windows),
+            response: self.response.finish(total),
+            wait: self.wait.finish(total),
+            service: self.service.finish(total),
+            wasted: self.wasted.finish(total),
+            backoff: self.backoff.finish(total),
+            hedge_overlap: self.hedge_overlap.finish(total),
+            top_slowest: self
+                .slowest
+                .into_sorted_vec()
+                .into_iter()
+                .map(|s| s.0)
+                .collect(),
+        }
+    }
+}
+
 /// Aggregates a [`SpanLog`] into the critical-path view, keeping the
 /// `top_k` slowest terminal queries (segment percentiles still cover
 /// completed queries only — shed spans have no response time to
 /// attribute).
 pub fn critical_path(log: &SpanLog, top_k: usize) -> CriticalPathReport {
-    let completed: Vec<&QuerySpan> = log
-        .spans
-        .iter()
-        .filter(|s| matches!(s.outcome, SpanOutcome::Completed { .. }))
-        .collect();
-    let response_total: f64 = completed
-        .iter()
-        .map(|s| s.response_ns.unwrap_or(0) as f64 / 1e9)
-        .sum();
-    let seg = |f: fn(&QuerySpan) -> Nanos| {
-        SegmentStats::from_values(completed.iter().map(|s| f(s)), response_total)
-    };
-
-    let mut slowest: Vec<QuerySpan> = log
-        .spans
-        .iter()
-        .filter(|s| s.terminal_at.is_some())
-        .cloned()
-        .collect();
-    slowest.sort_by(|a, b| {
-        lifetime_ns(b)
-            .cmp(&lifetime_ns(a))
-            .then(a.query.cmp(&b.query))
-    });
-    slowest.truncate(top_k);
-
-    CriticalPathReport {
-        queries: log.spans.len() as u64,
-        completed: completed.len() as u64,
-        violations: completed
-            .iter()
-            .filter(|s| matches!(s.outcome, SpanOutcome::Completed { violated: true, .. }))
-            .count() as u64,
-        shed: log
-            .spans
-            .iter()
-            .filter(|s| matches!(s.outcome, SpanOutcome::Shed { .. }))
-            .count() as u64,
-        dropped: log
-            .spans
-            .iter()
-            .filter(|s| s.outcome == SpanOutcome::Dropped)
-            .count() as u64,
-        admission_refused: log
-            .spans
-            .iter()
-            .filter(|s| s.outcome == SpanOutcome::AdmissionRefused)
-            .count() as u64,
-        in_flight: log
-            .spans
-            .iter()
-            .filter(|s| s.outcome == SpanOutcome::InFlight)
-            .count() as u64,
-        hedged: completed.iter().filter(|s| s.hedged).count() as u64,
-        retried: completed.iter().filter(|s| s.timeouts > 0).count() as u64,
-        orphan_events: log.orphan_events,
-        degraded_spans: log.degraded_spans,
-        conservation_violations: completed
-            .iter()
-            .filter(|s| s.conserved() == Some(false))
-            .count() as u64,
-        violations_during_scale_lag: completed
-            .iter()
-            .filter(|s| {
-                matches!(s.outcome, SpanOutcome::Completed { violated: true, .. })
-                    && s.terminal_at
-                        .is_some_and(|at| in_windows(&log.warming_windows, at))
-            })
-            .count() as u64,
-        violations_during_brownout: completed
-            .iter()
-            .filter(|s| {
-                matches!(s.outcome, SpanOutcome::Completed { violated: true, .. })
-                    && s.terminal_at
-                        .is_some_and(|at| in_windows(&log.brownout_windows, at))
-            })
-            .count() as u64,
-        violations_during_detection_lag: completed
-            .iter()
-            .filter(|s| {
-                matches!(s.outcome, SpanOutcome::Completed { violated: true, .. })
-                    && s.terminal_at
-                        .is_some_and(|at| in_windows(&log.detection_lag_windows, at))
-            })
-            .count() as u64,
-        violations_during_false_suspicion: completed
-            .iter()
-            .filter(|s| {
-                matches!(s.outcome, SpanOutcome::Completed { violated: true, .. })
-                    && s.terminal_at
-                        .is_some_and(|at| in_windows(&log.false_suspicion_windows, at))
-            })
-            .count() as u64,
-        response: SegmentStats::from_values(
-            completed.iter().map(|s| s.response_ns.unwrap_or(0)),
-            response_total,
-        ),
-        wait: seg(|s| s.wait_ns),
-        service: seg(|s| s.service_ns),
-        wasted: seg(|s| s.wasted_ns),
-        backoff: seg(|s| s.backoff_ns),
-        hedge_overlap: seg(|s| s.hedge_overlap_ns),
-        top_slowest: slowest,
+    let mut fold = CriticalPathFold::new(top_k);
+    for s in &log.spans {
+        fold.add(s);
     }
+    fold.finish(log)
 }
 
 #[cfg(test)]

@@ -3,14 +3,17 @@
 //! shape the model has (varint ints, signed slack, strings, floats,
 //! nested enums) — JSONL ⇄ binary ⇄ JSONL must be lossless and
 //! byte-identical, truncating a binary stream anywhere must heal to a
-//! whole-record prefix, and sampling metadata must survive both
-//! encodings.
+//! whole-record prefix, sampling metadata must survive both
+//! encodings, and the streaming reader must read any chunking of any
+//! stream, cut anywhere, exactly as the slice parser reads it whole.
 
 use proptest::prelude::*;
 
 use ramsis_telemetry::{
-    is_binary_stream, parse_bin_tolerant, parse_tolerant, write_bin, write_jsonl, Action, Event,
-    QueueId, ShedCause,
+    is_binary_stream, parse_bin_tolerant, parse_decisions_tolerant, parse_tolerant, write_bin,
+    write_jsonl, Action, CandidateAction, ChosenAction, DecisionRecord, DecisionSink,
+    DecisionState, Event, EventReader, JsonlDecisionSink, ParsedLog, QueueId, ReasonCode,
+    ShedCause,
 };
 
 /// Builds one event from raw samples. `kind` picks the variant and the
@@ -264,6 +267,187 @@ proptest! {
         } else {
             // Clean cut on a record boundary: nothing was torn.
             prop_assert!(parsed.torn_tail.is_none());
+        }
+    }
+}
+
+/// A reader handing out its bytes in chunks of the given sizes, in
+/// turn: the chunk boundaries a pipe or a slow disk might produce.
+struct Chunked<'a> {
+    bytes: &'a [u8],
+    sizes: &'a [usize],
+    reads: usize,
+}
+
+impl std::io::Read for Chunked<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let size = self.sizes[self.reads % self.sizes.len()];
+        self.reads += 1;
+        let n = size.min(buf.len()).min(self.bytes.len());
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+/// The event stream read through [`Chunked`], collected.
+fn read_chunked(bytes: &[u8], sizes: &[usize]) -> Result<ParsedLog, String> {
+    let chunks = Chunked {
+        bytes,
+        sizes,
+        reads: 0,
+    };
+    EventReader::new(chunks)
+        .and_then(EventReader::collect_log)
+        .map_err(|e| e.to_string())
+}
+
+/// The slice parser's view, with its errors worded as the reader's.
+fn read_whole(bytes: &[u8]) -> Result<ParsedLog, String> {
+    parse_tolerant(bytes).map_err(|e| {
+        e.trim_start_matches("trace is neither RMTB binary nor UTF-8 JSONL: ")
+            .to_string()
+    })
+}
+
+/// Chunk sizes from raw samples: 1 to `max` bytes each.
+fn chunk_sizes(raw: &[u64], max: u64) -> Vec<usize> {
+    let sizes: Vec<usize> = raw.iter().map(|&r| (r % max + 1) as usize).collect();
+    if sizes.is_empty() {
+        vec![1]
+    } else {
+        sizes
+    }
+}
+
+/// A JSONL stream with the shapes a hand-edited or foreign log has:
+/// CRLF line endings, blank lines, unknown records, and the sampling
+/// header after the first record.
+fn messy_jsonl(events: &[Event], sampling: Option<(f64, u64)>, shape: u64) -> Vec<u8> {
+    let text = write_jsonl(events, None);
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    if let Some((rate, seed)) = sampling {
+        let header = format!("{{\"Sampling\":{{\"rate\":{rate},\"seed\":{seed}}}}}");
+        lines.insert(lines.len().min(2), header);
+    }
+    if shape & 1 != 0 {
+        lines.insert(lines.len() / 2, String::new());
+        lines.insert(lines.len() / 3, "   ".to_string());
+    }
+    if shape & 2 != 0 {
+        lines.insert(lines.len() / 2, "{\"FutureKind\":{\"at\":3}}".to_string());
+    }
+    let newline = if shape & 4 != 0 { "\r\n" } else { "\n" };
+    let mut out = lines.join(newline);
+    out.push_str(newline);
+    out.into_bytes()
+}
+
+/// A binary stream with unknown-kind records spliced in.
+fn bin_with_unknowns(events: &[Event], sampling: Option<(f64, u64)>, unknowns: u64) -> Vec<u8> {
+    let mut bytes = write_bin(&events[..events.len() / 2], sampling);
+    for i in 0..unknowns {
+        bytes.extend_from_slice(&[77 + i as u8, 2, 9, 9]);
+    }
+    let header = write_bin(&[], sampling).len();
+    bytes.extend_from_slice(&write_bin(&events[events.len() / 2..], sampling)[header..]);
+    bytes
+}
+
+fn decision(k: u64, seed: u64) -> DecisionRecord {
+    DecisionRecord {
+        k,
+        at: k * 1_000 + seed % 1_000,
+        event: 3 * k,
+        query: (seed % 3 != 0).then_some(k),
+        worker: (seed % 4) as u32,
+        state: (seed % 5 != 0).then_some(DecisionState {
+            load_qps: (seed % 100_000) as f64 / 100.0,
+            queued: (seed % 7) as u32,
+            slack_ns: -((seed % 9_000) as i64),
+            live_workers: 2,
+        }),
+        regime: (seed % 2 == 0).then(|| format!("regime-{}", seed % 10)),
+        candidates: (0..seed % 3)
+            .map(|m| CandidateAction {
+                model: m as u32,
+                batch: 4,
+                expected_slack_ns: 1_000 - (m as i64) * 700,
+                value: 0.5 + m as f64 / 10.0,
+            })
+            .collect(),
+        chosen: ChosenAction::Serve { model: 1, batch: 4 },
+        effective: None,
+        reason: ReasonCode::PolicyLookup,
+    }
+}
+
+fn decision_log(n: u64, seed: u64) -> Vec<u8> {
+    let mut sink = JsonlDecisionSink::new(Vec::new());
+    let header = "{\"Schema\":{\"stream\":\"decisions\",\"version\":1}}\n";
+    for k in 0..n {
+        sink.record(&decision(k, seed.wrapping_mul(k + 1)));
+    }
+    let mut bytes = header.as_bytes().to_vec();
+    bytes.extend_from_slice(&sink.finish().unwrap());
+    bytes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The streaming reader gives what the slice parser gives, however
+    /// its input is chunked: records, torn tail and its offset, unknown
+    /// records and their previews, schema version and sampling header —
+    /// for both event codecs, messy JSONL, and every truncation point.
+    #[test]
+    fn chunked_reading_matches_the_slice_parser(
+        raw in samples(),
+        sel in 0u64..6,
+        seed in proptest::num::u64::ANY,
+        shape in 0u64..8,
+        sizes in proptest::collection::vec(proptest::num::u64::ANY, 0..12),
+    ) {
+        let events = stream_of(&raw);
+        let sampling = sampling_of(sel, seed);
+        let sizes = chunk_sizes(&sizes, 1 + seed % 97);
+        let streams = [
+            write_bin(&events, sampling),
+            bin_with_unknowns(&events, sampling, shape),
+            write_jsonl(&events, sampling).into_bytes(),
+            messy_jsonl(&events, sampling, shape),
+        ];
+        for bytes in &streams {
+            prop_assert_eq!(read_chunked(bytes, &sizes), read_whole(bytes));
+        }
+        // Every truncation point of a short stream.
+        let short = &events[..events.len().min(4)];
+        for bytes in [write_bin(short, sampling), messy_jsonl(short, sampling, shape)] {
+            for cut in 0..=bytes.len() {
+                let torn = &bytes[..cut];
+                prop_assert_eq!(read_chunked(torn, &sizes), read_whole(torn), "cut at {}", cut);
+            }
+        }
+    }
+
+    /// The decision log reads the same way: chunked or whole, cut
+    /// anywhere.
+    #[test]
+    fn chunked_decision_log_matches_the_slice_parser(
+        n in 0u64..6,
+        seed in proptest::num::u64::ANY,
+        sizes in proptest::collection::vec(proptest::num::u64::ANY, 0..12),
+    ) {
+        let sizes = chunk_sizes(&sizes, 1 + seed % 61);
+        let bytes = decision_log(n, seed);
+        for cut in 0..=bytes.len() {
+            let torn = &bytes[..cut];
+            let text = std::str::from_utf8(torn).expect("decision logs are ASCII");
+            let chunks = Chunked { bytes: torn, sizes: &sizes, reads: 0 };
+            let streamed: Result<ParsedLog<DecisionRecord>, String> = EventReader::new(chunks)
+                .and_then(EventReader::collect_log)
+                .map_err(|e| e.to_string());
+            prop_assert_eq!(streamed, parse_decisions_tolerant(text), "cut at {}", cut);
         }
     }
 }
