@@ -27,7 +27,7 @@ use ramsis_bench::{render_table, Flags};
 use ramsis_telemetry::{
     BinSink, Conservation, ConservationFold, Event, EventAggregates, EventReader, JsonlSink,
     KindCount, KindCountFold, LogFile, ReadError, SampledAggregates, SampledAggregatesFold,
-    StreamSummary, TelemetrySink, WindowFold, WindowStats,
+    StreamSummary, TelemetrySink, WindowFold, WindowRows, WindowStats,
 };
 use serde::Serialize;
 
@@ -155,16 +155,20 @@ struct Report {
     agg: EventAggregates,
     samp: Option<SampledAggregates>,
     kinds: Vec<KindCount>,
-    windows: Vec<WindowStats>,
+    windows: WindowRows,
 }
 
+/// Windows the text report prints; `--json` carries them all.
+const MAX_ROWS: usize = 40;
+
 /// Reads the trace once through every fold the report needs, weighting
-/// by `sample_rate` (the stream header's).
+/// by `sample_rate` (the stream header's). The text report keeps its
+/// first [`MAX_ROWS`] windows and sums the rest; `--json` keeps all.
 fn analyze(
     path: &str,
     sample_rate: Option<f64>,
     window_ns: u64,
-    quiet: bool,
+    (quiet, json): (bool, bool),
 ) -> Result<Analysis, String> {
     let reader = open_trace(path)?;
     let mut cons = ConservationFold::new();
@@ -173,7 +177,7 @@ fn analyze(
             EventAggregates::new(),
             sample_rate.map(SampledAggregatesFold::new),
             KindCountFold::default(),
-            WindowFold::new(window_ns),
+            WindowFold::first_rows(window_ns, if json { usize::MAX } else { MAX_ROWS }),
         )
     });
     let (events, summary) = each_event(reader, path, |e| {
@@ -227,11 +231,12 @@ pub fn run(args: &[String]) -> Result<i32, String> {
     let path = path.ok_or("telemetry requires a trace path: ramsis-cli telemetry LOG.jsonl")?;
     let window_ns = (window_ms * 1e6).round() as u64;
     let rate = open_trace(&path)?.sample_rate();
-    let mut analysis = analyze(&path, rate, window_ns.max(1), quiet)?;
+    let mode = (quiet, json);
+    let mut analysis = analyze(&path, rate, window_ns.max(1), mode)?;
     if analysis.summary.sample_rate != rate {
         // A JSONL sampling header after the first record: weigh the
         // whole stream by it, as a reader of the whole file would.
-        analysis = analyze(&path, analysis.summary.sample_rate, window_ns.max(1), quiet)?;
+        analysis = analyze(&path, analysis.summary.sample_rate, window_ns.max(1), mode)?;
     }
     let Analysis {
         events,
@@ -319,7 +324,7 @@ pub fn run(args: &[String]) -> Result<i32, String> {
             p95_response_s: pctl(95.0),
             p99_response_s: pctl(99.0),
             window_s: window_ms / 1e3,
-            windows,
+            windows: windows.rows,
         };
         println!(
             "{}",
@@ -440,7 +445,6 @@ pub fn run(args: &[String]) -> Result<i32, String> {
 
     // Per-window miss-attribution table. Long traces print the first
     // windows only; --json carries the full breakdown.
-    const MAX_ROWS: usize = 40;
     println!(
         "\nper-window breakdown ({window_ms:.0} ms windows{}):",
         if sampled {
@@ -450,6 +454,7 @@ pub fn run(args: &[String]) -> Result<i32, String> {
         }
     );
     let table: Vec<Vec<String>> = windows
+        .rows
         .iter()
         .take(MAX_ROWS)
         .map(|w| {
@@ -477,22 +482,22 @@ pub fn run(args: &[String]) -> Result<i32, String> {
             &table
         )
     );
-    if windows.len() > MAX_ROWS {
+    if windows.windows > MAX_ROWS {
         println!(
             "… {} more windows (use --json for the full breakdown)",
-            windows.len() - MAX_ROWS
+            windows.windows - MAX_ROWS
         );
     }
-    let (serve, drop, idle) = windows.iter().fold((0, 0, 0), |(s, d, i), w| {
-        (
-            s + w.decisions_serve,
-            d + w.decisions_drop,
-            i + w.decisions_idle,
-        )
-    });
-    let (swaps, solves, fallbacks) = windows.iter().fold((0, 0, 0), |(a, b, c), w| {
-        (a + w.swaps, b + w.lazy_solves, c + w.fallbacks)
-    });
+    let (serve, drop, idle) = (
+        windows.total(|w| w.decisions_serve),
+        windows.total(|w| w.decisions_drop),
+        windows.total(|w| w.decisions_idle),
+    );
+    let (swaps, solves, fallbacks) = (
+        windows.total(|w| w.swaps),
+        windows.total(|w| w.lazy_solves),
+        windows.total(|w| w.fallbacks),
+    );
     println!(
         "decisions{}: {serve} serve, {drop} drop, {idle} idle",
         if sampled { " kept" } else { "" }

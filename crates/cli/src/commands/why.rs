@@ -822,3 +822,113 @@ fn run_counterfactual(mut flags: Flags, json: bool) -> Result<i32, String> {
     );
     Ok(0)
 }
+
+#[cfg(test)]
+mod tests {
+    use ramsis_telemetry::{DecisionState, ReasonCode};
+
+    use super::*;
+
+    fn record(k: u64, at: Nanos, query: Option<u64>, selection: bool) -> DecisionRecord {
+        DecisionRecord {
+            k,
+            at,
+            event: k,
+            query,
+            worker: 0,
+            state: selection.then_some(DecisionState {
+                load_qps: 100.0,
+                queued: 1,
+                slack_ns: 0,
+                live_workers: 2,
+            }),
+            regime: None,
+            candidates: Vec::new(),
+            chosen: ChosenAction::Idle,
+            effective: None,
+            reason: ReasonCode::PolicyLookup,
+        }
+    }
+
+    /// The join as a scan per violation: the last record anchored on
+    /// the query, else the last selection-site record at or before the
+    /// dispatch start, both in file order.
+    fn scan(records: &[DecisionRecord], query: u64, dispatch_start: Nanos) -> Option<u64> {
+        records
+            .iter()
+            .rev()
+            .find(|r| r.query == Some(query))
+            .or_else(|| {
+                records
+                    .iter()
+                    .rev()
+                    .find(|r| r.state.is_some() && r.at <= dispatch_start)
+            })
+            .map(|r| r.k)
+    }
+
+    fn join(records: &[DecisionRecord], violations: &[(u64, Nanos)]) -> Vec<Option<u64>> {
+        let mut join = DecisionJoin::new(violations);
+        for r in records {
+            join.observe(r.clone());
+        }
+        join.finish()
+            .iter()
+            .map(|r| r.as_ref().map(|r| r.k))
+            .collect()
+    }
+
+    #[test]
+    fn the_join_picks_what_a_scan_per_violation_picks() {
+        // Ties in time, a record exactly at a dispatch start, records
+        // anchored on violated queries (the last one wins), a
+        // non-selection record that must never be a fallback, and one
+        // record out of time order.
+        let records = vec![
+            record(0, 100, None, true),
+            record(1, 200, Some(7), true),
+            record(2, 200, None, true),
+            record(3, 300, None, false),
+            record(4, 300, Some(9), false),
+            record(5, 400, None, true),
+            record(6, 400, Some(7), true),
+            record(7, 250, None, true),
+            record(8, 500, Some(3), true),
+        ];
+        let violations = [
+            (1, 50),  // before every record: nothing joins
+            (2, 200), // exactly at the tied records: the later one
+            (3, 450), // anchored, though the record comes after it
+            (4, 300), // the out-of-order record at 250 is the last <= 300
+            (7, 100), // anchored twice: the last anchor
+            (9, 399), // anchored on a non-selection record
+            (5, 400), // exactly at a record
+            (6, 999), // after everything
+        ];
+        let expected: Vec<Option<u64>> = violations
+            .iter()
+            .map(|&(q, start)| scan(&records, q, start))
+            .collect();
+        assert_eq!(
+            expected,
+            [
+                None,
+                Some(2),
+                Some(8),
+                Some(7),
+                Some(6),
+                Some(4),
+                Some(7),
+                Some(8)
+            ]
+        );
+        assert_eq!(join(&records, &violations), expected);
+        // Without the out-of-order record, time order alone.
+        let monotone: Vec<DecisionRecord> = records.iter().filter(|r| r.k != 7).cloned().collect();
+        let expected: Vec<Option<u64>> = violations
+            .iter()
+            .map(|&(q, start)| scan(&monotone, q, start))
+            .collect();
+        assert_eq!(join(&monotone, &violations), expected);
+    }
+}

@@ -514,3 +514,55 @@ fn bad_invocations_fail_cleanly() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn replay_reads_a_converted_binary_log_like_its_jsonl_twin() {
+    let dir = tempdir("replay_bin");
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (jsonl, bin, ckpt) = (path("t.jsonl"), path("t.bin"), path("ckpt.json"));
+    let out = path("");
+    let sim = [
+        "sim",
+        "--m",
+        "JF",
+        "--trace",
+        "constant",
+        "--load",
+        "100",
+        "--duration",
+        "8",
+        "--task",
+        "image",
+        "--SLO",
+        "150",
+        "--worker",
+        "2",
+        "--out",
+        &out,
+        "--telemetry",
+        &jsonl,
+        "--checkpoint",
+        &ckpt,
+        "--checkpoint-every",
+        "500",
+    ];
+    assert_eq!(run(&sim), 0);
+    assert_eq!(run(&["telemetry", "convert", &jsonl, &bin, "--quiet"]), 0);
+    let from_jsonl = cli(&["replay", &jsonl, "--snapshot", &ckpt]);
+    let from_bin = cli(&["replay", &bin, "--snapshot", &ckpt]);
+    assert!(
+        from_bin.status.success(),
+        "replay of the .bin: {}",
+        String::from_utf8_lossy(&from_bin.stderr)
+    );
+    assert!(from_jsonl.status.success());
+    let jsonl_report = String::from_utf8(from_jsonl.stdout).unwrap();
+    assert!(
+        jsonl_report.contains("snapshot and log agree"),
+        "{jsonl_report}"
+    );
+    // The same report, the log's name aside.
+    let bin_report = String::from_utf8(from_bin.stdout).unwrap();
+    assert_eq!(bin_report.replace(&bin, &jsonl), jsonl_report);
+    std::fs::remove_dir_all(&dir).ok();
+}

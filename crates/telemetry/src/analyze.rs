@@ -694,13 +694,38 @@ impl WindowStats {
     }
 }
 
-/// [`window_breakdown`] one event at a time: the rows grow with the
-/// trace's duration, and each worker's open service span is apportioned
-/// to the windows it overlaps when it closes.
+/// A breakdown that kept only its first rows.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WindowRows {
+    /// The first windows, in time order.
+    pub rows: Vec<WindowStats>,
+    /// Windows in the whole breakdown.
+    pub windows: usize,
+    /// The counters of every window past `rows`, summed (`start_ns`
+    /// is zero).
+    pub rest: WindowStats,
+}
+
+impl WindowRows {
+    /// Sums a counter over every window.
+    pub fn total(&self, f: impl Fn(&WindowStats) -> u64) -> u64 {
+        self.rows.iter().map(&f).sum::<u64>() + f(&self.rest)
+    }
+}
+
+/// [`window_breakdown`] one event at a time: each worker's open service
+/// span is apportioned to the windows it overlaps when it closes. The
+/// rows grow with the trace's duration; a fold built with
+/// [`WindowFold::first_rows`] keeps a fixed number of them and sums the
+/// counters of the rest.
 #[derive(Debug)]
 pub struct WindowFold {
     window_ns: Nanos,
+    keep: usize,
     windows: Vec<WindowStats>,
+    /// Windows seen, kept or not.
+    count: usize,
+    rest: WindowStats,
     horizon: Nanos,
     /// Per-worker open service span: worker -> start of in-flight batch.
     open: BTreeMap<u32, Nanos>,
@@ -713,10 +738,22 @@ impl WindowFold {
     ///
     /// Panics if `window_ns` is zero.
     pub fn new(window_ns: Nanos) -> Self {
+        Self::first_rows(window_ns, usize::MAX)
+    }
+
+    /// Like [`WindowFold::new`], keeping the first `rows` windows only.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window_ns` is zero.
+    pub fn first_rows(window_ns: Nanos, rows: usize) -> Self {
         assert!(window_ns > 0, "window must be positive");
         Self {
             window_ns,
+            keep: rows,
             windows: Vec::new(),
+            count: 0,
+            rest: WindowStats::default(),
             horizon: 0,
             open: BTreeMap::new(),
         }
@@ -724,6 +761,10 @@ impl WindowFold {
 
     fn bucket(&mut self, at: Nanos) -> &mut WindowStats {
         let i = (at / self.window_ns) as usize;
+        self.count = self.count.max(i + 1);
+        if i >= self.keep {
+            return &mut self.rest;
+        }
         if self.windows.len() <= i {
             for k in self.windows.len()..=i {
                 self.windows.push(WindowStats {
@@ -748,6 +789,8 @@ impl WindowFold {
             let upto = end.min(window_end);
             if i < self.windows.len() {
                 self.windows[i].busy_ns += upto - t;
+            } else if i >= self.keep && i < self.count {
+                self.rest.busy_ns += upto - t;
             }
             t = upto;
         }
@@ -836,11 +879,15 @@ impl WindowFold {
     }
 
     /// The rows, covering the trace up to its last event.
-    pub fn finish(mut self) -> Vec<WindowStats> {
+    pub fn finish(mut self) -> WindowRows {
         if self.horizon > 0 {
             let _ = self.bucket(self.horizon.saturating_sub(1));
         }
-        self.windows
+        WindowRows {
+            rows: self.windows,
+            windows: self.count,
+            rest: self.rest,
+        }
     }
 }
 
@@ -859,7 +906,7 @@ pub fn window_breakdown(events: &[Event], window_ns: Nanos) -> Vec<WindowStats> 
     for e in events {
         fold.observe(e);
     }
-    fold.finish()
+    fold.finish().rows
 }
 
 #[cfg(test)]

@@ -58,7 +58,7 @@ pub mod spans;
 pub use analyze::{aggregates, conservation, kind_counts, sampled_aggregates, window_breakdown};
 pub use analyze::{
     Conservation, ConservationFold, EventAggregates, KindCount, KindCountFold, SampledAggregates,
-    SampledAggregatesFold, WindowFold, WindowStats, EVENT_KINDS,
+    SampledAggregatesFold, WindowFold, WindowRows, WindowStats, EVENT_KINDS,
 };
 pub use burn::{
     burn_analysis, sampled_burn_analysis, BurnAlert, BurnAlertKind, BurnConfig, BurnMonitor,

@@ -158,6 +158,31 @@ telemetry_smoke() {
     rm -rf "${out}"
 }
 stage "telemetry-smoke" telemetry_smoke
+# Analysis at scale: a 2.5×10^5-arrival unsampled binary trace (400 QPS
+# for 625 s on 16 workers) and its JSONL twin must analyse identically
+# through the streaming reader — same `telemetry --json` and `spans
+# --json` bytes from either encoding — and conserve.
+analysis_scale() {
+    local out
+    out="$(mktemp -d)"
+    cargo run --release -q -p ramsis-cli -- sim --m JF --trace constant --load 400 \
+        --duration 625 --task image --SLO 150 --worker 16 --out "${out}" \
+        --telemetry "${out}/a.bin" > /dev/null
+    cargo run --release -q -p ramsis-cli -- telemetry convert "${out}/a.bin" \
+        "${out}/a.jsonl" --quiet
+    cargo run --release -q -p ramsis-cli -- telemetry "${out}/a.bin" --quiet
+    local enc
+    for enc in bin jsonl; do
+        cargo run --release -q -p ramsis-cli -- telemetry "${out}/a.${enc}" --json \
+            > "${out}/telemetry.${enc}.json"
+        cargo run --release -q -p ramsis-cli -- spans "${out}/a.${enc}" --top 10 --json \
+            > "${out}/spans.${enc}.json"
+    done
+    cmp "${out}/telemetry.bin.json" "${out}/telemetry.jsonl.json"
+    cmp "${out}/spans.bin.json" "${out}/spans.jsonl.json"
+    rm -rf "${out}"
+}
+stage "analysis-scale" analysis_scale
 # Experiment-binary flag smoke: two binaries that read the shared
 # experiment flags run and write their results, and a bench binary
 # given a value flag with no value exits 2 (usage error), not 101 (a
