@@ -537,21 +537,17 @@ fn convert(args: &[String]) -> Result<i32, String> {
     // Written beside OUT and renamed over it once whole, so a failed
     // conversion leaves OUT as it was (and IN may be OUT).
     let partial = format!("{output}.partial");
-    let result = copy_trace(reader, input, &partial, to_binary).and_then(|mut copied| {
-        if copied.summary.sampling() != copied.sampling {
+    let sampling = reader.sampling();
+    let copy =
+        |reader, sampling| copy_trace(reader, input, (output, &partial), to_binary, sampling);
+    let result = copy(reader, sampling).and_then(|copied| {
+        match copied.summary.sampling() {
             // A JSONL sampling header after the first record: the
             // output's header carries it, as a reader of the whole
             // file would write it.
-            let reader = open_trace(input)?;
-            copied = copy_trace_with(
-                reader,
-                input,
-                &partial,
-                to_binary,
-                copied.summary.sampling(),
-            )?;
+            late if late != copied.sampling => copy(open_trace(input)?, late),
+            _ => Ok(copied),
         }
-        Ok(copied)
     });
     let copied = match result {
         Ok(copied) => copied,
@@ -601,28 +597,17 @@ struct Copied {
     summary: StreamSummary,
 }
 
-/// Streams `reader` into a new log at `out`, stamped with the input's
-/// sampling header.
+/// Streams `reader` into a new log at `out` (the file that becomes
+/// `output`) — the bytes the run's own sink would have written for the
+/// same events and sampling header.
 fn copy_trace(
     reader: EventReader<File>,
     input: &str,
-    out: &str,
-    to_binary: bool,
-) -> Result<Copied, String> {
-    let sampling = reader.sampling();
-    copy_trace_with(reader, input, out, to_binary, sampling)
-}
-
-/// Streams `reader` into a new log at `out` — the bytes the run's own
-/// sink would have written for the same events and sampling header.
-fn copy_trace_with(
-    reader: EventReader<File>,
-    input: &str,
-    out: &str,
+    (output, out): (&str, &str),
     to_binary: bool,
     sampling: Option<(f64, u64)>,
 ) -> Result<Copied, String> {
-    let write_err = |e: std::io::Error| format!("write {out}: {e}");
+    let write_err = |e: std::io::Error| format!("write {output}: {e}");
     fn pipe<S: TelemetrySink + LogFile>(
         mut reader: EventReader<File>,
         input: &str,

@@ -97,8 +97,7 @@ commands:
            canonical-bytes check, log coverage, prefix conservation,
            and counter/clock agreement between the two (LOG.jsonl
            --snapshot CKPT.json, --json; exits 1 on divergence); the
-           log must be JSONL, since checkpointed runs refuse a .bin
-           telemetry path
+           log may be JSONL or binary, auto-detected
   perf     run a pinned scenario with the self-profiler on and print
            the phase flame-table, hot-path counters, and gauges
            (--scenario NAME, --seed S, --json)

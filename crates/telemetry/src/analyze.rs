@@ -362,7 +362,7 @@ fn kind_table(kept: [u64; 6], est: [f64; 6], std_error: [f64; 6]) -> Vec<KindCou
 /// timeouts, retries, hedges — is present in full and reported
 /// *exactly*. The removed population is reconstructed by weighting
 /// each hash-kept boring query by `1/rate` and each kept batch by its
-/// [`batch_weights`] entry; those estimates carry an explicit standard
+/// [`crate::batch_weights`] entry; those estimates carry an explicit standard
 /// error so tooling can print `≈ N ± σ` instead of passing an estimate
 /// off as a count.
 #[derive(Debug, Clone, PartialEq)]
@@ -762,16 +762,15 @@ impl WindowFold {
     fn bucket(&mut self, at: Nanos) -> &mut WindowStats {
         let i = (at / self.window_ns) as usize;
         self.count = self.count.max(i + 1);
+        // Every kept row up to this window exists, empty or not.
+        for k in self.windows.len()..(i + 1).min(self.keep) {
+            self.windows.push(WindowStats {
+                start_ns: k as Nanos * self.window_ns,
+                ..WindowStats::default()
+            });
+        }
         if i >= self.keep {
             return &mut self.rest;
-        }
-        if self.windows.len() <= i {
-            for k in self.windows.len()..=i {
-                self.windows.push(WindowStats {
-                    start_ns: k as Nanos * self.window_ns,
-                    ..WindowStats::default()
-                });
-            }
         }
         &mut self.windows[i]
     }

@@ -949,9 +949,7 @@ impl BatchClasses {
                 }
             }
             _ => {
-                let Some((worker, _)) = member_end(event) else {
-                    return None;
-                };
+                let (worker, _) = member_end(event)?;
                 let end = (event.at(), discriminant(event));
                 match *self.current(worker) {
                     Some((_, Some(first))) if first != end => self.detach(worker, &mut out),
@@ -1001,22 +999,19 @@ impl BatchClasses {
         }
     }
 
-    /// Closes every batch (the stream ended) and hands each one still
-    /// held to `out`, in dispatch order.
-    pub(crate) fn finish(mut self, mut out: impl FnMut(u64, f64)) {
-        for batch in &mut self.batches {
-            batch.open = false;
-            batch.waiting = 0;
-        }
-        self.settle(&mut out);
-    }
-
     /// Closes every batch, so deferred weights can be read at the end of
     /// the stream.
     pub(crate) fn close(&mut self) {
         for batch in &mut self.batches {
             batch.open = false;
         }
+    }
+
+    /// Closes every batch (the stream ended) and hands each one still
+    /// held to `out`, in dispatch order.
+    pub(crate) fn finish(mut self, mut out: impl FnMut(u64, f64)) {
+        self.close();
+        self.settle(&mut out);
     }
 }
 

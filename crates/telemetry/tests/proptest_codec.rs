@@ -359,15 +359,17 @@ fn decision(k: u64, seed: u64) -> DecisionRecord {
         k,
         at: k * 1_000 + seed % 1_000,
         event: 3 * k,
-        query: (seed % 3 != 0).then_some(k),
+        query: (!seed.is_multiple_of(3)).then_some(k),
         worker: (seed % 4) as u32,
-        state: (seed % 5 != 0).then_some(DecisionState {
+        state: (!seed.is_multiple_of(5)).then_some(DecisionState {
             load_qps: (seed % 100_000) as f64 / 100.0,
             queued: (seed % 7) as u32,
             slack_ns: -((seed % 9_000) as i64),
             live_workers: 2,
         }),
-        regime: (seed % 2 == 0).then(|| format!("regime-{}", seed % 10)),
+        regime: seed
+            .is_multiple_of(2)
+            .then(|| format!("regime-{}", seed % 10)),
         candidates: (0..seed % 3)
             .map(|m| CandidateAction {
                 model: m as u32,
