@@ -127,9 +127,10 @@ pub(crate) enum Format {
 #[derive(Debug)]
 struct Input<R> {
     inner: R,
+    /// `buf[start..end]` is unread; `buf[end..]` is room to read into.
     buf: Vec<u8>,
-    /// `buf[start..]` is unread.
     start: usize,
+    end: usize,
     /// Stream offset of `buf[start]`.
     offset: usize,
     eof: bool,
@@ -144,27 +145,39 @@ impl<R: Read> Input<R> {
             inner,
             buf: Vec::new(),
             start: 0,
+            end: 0,
             offset: 0,
             eof: false,
         }
     }
 
     fn unread(&self) -> &[u8] {
-        &self.buf[self.start..]
+        &self.buf[self.start..self.end]
     }
 
-    /// Reads one more chunk; `false` at end of stream.
+    /// Reads one more chunk; `false` at end of stream. One read per
+    /// call, so the decoders see the stream chunked as the reader hands
+    /// it out.
     fn more(&mut self) -> io::Result<bool> {
         if self.eof {
             return Ok(false);
         }
-        if self.start > 0 && self.start >= self.buf.len() / 2 {
-            self.buf.drain(..self.start);
+        if self.start > 0 && self.start >= self.end / 2 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
             self.start = 0;
         }
-        let n = (&mut self.inner)
-            .take(CHUNK as u64)
-            .read_to_end(&mut self.buf)?;
+        if self.buf.len() < self.end + CHUNK {
+            self.buf.resize(self.end + CHUNK, 0);
+        }
+        let n = loop {
+            match self.inner.read(&mut self.buf[self.end..]) {
+                Ok(n) => break n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        };
+        self.end += n;
         self.eof = n == 0;
         Ok(n > 0)
     }

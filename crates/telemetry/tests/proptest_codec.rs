@@ -396,7 +396,7 @@ fn decision_log(n: u64, seed: u64) -> Vec<u8> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The streaming reader gives what the slice parser gives, however
     /// its input is chunked: records, torn tail and its offset, unknown
