@@ -15,12 +15,16 @@
 //!   and its compact binary twin [`BinSink`];
 //! - one JSONL format for every recorded stream: a [`Record`] type
 //!   names its stream, one [`JsonlLog`] writer (with the write-error
-//!   latch [`BinSink`] shares) writes it, and one tolerant reader
-//!   parses it into a [`ParsedLog`] — torn tail, unknown records and
-//!   schema header handled the same way for events and decisions;
-//! - trace analysis: [`conservation`] accounting (every arrival ends in
-//!   exactly one terminal state), event-derived [`aggregates`] that
-//!   must match the engine's own counters, and a per-window
+//!   latch [`BinSink`] shares) writes it;
+//! - one streaming [`EventReader`] for both event codecs and the
+//!   decision log (DESIGN.md §16): records one at a time, the header up
+//!   front, and torn tail, unknown records and corruption handled the
+//!   same way for every stream; the slice parsers collect it into a
+//!   [`ParsedLog`];
+//! - trace analysis as one-pass folds whose per-query state lives only
+//!   while a query is open: [`conservation`] accounting (every arrival
+//!   ends in exactly one terminal state), event-derived [`aggregates`]
+//!   that must match the engine's own counters, and a per-window
 //!   [`window_breakdown`] for miss attribution;
 //! - performance observability (DESIGN.md §10): a self-[`profile`]
 //!   layer — phase timers, hot-path counters, flame-table reports —
