@@ -408,7 +408,8 @@ impl<R: Read, T: Record> EventReader<R, T> {
     fn torn_bin(&mut self, start: usize) -> Result<Option<T>, ReadError> {
         // Everything from `start` to the end of the stream is the tail.
         while self.input.more()? {}
-        let end = self.input.offset + self.input.unread().len();
+        self.input.consume(self.input.unread().len());
+        let end = self.input.offset;
         self.summary.torn_tail = Some(format!(
             "{} trailing bytes of a torn binary record",
             end - start
@@ -595,6 +596,50 @@ impl<R: Read, T: Record> Iterator for EventReader<R, T> {
                 self.done = true;
                 Some(Err(e))
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::codec::{write_bin, write_jsonl};
+
+    fn events() -> Vec<Event> {
+        (0..4)
+            .map(|q| Event::Arrival {
+                at: q,
+                query: q,
+                deadline: q + 100,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_header_is_known_before_the_first_record() {
+        for bytes in [
+            write_bin(&events(), Some((0.25, 9))),
+            write_jsonl(&events(), Some((0.25, 9))).into_bytes(),
+        ] {
+            let mut reader: EventReader<_> = EventReader::new(bytes.as_slice()).unwrap();
+            assert_eq!(reader.sampling(), Some((0.25, 9)));
+            assert_eq!(reader.schema_version(), Some(1));
+            assert_eq!(reader.records(), 0);
+            assert_eq!(reader.next().unwrap().unwrap(), events()[0]);
+        }
+    }
+
+    #[test]
+    fn a_torn_stream_is_read_to_its_last_byte() {
+        for bytes in [
+            write_bin(&events(), None),
+            write_jsonl(&events(), None).into_bytes(),
+        ] {
+            let torn = &bytes[..bytes.len() - 3];
+            let mut reader: EventReader<_> = EventReader::new(torn).unwrap();
+            assert_eq!(reader.by_ref().count(), 3);
+            assert!(reader.summary().torn_tail.is_some());
+            assert_eq!(reader.bytes_read(), torn.len());
         }
     }
 }
