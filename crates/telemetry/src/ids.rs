@@ -14,7 +14,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 /// How far past the window's end a new id may extend it; an id further
 /// out (a synthetic or adversarial stream) is tracked sparsely.
-pub(crate) const WINDOW_MAX_GAP: u64 = 1 << 16;
+const WINDOW_MAX_GAP: u64 = 1 << 16;
 
 /// Per-query state `T` over a dense window of ids plus sparse overflow.
 /// `T::default()` is the state of an id nothing has touched.

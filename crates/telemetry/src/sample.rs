@@ -967,7 +967,7 @@ impl BatchClasses {
     }
 
     /// The number the next dispatch's batch gets.
-    pub(crate) fn next(&self) -> u64 {
+    fn next(&self) -> u64 {
         self.base + self.batches.len() as u64
     }
 
