@@ -49,12 +49,24 @@ pub fn task_catalog(task: Task) -> ModelCatalog {
 
 /// Builds the worker profile for a task and SLO with the default
 /// profiler settings (100 invocations, p95).
+///
+/// # Panics
+///
+/// Panics where [`try_build_profile`] returns an error.
 pub fn build_profile(task: Task, slo_s: f64) -> WorkerProfile {
-    WorkerProfile::build(
-        &task_catalog(task),
-        Duration::from_secs_f64(slo_s),
-        ProfilerConfig::default(),
-    )
+    try_build_profile(task, slo_s).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`build_profile`] for a user-supplied SLO.
+///
+/// # Errors
+///
+/// A one-line description when the SLO is not positive or no model of
+/// the task meets it at batch 1.
+pub fn try_build_profile(task: Task, slo_s: f64) -> Result<WorkerProfile, String> {
+    let slo = Duration::try_from_secs_f64(slo_s)
+        .map_err(|_| format!("SLO must be positive, got {slo_s}s"))?;
+    WorkerProfile::try_build(&task_catalog(task), slo, ProfilerConfig::default())
 }
 
 /// The paper's evaluation worker count for Fig. 6-style constant-load

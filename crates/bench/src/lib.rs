@@ -53,7 +53,8 @@ pub use elastic::{
     frontier_claim, run_elastic_frontier, ElasticFrontierConfig, ElasticFrontierOutcome,
 };
 pub use harness::{
-    build_profile, ms_scheme, ramsis_policy_set, run_scheme, task_catalog, MonitorKind, RunOutcome,
+    build_profile, ms_scheme, ramsis_policy_set, run_scheme, task_catalog, try_build_profile,
+    MonitorKind, RunOutcome,
 };
 pub use output::{ascii_plot, render_table, write_csv, write_json};
 pub use perf::{

@@ -4,7 +4,7 @@
 use std::path::PathBuf;
 
 use ramsis_bench::harness::constant_load_workers;
-use ramsis_bench::{build_profile, parse_task, Flags};
+use ramsis_bench::{parse_task, try_build_profile, Flags};
 use ramsis_profiles::{Task, WorkerProfile};
 
 /// Parsed common flags.
@@ -60,8 +60,12 @@ impl CommonArgs {
     }
 
     /// The worker profile for the task and SLO.
-    pub fn profile(&self) -> WorkerProfile {
-        build_profile(self.task, self.slo_s())
+    ///
+    /// # Errors
+    ///
+    /// The SLO is zero or too tight for every model of the task.
+    pub fn profile(&self) -> Result<WorkerProfile, String> {
+        try_build_profile(self.task, self.slo_s())
     }
 }
 

@@ -20,7 +20,7 @@
 //! cost–accuracy–violation table plus the frontier claim.
 
 use ramsis_bench::elastic::{frontier_claim, run_elastic_frontier, ElasticFrontierConfig};
-use ramsis_bench::{build_profile, parse_task, render_table, Flags};
+use ramsis_bench::{parse_task, render_table, try_build_profile, Flags};
 use ramsis_profiles::Task;
 use ramsis_sim::{FastestFixed, Routing, RunSpec, Simulation, SimulationConfig};
 use ramsis_telemetry::{Event, VecSink};
@@ -51,7 +51,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let out = flags.value("--out")?;
     flags.finish()?;
 
-    let profile = build_profile(task, cfg.slo_s);
+    let profile = try_build_profile(task, cfg.slo_s)?;
 
     if frontier {
         let outcomes = run_elastic_frontier(&profile, &cfg);

@@ -53,7 +53,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         ));
     }
 
-    let profile = args.profile();
+    let profile = args.profile()?;
     let outcomes = run_drift(&profile, &cfg);
     for o in &outcomes {
         println!(

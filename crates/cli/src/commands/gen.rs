@@ -21,7 +21,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let adaptive = flags.value("--adaptive")?;
     let gap = flags.value("--gap")?;
     flags.finish()?;
-    let profile = args.profile();
+    let profile = args.profile()?;
     let config = PolicyConfig::builder(std::time::Duration::from_secs_f64(args.slo_s()))
         .workers(args.workers)
         .discretization(Discretization::fixed_length(args.d))

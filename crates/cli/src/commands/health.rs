@@ -23,7 +23,7 @@
 //! (a dead worker fails every probe, drowning the state changes);
 //! `--probes` includes them.
 
-use ramsis_bench::{build_profile, parse_task, Flags};
+use ramsis_bench::{parse_task, try_build_profile, Flags};
 use ramsis_profiles::Task;
 use ramsis_sim::{
     FastestFixed, FaultPlan, HealthPolicy, Routing, RunOutcome, RunSpec, Simulation,
@@ -57,7 +57,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         return Err("--probe must be positive".into());
     }
 
-    let profile = build_profile(task, slo_s);
+    let profile = try_build_profile(task, slo_s)?;
 
     // Canonical gray-failure scenario, scaled to the horizon: one real
     // crash (later recovered), one heartbeat partition of a healthy

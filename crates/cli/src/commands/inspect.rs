@@ -3,7 +3,7 @@
 //! state→action dictionary ("Each file contains a policy, which is a
 //! dictionary mapping states of the MDP to actions", §A.4.2).
 
-use ramsis_bench::{build_profile, Flags};
+use ramsis_bench::{try_build_profile, Flags};
 use ramsis_core::WorkerPolicy;
 
 use crate::cli_args::CommonArgs;
@@ -45,7 +45,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     // Resolve model names via the matching profile (the policy stores
     // catalog indices).
     let slo_ms = (policy.config.slo_s * 1e3).round() as u64;
-    let profile = build_profile(args.task, slo_ms as f64 / 1e3);
+    let profile = try_build_profile(args.task, slo_ms as f64 / 1e3)?;
     let names: Vec<&str> = policy
         .models_used()
         .iter()

@@ -16,7 +16,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let step = flags.get_or("--step", 100u64)?;
     let duration = flags.get_or("--duration", 5.0)?;
     flags.finish()?;
-    let profile = args.profile();
+    let profile = args.profile()?;
     let loads: Vec<f64> = match args.load {
         Some(l) => vec![l],
         None => (0..)

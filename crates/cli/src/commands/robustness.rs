@@ -46,7 +46,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         return Err("the canonical fault schedule needs at least 2 workers".into());
     }
 
-    let profile = args.profile();
+    let profile = args.profile()?;
     let outcomes = run_robustness(&profile, &cfg);
     for o in &outcomes {
         println!(

@@ -117,7 +117,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     flags.finish()?;
 
     let method = args.method.as_deref().unwrap_or("RAMSIS");
-    let profile = args.profile();
+    let profile = args.profile()?;
     let setup = RunSetup::load(&args, method, &profile, seed, duration, true)?;
     let mut estimator = setup.estimator();
     let trace = setup.trace;

@@ -678,7 +678,7 @@ fn run_counterfactual(mut flags: Flags, json: bool) -> Result<i32, String> {
     let alternatives = flags.get_or("--alternatives", 2)?;
     flags.finish()?;
     let method = args.method.as_deref().unwrap_or("RAMSIS");
-    let profile = args.profile();
+    let profile = args.profile()?;
 
     // Replays mutate scheme and estimator state, so each run gets a
     // fresh pair; the expensive artifacts (policy set, MS table) are

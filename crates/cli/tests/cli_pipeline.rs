@@ -470,6 +470,30 @@ fn bad_invocations_fail_cleanly() {
             &["why", "--counterfactual", "--alternatives"],
             "--alternatives requires a value",
         ),
+        // An SLO no model can meet is a usage error, not a panic, on
+        // every command that profiles the task's models.
+        (&["gen", "--SLO", "0", "--out", out], "SLO must be positive"),
+        (
+            &["gen", "--SLO", "10", "--out", out],
+            "no model meets the SLO of 0.01s",
+        ),
+        (
+            &["ms-gen", "--SLO", "10", "--out", out],
+            "no model meets the SLO",
+        ),
+        (
+            &["sim", "--SLO", "10", "--load", "10", "--out", out],
+            "no model meets the SLO",
+        ),
+        (&["sim", "--SLO", "0", "--out", out], "SLO must be positive"),
+        (&["robustness", "--SLO", "10"], "no model meets the SLO"),
+        (&["drift", "--SLO", "10"], "no model meets the SLO"),
+        (
+            &["why", "--counterfactual", "--SLO", "10", "--out", out],
+            "no model meets the SLO",
+        ),
+        (&["health", "--SLO", "0"], "SLO must be positive"),
+        (&["autoscale", "--slo", "10"], "no model meets the SLO"),
     ];
     for (words, expected) in table {
         let o = cli(words);

@@ -44,6 +44,19 @@
 //!    slices ([`CountTable::pmf_window`]). Each output element still
 //!    receives the same terms in the same order as the pointwise sums,
 //!    so rows are bit-identical to them.
+//! 6. Every loop visits only counts that can reach a table's stored
+//!    window `[lo, hi]`. A slack bin is skipped before tables C and D are
+//!    built when table B's window starts at `K` or later (every phase
+//!    has `k_B ≤ K − 1`, so `W` is zero) or when `W` is otherwise all
+//!    zero. The `n'` fold runs over
+//!    `n' ∈ [⌈(d_lo + 1)/K⌉, ⌊(d_hi + c_hi)/K⌋ + 1] ∩ [1, N_w]` and, per
+//!    `n'`, over `v ∈ [max(0, (n'−1)K − d_hi), min(c_hi, n'K − 1 − d_lo)]`;
+//!    the partial-batch fold likewise visits only the `(wA, r)` whose
+//!    count range meets table L's window. Range masses are read from
+//!    [`CountTable::cdf_window`]. A skipped term is an exact `+0.0` added
+//!    to a non-negative accumulator, and a skipped `n'` or `wA` has
+//!    `p = +0.0`, which is never pushed (`p > prune_eps ≥ 0`) and leaves
+//!    the accounted mass unchanged, so rows stay bit-identical.
 //!
 //! Variable batching (`b < n`, §4.3.2) is not derived in the paper
 //! ("follows similar reasoning"); we model it as: the earliest remaining
@@ -148,7 +161,9 @@ impl<'a> TransitionBuilder<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `workers` is zero.
+    /// Panics if `workers` is zero or `prune_eps` is negative (the
+    /// window-limited folds rely on a zero mass never being kept; see
+    /// the module notes, item 6).
     // The eight parameters are the §4.4 problem inputs; bundling them
     // into a struct would only rename the call site.
     #[allow(clippy::too_many_arguments)]
@@ -163,6 +178,10 @@ impl<'a> TransitionBuilder<'a> {
         prune_eps: f64,
     ) -> Self {
         assert!(workers > 0, "need at least one worker");
+        assert!(
+            prune_eps >= 0.0,
+            "prune_eps must be non-negative, got {prune_eps}"
+        );
         Self {
             profile,
             grid,
@@ -295,20 +314,23 @@ impl<'a> TransitionBuilder<'a> {
             let t_b = lo_edge;
             let t_c = hi_edge - lo_edge;
             let t_d = l - hi_edge;
+            // Counts outside a table's window have zero mass, so every
+            // sum below visits only counts that reach the windows (module
+            // notes, item 6). Adding an in-window zero term leaves a
+            // non-negative accumulator's bits unchanged, so no per-term
+            // zero test is needed.
             let table_b = self.cache.table(self.process, t_b);
+            let b_lo = table_b.min_count() as usize;
+            if b_lo >= k {
+                // k_B = K − r − u ≤ K − 1 for every phase: W is zero.
+                continue;
+            }
             let table_c = self.cache.table(self.process, t_c);
-            let table_d = self.cache.table(self.process, t_d);
-
-            // Counts outside a table's window have zero mass, so both
-            // sums below visit only in-window counts. Adding an in-window
-            // zero term leaves a non-negative accumulator's bits
-            // unchanged, so no per-term zero test is needed.
             let c_hi = table_c.max_count() as usize;
             // W(u): weight of needing exactly u more central arrivals
             // for the next worker delivery at the start of interval C.
             let u_cap = (c_hi + 1).min(k);
             let mut big_w = vec![0.0f64; u_cap + 1];
-            let b_lo = table_b.min_count() as usize;
             let b_pmf = table_b.pmf_window();
             let b_hi = b_lo + b_pmf.len() - 1;
             for (r, &wr) in w.iter().enumerate() {
@@ -329,6 +351,9 @@ impl<'a> TransitionBuilder<'a> {
                     *wu += wr * pb;
                 }
             }
+            if big_w.iter().all(|&wu| wu == 0.0) {
+                continue;
+            }
 
             // H(v) = Σ_u W(u) · PF_C(u + v): one axpy per u over the
             // in-window counts k_C = u + v ∈ [max(u, c_lo), c_hi].
@@ -348,27 +373,29 @@ impl<'a> TransitionBuilder<'a> {
                 }
             }
 
-            // Per n': fold H against the interval-D range mass.
-            for n_next in 1..=nw {
+            // Per n': fold H against the interval-D range mass. Target n'
+            // needs k_D ∈ [(n'−1)K − v, n'K − 1 − v], which meets D's
+            // window [d_lo, d_hi] only for v in [v_lo, v_hi] below, and
+            // for some v ∈ [0, c_hi] only for n' in [n_lo, n_hi]. Every
+            // other n' has p = 0: never pushed, and `accounted` unmoved.
+            let table_d = self.cache.table(self.process, t_d);
+            let d_lo = table_d.min_count() as usize;
+            let d_cdf = table_d.cdf_window();
+            let d_hi = d_lo + d_cdf.len() - 1;
+            let n_lo = (d_lo + 1).div_ceil(k).max(1);
+            let n_hi = ((d_hi + c_hi) / k + 1).min(nw as usize);
+            for n_next in n_lo..=n_hi {
+                let v_lo = ((n_next - 1) * k).saturating_sub(d_hi);
+                let v_hi = c_hi.min(n_next * k - 1 - d_lo);
                 let mut p = 0.0;
-                let lo_base = (n_next as i64 - 1) * k as i64;
-                let hi_base = n_next as i64 * k as i64 - 1;
-                for (v, &hv) in h.iter().enumerate() {
-                    if hv == 0.0 {
-                        continue;
-                    }
-                    let lo = (lo_base - v as i64).max(0);
-                    let hi = hi_base - v as i64;
-                    if hi < 0 {
-                        // More than n' worker arrivals already in C.
-                        continue;
-                    }
-                    p += hv * table_d.mass_in(lo as u64, hi as u64);
+                for (v, &hv) in (v_lo..).zip(&h[v_lo..=v_hi]) {
+                    let lo = ((n_next - 1) * k).saturating_sub(v);
+                    p += hv * window_mass(d_cdf, d_lo, lo, n_next * k - 1 - v);
                 }
                 accounted += p;
                 if p > self.prune_eps {
                     let target = State::Queued {
-                        n: n_next,
+                        n: n_next as u32,
                         slack: j_next as u32,
                     };
                     row.push((self.space.index(target), p));
@@ -403,24 +430,31 @@ impl<'a> TransitionBuilder<'a> {
         let mut row = Vec::new();
         let mut accounted = 0.0;
         // Worker arrival counts wA = 0, 1, ... until the queue overflows.
-        let max_wa = nw - leftover;
-        for wa in 0..=max_wa {
+        // Phase r needs k ∈ [wA·K − r, (wA+1)K − 1 − r] central arrivals,
+        // which meets L's window [l_lo, l_hi] only for r in [r_lo, r_hi]
+        // below, and for some r ∈ [0, K) only for wA in [wa_lo, wa_hi];
+        // every other term is an exact zero (module notes, item 6).
+        let max_wa = (nw - leftover) as usize;
+        let l_lo = table_l.min_count() as usize;
+        let l_cdf = table_l.cdf_window();
+        let l_hi = l_lo + l_cdf.len() - 1;
+        let wa_lo = (l_lo + 1).div_ceil(k) - 1;
+        let wa_hi = l_hi.div_ceil(k);
+        for wa in wa_lo..=wa_hi.min(max_wa) {
+            let r_lo = (wa * k).saturating_sub(l_hi);
+            let r_hi = ((wa + 1) * k - 1 - l_lo).min(k - 1);
             let mut p = 0.0;
-            for (r, &wr) in w.iter().enumerate() {
+            for (r, &wr) in (r_lo..).zip(&w[r_lo..=r_hi]) {
                 if wr == 0.0 {
                     continue;
                 }
-                let lo = (wa as i64 * k as i64 - r as i64).max(0) as u64;
-                let hi = ((wa as i64 + 1) * k as i64 - 1 - r as i64).max(-1);
-                if hi < 0 {
-                    continue;
-                }
-                p += wr * table_l.mass_in(lo, hi as u64);
+                let lo = (wa * k).saturating_sub(r);
+                p += wr * window_mass(l_cdf, l_lo, lo, (wa + 1) * k - 1 - r);
             }
             accounted += p;
             if p > self.prune_eps {
                 let target = State::Queued {
-                    n: leftover + wa,
+                    n: leftover + wa as u32,
                     slack: j_next,
                 };
                 row.push((self.space.index(target), p));
@@ -435,6 +469,21 @@ impl<'a> TransitionBuilder<'a> {
         }
         row
     }
+}
+
+/// `P(lo ≤ X ≤ hi)` read from a table's cumulative window `cdf` (whose
+/// first element is the CDF at count `offset`), bit-identical to
+/// [`CountTable::mass_in`]. The range must meet the window:
+/// `lo ≤ hi`, `hi ≥ offset` and `lo ≤ offset + cdf.len() − 1`.
+#[inline]
+fn window_mass(cdf: &[f64], offset: usize, lo: usize, hi: usize) -> f64 {
+    let upper = cdf[(hi - offset).min(cdf.len() - 1)];
+    let lower = if lo > offset {
+        cdf[lo - 1 - offset]
+    } else {
+        0.0
+    };
+    (upper - lower).max(0.0)
 }
 
 #[cfg(test)]
@@ -596,16 +645,68 @@ mod tests {
         row
     }
 
-    /// A row as the unscoped, pointwise builder produced it: full
-    /// batches through [`row_full_batch_scalar`], everything else through
-    /// the unchanged paths, all against one never-cleared cache.
+    /// The pointwise partial-batch row that the windowed fold replaced,
+    /// kept as the bit-identity reference: every `(wA, r)` term through
+    /// [`CountTable::mass_in`].
+    fn row_partial_batch_scalar(
+        b: &TransitionBuilder<'_>,
+        n: u32,
+        slack: usize,
+        model: u32,
+        batch: u32,
+    ) -> Vec<(usize, f64)> {
+        let k = b.workers;
+        let l = b.service_latency(model, batch);
+        let w = b.phase_weights(n, slack);
+        let table_l = b.cache.table(b.process, l);
+        let leftover = n - batch;
+        let j_next = b.grid.floor_index(b.grid.value(slack) - l) as u32;
+        let nw = b.space.max_queue();
+        let mut row = Vec::new();
+        let mut accounted = 0.0;
+        for wa in 0..=nw - leftover {
+            let mut p = 0.0;
+            for (r, &wr) in w.iter().enumerate() {
+                if wr == 0.0 {
+                    continue;
+                }
+                let lo = (wa as i64 * k as i64 - r as i64).max(0) as u64;
+                let hi = ((wa as i64 + 1) * k as i64 - 1 - r as i64).max(-1);
+                if hi < 0 {
+                    continue;
+                }
+                p += wr * table_l.mass_in(lo, hi as u64);
+            }
+            accounted += p;
+            if p > b.prune_eps {
+                let target = State::Queued {
+                    n: leftover + wa,
+                    slack: j_next,
+                };
+                row.push((b.space.index(target), p));
+            }
+        }
+        let p_full = (1.0 - accounted).max(0.0);
+        if p_full > b.prune_eps {
+            row.push((b.space.index(State::Full), p_full));
+        }
+        if row.is_empty() {
+            row.push((b.space.index(State::Full), 1.0));
+        }
+        row
+    }
+
+    /// A row as the unscoped, pointwise builder produced it: serve rows
+    /// through [`row_full_batch_scalar`] and [`row_partial_batch_scalar`],
+    /// the rest through the unchanged paths, all against one
+    /// never-cleared cache.
     fn reference_row(b: &TransitionBuilder<'_>, state: State, action: Action) -> Vec<(usize, f64)> {
         match (b.space.effective_queue(state), action) {
             (Some((n, slack)), Action::Serve { model, batch }) if batch == n => {
                 row_full_batch_scalar(b, n, slack as usize, model)
             }
             (Some((n, slack)), Action::Serve { model, batch }) => {
-                b.row_partial_batch(n, slack as usize, model, batch)
+                row_partial_batch_scalar(b, n, slack as usize, model, batch)
             }
             _ => b.row(state, action),
         }
@@ -615,14 +716,19 @@ mod tests {
         row.iter().map(|&(to, p)| (to, p.to_bits())).collect()
     }
 
+    /// Loads of the debug-build identity tests: the artifact grid's ends
+    /// and middle, plus 20 and 6,000 QPS, where the count windows touch
+    /// 0 or reach past N_w.
+    const IDENTITY_LOADS: [f64; 5] = [20.0, 200.0, 2_000.0, 4_000.0, 6_000.0];
+
     /// Every row of every state, under every action valid with maximal
     /// or variable batching, equals the scalar reference bit for bit, at
-    /// loads {200, 2000, 4000} and D ∈ {10, 35}.
-    fn assert_rows_match_scalar(workers: usize) {
+    /// each load in `loads` and each `D` in `ds`.
+    fn assert_rows_match_scalar(workers: usize, ds: &[u32], loads: &[f64]) {
         use crate::action::{valid_actions, Batching};
         use crate::config::MissPolicy;
-        for d in [10, 35] {
-            for qps in [200.0, 2_000.0, 4_000.0] {
+        for &d in ds {
+            for &qps in loads {
                 let f = Fixture::new(qps, workers, d);
                 let (fast, reference) = (f.builder(), f.builder());
                 for (_, st) in f.space.iter() {
@@ -660,17 +766,33 @@ mod tests {
 
     #[test]
     fn rows_match_scalar_reference_with_one_worker() {
-        assert_rows_match_scalar(1);
+        assert_rows_match_scalar(1, &[10, 35], &IDENTITY_LOADS);
     }
 
     #[test]
     fn rows_match_scalar_reference_with_four_workers() {
-        assert_rows_match_scalar(4);
+        assert_rows_match_scalar(4, &[10, 35], &IDENTITY_LOADS);
+    }
+
+    #[test]
+    fn rows_match_scalar_reference_with_sixteen_workers() {
+        assert_rows_match_scalar(16, &[10, 35], &IDENTITY_LOADS);
     }
 
     #[test]
     fn rows_match_scalar_reference_with_sixty_workers() {
-        assert_rows_match_scalar(60);
+        assert_rows_match_scalar(60, &[10, 35], &IDENTITY_LOADS);
+    }
+
+    /// The paper's D=100 grid at both evaluation worker counts; too slow
+    /// for a debug build, so `scripts/ci.sh` runs it in release.
+    #[test]
+    #[ignore = "release-only: run with --release -- --ignored"]
+    fn rows_match_scalar_reference_at_paper_scale() {
+        let loads = [200.0, 1_000.0, 2_000.0, 3_000.0, 4_000.0];
+        for workers in [16, 60] {
+            assert_rows_match_scalar(workers, &[100], &loads);
+        }
     }
 
     #[test]

@@ -103,13 +103,34 @@ impl WorkerProfile {
     ///
     /// # Panics
     ///
-    /// Panics if the catalog is empty, the SLO is non-positive, or no
-    /// model can serve even a single query within the SLO.
+    /// Panics where [`Self::try_build`] returns an error.
     pub fn build(catalog: &ModelCatalog, slo: Duration, config: ProfilerConfig) -> Self {
-        assert!(!catalog.is_empty(), "cannot profile an empty catalog");
-        assert!(config.invocations > 0, "need at least one invocation");
+        Self::try_build(catalog, slo, config).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Self::build`], reporting bad inputs as an error instead of a
+    /// panic, so a command-line SLO no model can meet fails cleanly.
+    ///
+    /// # Errors
+    ///
+    /// Returns a one-line description if the catalog is empty, no
+    /// invocation is configured, the SLO is not positive, or no model
+    /// can serve even a single query within the SLO.
+    pub fn try_build(
+        catalog: &ModelCatalog,
+        slo: Duration,
+        config: ProfilerConfig,
+    ) -> Result<Self, String> {
+        if catalog.is_empty() {
+            return Err("cannot profile an empty catalog".into());
+        }
+        if config.invocations == 0 {
+            return Err("need at least one invocation".into());
+        }
         let slo_s = slo.as_secs_f64();
-        assert!(slo_s > 0.0, "SLO must be positive");
+        if slo_s <= 0.0 {
+            return Err(format!("SLO must be positive, got {slo_s}s"));
+        }
 
         let mut models = Vec::with_capacity(catalog.len());
         for (mi, spec) in catalog.models.iter().enumerate() {
@@ -158,7 +179,7 @@ impl WorkerProfile {
             });
         }
 
-        Self::finalize(catalog.task, slo_s, models).expect("no model meets the SLO at batch 1")
+        Self::finalize(catalog.task, slo_s, models)
     }
 
     /// Assembles a profile from per-model batch profiles (measured or
@@ -212,7 +233,7 @@ impl WorkerProfile {
                     .any(|m| m.batches[(b - 1) as usize].p95_s <= slo_s)
             })
             .max()
-            .ok_or_else(|| format!("no model meets the {slo_s}s SLO at batch 1"))?;
+            .ok_or_else(|| format!("no model meets the SLO of {slo_s}s at batch 1"))?;
 
         // Truncate profiles beyond B_w — they are unreachable actions.
         for m in &mut models {
@@ -473,6 +494,19 @@ mod tests {
             Duration::from_millis(1),
             ProfilerConfig::default(),
         );
+    }
+
+    #[test]
+    fn try_build_reports_unmeetable_slos() {
+        let catalog = ModelCatalog::torchvision_image();
+        let config = ProfilerConfig::default();
+        let err = WorkerProfile::try_build(&catalog, Duration::ZERO, config).unwrap_err();
+        assert_eq!(err, "SLO must be positive, got 0s");
+        let err =
+            WorkerProfile::try_build(&catalog, Duration::from_millis(10), config).unwrap_err();
+        assert_eq!(err, "no model meets the SLO of 0.01s at batch 1");
+        let ok = WorkerProfile::try_build(&catalog, Duration::from_millis(150), config);
+        assert_eq!(ok, Ok(image_profile(150)));
     }
 
     #[test]

@@ -281,6 +281,15 @@ impl CountTable {
         &self.pmf
     }
 
+    /// The stored cumulative sums as one contiguous slice, the
+    /// cumulative twin of [`Self::pmf_window`]: element `i` is
+    /// `P(X ≤ min_count() + i)`. Below the window the CDF is zero, and
+    /// above it saturates at the last element ([`Self::total_mass`]),
+    /// exactly as [`Self::cdf`] answers.
+    pub fn cdf_window(&self) -> &[f64] {
+        &self.cum
+    }
+
     /// `P(X ≤ k)`; zero below the window, saturating above it.
     pub fn cdf(&self, k: u64) -> f64 {
         if k < self.offset {
@@ -463,6 +472,36 @@ mod tests {
         );
         for (i, &p) in window.iter().enumerate() {
             assert_eq!(p, table.pmf(table.min_count() + i as u64));
+        }
+    }
+
+    #[test]
+    fn cdf_window_matches_pointwise_cdf_and_saturates() {
+        for table in [
+            PoissonProcess::new(250.0).table(0.08, 1e-12),
+            PoissonProcess::new(4_000.0).table(0.5, 1e-12),
+            PoissonProcess::new(1_000.0).table(0.0, 1e-12),
+            NegativeBinomialProcess::new(400.0, 2.5).table(0.05, 1e-12),
+        ] {
+            let window = table.cdf_window();
+            assert_eq!(window.len(), table.pmf_window().len());
+            for (i, &c) in window.iter().enumerate() {
+                assert_eq!(
+                    c.to_bits(),
+                    table.cdf(table.min_count() + i as u64).to_bits()
+                );
+            }
+            // Above the window the CDF saturates at the last element.
+            let last = *window.last().unwrap();
+            assert_eq!(last, table.total_mass());
+            for k in table.max_count() + 1..=table.max_count() + 5 {
+                assert_eq!(table.cdf(k).to_bits(), last.to_bits());
+            }
+            // Below it the CDF is zero (the 4,000 QPS window starts
+            // well above 0).
+            for k in 0..table.min_count() {
+                assert_eq!(table.cdf(k), 0.0);
+            }
         }
     }
 

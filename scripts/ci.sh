@@ -25,6 +25,13 @@ stage "cargo test" cargo test --workspace -q
 # workspace, so the stage above does not reach its unit tests.
 stage "e2e benchmark unit tests" \
     cargo test --release --offline --manifest-path e2e_bench/Cargo.toml
+# Transition identity at the paper's scale: every round-robin row at
+# D=100, K ∈ {16, 60} and 200–4,000 QPS must equal the pointwise scalar
+# references bit for bit (about 15 s in release; too slow for the debug
+# suite above, which checks the same at D ≤ 35).
+stage "transition-identity" \
+    cargo test --release -q -p ramsis-core --lib \
+    transitions::tests::rows_match_scalar_reference_at_paper_scale -- --ignored --exact
 # Randomized resilience sweep: 2,000 seeded chaos runs in release (about
 # 2 s), invariants checked (determinism, conservation, counter agreement,
 # hedge + admission bounds, scale-event and drain accounting,
