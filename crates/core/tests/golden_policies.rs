@@ -10,6 +10,12 @@
 //! setup, variable batching, shortest-queue-first balancing and an
 //! over-dispersed arrival process.
 //!
+//! Two digests are pinned per scenario. [`GOLDEN`] covers the whole
+//! JSON, sweep count included. [`GOLDEN_SOLVED`] also zeroes
+//! `solve_iterations`, so it pins only what a policy *does*: a change
+//! to the solver's stopping rule may move the first table, never the
+//! second.
+//!
 //! The constants below were recorded once and must never be edited: a
 //! mismatch means the generated policies changed.
 
@@ -19,7 +25,7 @@ use ramsis_core::{generate_policy, Balancing, Batching, Discretization, PolicyCo
 use ramsis_profiles::{ModelCatalog, ProfilerConfig, WorkerProfile};
 use ramsis_stats::{ArrivalProcess, NegativeBinomialProcess, PoissonProcess};
 
-/// The pinned digests, one per scenario.
+/// The pinned digests of the whole policy JSON, one per scenario.
 const GOLDEN: &[(&str, u64)] = &[
     ("rr.k16.d25.q200", 0x9b8042acd6a6cb13),
     ("rr.k16.d25.q4000", 0x732fd4f96f79fc4b),
@@ -27,6 +33,17 @@ const GOLDEN: &[(&str, u64)] = &[
     ("variable.k16.d15.q1000", 0x9832aba38946eb8d),
     ("sqf.k16.d15.q1000", 0x04474a8f4106cc1f),
     ("negbin.k16.d15.q1000", 0xfb5c52429911b914),
+];
+
+/// The pinned digests with `solve_iterations` zeroed as well: actions,
+/// guarantees and stationary distribution, whatever the sweep count.
+const GOLDEN_SOLVED: &[(&str, u64)] = &[
+    ("rr.k16.d25.q200", 0x36109b78524b6b40),
+    ("rr.k16.d25.q4000", 0x84c5b444a71202c4),
+    ("rr.k60.d35.q2000", 0x25404e49434c66c2),
+    ("variable.k16.d15.q1000", 0x287fdf9b8a8141ea),
+    ("sqf.k16.d15.q1000", 0xef7e78d0aeea484f),
+    ("negbin.k16.d15.q1000", 0xf22a5304e389559e),
 ];
 
 fn profile() -> WorkerProfile {
@@ -81,41 +98,50 @@ fn scenarios() -> Vec<Scenario> {
     ]
 }
 
-#[test]
-fn generated_policies_match_pinned_digests() {
-    let profile = profile();
-    let computed: Vec<(&str, u64)> = scenarios()
-        .iter()
-        .map(|s| {
-            let config = PolicyConfig::builder(Duration::from_millis(150))
-                .workers(s.workers)
-                .discretization(Discretization::fixed_length(s.d))
-                .batching(s.batching)
-                .balancing(s.balancing)
-                .build();
-            let mut policy = generate_policy(&profile, s.process.as_ref(), &config)
-                .unwrap_or_else(|e| panic!("{}: {e}", s.name));
-            policy.generation_seconds = 0.0;
-            (s.name, fnv1a(policy.to_json().as_bytes()))
-        })
-        .collect();
+/// Asserts `computed` equals `golden` scenario by scenario, printing
+/// the computed table on a mismatch.
+fn assert_digests(what: &str, computed: &[(&str, u64)], golden: &[(&str, u64)]) {
     let table: String = computed
         .iter()
         .map(|(n, d)| format!("    (\"{n}\", {d:#018x}),\n"))
         .collect();
     assert_eq!(
         computed.len(),
-        GOLDEN.len(),
-        "scenario set changed; computed:\n{table}"
+        golden.len(),
+        "{what}: scenario set changed; computed:\n{table}"
     );
-    for ((name, got), (want_name, want)) in computed.iter().zip(GOLDEN) {
+    for ((name, got), (want_name, want)) in computed.iter().zip(golden) {
         assert_eq!(
             name, want_name,
-            "scenario order changed; computed:\n{table}"
+            "{what}: scenario order changed; computed:\n{table}"
         );
         assert_eq!(
             got, want,
-            "{name}: digest {got:#018x} != pinned {want:#018x}; computed:\n{table}"
+            "{what}: {name}: digest {got:#018x} != pinned {want:#018x}; computed:\n{table}"
         );
     }
+}
+
+#[test]
+fn generated_policies_match_pinned_digests() {
+    let profile = profile();
+    let mut whole = Vec::new();
+    let mut solved = Vec::new();
+    for s in scenarios() {
+        let config = PolicyConfig::builder(Duration::from_millis(150))
+            .workers(s.workers)
+            .discretization(Discretization::fixed_length(s.d))
+            .batching(s.batching)
+            .balancing(s.balancing)
+            .build();
+        let mut policy = generate_policy(&profile, s.process.as_ref(), &config)
+            .unwrap_or_else(|e| panic!("{}: {e}", s.name));
+        policy.generation_seconds = 0.0;
+        whole.push((s.name, fnv1a(policy.to_json().as_bytes())));
+        policy.solve_iterations = 0;
+        solved.push((s.name, fnv1a(policy.to_json().as_bytes())));
+    }
+    // The sweep-agnostic table first: if both move, the actions did.
+    assert_digests("sweep count zeroed", &solved, GOLDEN_SOLVED);
+    assert_digests("whole policy", &whole, GOLDEN);
 }
