@@ -29,6 +29,8 @@ struct Row {
     states: usize,
     actions: usize,
     runtime_s: Option<f64>,
+    /// Value-iteration sweeps of the solve.
+    sweeps: Option<usize>,
 }
 
 fn main() {
@@ -96,7 +98,7 @@ fn main() {
             config.discretization = disc;
             config.batching = batching;
             let (states, actions) = mdp_dimensions(&profile, &config).expect("valid config");
-            let runtime = if states.saturating_mul(actions / states.max(1)).max(actions)
+            let solved = if states.saturating_mul(actions / states.max(1)).max(actions)
                 > budget_state_actions
             {
                 None
@@ -106,11 +108,15 @@ fn main() {
                 let dt = t0.elapsed().as_secs_f64();
                 // Sanity: the policy is usable.
                 assert!(policy.guarantees().expected_accuracy > 0.0);
-                Some(dt)
+                Some((dt, policy.solve_iterations))
             };
-            let cell = match runtime {
-                Some(t) => format!("{t:.2}"),
-                None => "skipped (quick-mode budget; use --full)".to_string(),
+            let (runtime, sweeps) = (solved.map(|(t, _)| t), solved.map(|(_, n)| n));
+            let (cell, sweeps_cell) = match solved {
+                Some((t, n)) => (format!("{t:.2}"), n.to_string()),
+                None => (
+                    "skipped (quick-mode budget; use --full)".to_string(),
+                    "-".to_string(),
+                ),
             };
             table.push(vec![
                 d_label.to_string(),
@@ -119,6 +125,7 @@ fn main() {
                 states.to_string(),
                 actions.to_string(),
                 cell,
+                sweeps_cell,
             ]);
             rows.push(Row {
                 discretization: d_label.to_string(),
@@ -127,6 +134,7 @@ fn main() {
                 states,
                 actions,
                 runtime_s: runtime,
+                sweeps,
             });
         }
     }
@@ -136,7 +144,15 @@ fn main() {
          {load} QPS) ===",
         slo_s * 1e3
     );
-    let header = ["TD", "batch", "models", "states", "actions", "runtime_s"];
+    let header = [
+        "TD",
+        "batch",
+        "models",
+        "states",
+        "actions",
+        "runtime_s",
+        "sweeps",
+    ];
     println!("{}", render_table(&header, &table));
 
     // Ordering checks on the rows that ran.

@@ -590,3 +590,49 @@ fn replay_reads_a_converted_binary_log_like_its_jsonl_twin() {
     assert_eq!(bin_report.replace(&bin, &jsonl), jsonl_report);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A reader that closes the pipe early (`gen | grep -m3 load`) ends the
+/// CLI quietly at its next write: no panic, no backtrace, no exit 101.
+#[test]
+fn a_closed_stdout_ends_the_run_without_a_panic() {
+    use std::io::{BufRead, BufReader, Read};
+    use std::process::{Command, Stdio};
+    let dir = tempdir("closed_stdout");
+    // The default 20-load grid prints two lines per policy, each pair
+    // after a policy file write, so writes follow the close below.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ramsis-cli"))
+        .args([
+            "gen",
+            "--task",
+            "text",
+            "--SLO",
+            "100",
+            "--worker",
+            "2",
+            "--d",
+            "8",
+            "--out",
+            dir.to_str().unwrap(),
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn ramsis-cli");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("read the first line");
+    // The reader is dropped here: the pipe's read end is closed.
+    assert!(first.starts_with("load "), "first line: {first:?}");
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .expect("piped stderr")
+        .read_to_string(&mut stderr)
+        .expect("read stderr");
+    let status = child.wait().expect("wait for ramsis-cli");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert_ne!(status.code(), Some(101), "stderr: {stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}

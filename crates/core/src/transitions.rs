@@ -57,6 +57,15 @@
 //!    to a non-negative accumulator, and a skipped `n'` or `wA` has
 //!    `p = +0.0`, which is never pushed (`p > prune_eps ≥ 0`) and leaves
 //!    the accounted mass unchanged, so rows stay bit-identical.
+//! 7. A full-batch row depends on the slack bin only through the phase
+//!    weights `w(r)` of item 1. Where interval A's table holds mass at
+//!    one phase count only, `w` is exactly the unit vector `e_r`, and
+//!    where it holds none, `w` falls back to `e_0`; so many slack bins
+//!    share one row. Rows whose `w` is a unit vector are memoized by
+//!    `(model, r)`, scoped to `n` like the tables (item 4): a hit returns
+//!    the row those exact inputs built, bit for bit. Other `w` almost
+//!    never repeat (at K ∈ {16, 60}, 2 of about 3,000 repeats had
+//!    another `w`), so their rows are built and not kept.
 //!
 //! Variable batching (`b < n`, §4.3.2) is not derived in the paper
 //! ("follows similar reasoning"); we model it as: the earliest remaining
@@ -143,6 +152,45 @@ impl TableCache {
     }
 }
 
+/// A transition row: `(target index, probability)` pairs.
+type Row = Vec<(usize, f64)>;
+
+/// Full-batch rows of one queue length whose phase weights are the
+/// unit vector `e_r`, keyed by `(model, r)` (module notes, item 7).
+#[derive(Default)]
+struct FullRowMemo {
+    /// The queue length the rows held belong to.
+    n: Cell<Option<u32>>,
+    rows: RefCell<HashMap<(u32, usize), Row>>,
+}
+
+impl FullRowMemo {
+    /// The row for queue length `n`, `model` and phase weights `e_r`,
+    /// built by `build` on a miss. Rows of another `n` are dropped
+    /// first, as [`TableCache::scope`] drops tables.
+    fn get_or_build(&self, n: u32, model: u32, r: usize, build: impl FnOnce() -> Row) -> Row {
+        if self.n.replace(Some(n)) != Some(n) {
+            self.rows.borrow_mut().clear();
+        }
+        if let Some(row) = self.rows.borrow().get(&(model, r)) {
+            return row.clone();
+        }
+        let row = build();
+        self.rows.borrow_mut().insert((model, r), row.clone());
+        row
+    }
+}
+
+/// The phase `r` when `w` is the unit vector `e_r`. Normalizing a single
+/// non-zero weight divides it by itself, which gives exactly 1.
+fn unit_phase(w: &[f64]) -> Option<usize> {
+    let mut nonzero = w.iter().enumerate().filter(|&(_, &x)| x != 0.0);
+    match (nonzero.next(), nonzero.next()) {
+        (Some((r, &x)), None) => (x == 1.0).then_some(r),
+        _ => None,
+    }
+}
+
 /// Builds transition rows of a worker MDP under round-robin balancing.
 pub struct TransitionBuilder<'a> {
     profile: &'a WorkerProfile,
@@ -150,6 +198,7 @@ pub struct TransitionBuilder<'a> {
     space: &'a StateSpace,
     process: &'a dyn ArrivalProcess,
     cache: TableCache,
+    full_rows: FullRowMemo,
     /// Number of workers `K` behind the balancer.
     workers: usize,
     slo: f64,
@@ -188,6 +237,7 @@ impl<'a> TransitionBuilder<'a> {
             space,
             process,
             cache: TableCache::new(tail_eps),
+            full_rows: FullRowMemo::default(),
             workers,
             slo,
             prune_eps,
@@ -268,7 +318,13 @@ impl<'a> TransitionBuilder<'a> {
                 );
                 self.cache.scope(n);
                 if batch == n {
-                    self.row_full_batch(n, slack as usize, model)
+                    let w = self.phase_weights(n, slack as usize);
+                    match unit_phase(&w) {
+                        Some(r) => self
+                            .full_rows
+                            .get_or_build(n, model, r, || self.row_full_batch(n, model, &w)),
+                        None => self.row_full_batch(n, model, &w),
+                    }
                 } else {
                     self.row_partial_batch(n, slack as usize, model, batch)
                 }
@@ -277,11 +333,11 @@ impl<'a> TransitionBuilder<'a> {
     }
 
     /// Case 2/3 (§4.4.2–4.4.3) with `b = n` (maximal batching or a
-    /// variable-batching full batch).
-    fn row_full_batch(&self, n: u32, slack: usize, model: u32) -> Vec<(usize, f64)> {
+    /// variable-batching full batch), given the slack bin's phase
+    /// weights `w`: the row's only dependence on the slack.
+    fn row_full_batch(&self, n: u32, model: u32, w: &[f64]) -> Vec<(usize, f64)> {
         let k = self.workers;
         let l = self.service_latency(model, n);
-        let w = self.phase_weights(n, slack);
         let table_l = self.cache.table(self.process, l);
         let mut row = Vec::new();
         let mut accounted = 0.0;
@@ -809,6 +865,57 @@ mod tests {
         assert!(cache.is_empty(), "a new key drops every table");
         // A rebuilt table reproduces the dropped one exactly.
         assert_eq!(*cache.table(&process, 0.01), *first);
+    }
+
+    #[test]
+    fn full_batch_rows_are_shared_across_slack_bins_and_scoped_to_n() {
+        // K=60 D=35 at 2,000 QPS: many slack bins' interval-A tables hold
+        // no mass at the phase counts, so their rows coincide.
+        let f = Fixture::new(2_000.0, 60, 35);
+        let b = f.builder();
+        let serve = |n: u32, slack: u32| {
+            b.row(
+                State::Queued { n, slack },
+                Action::Serve { model: 0, batch: n },
+            )
+        };
+        let n = 4;
+        let slacks = f.grid.len() as u32;
+        for slack in 0..slacks {
+            serve(n, slack);
+        }
+        let held = b.full_rows.rows.borrow().len();
+        assert!(
+            held < slacks as usize,
+            "{held} rows held for {slacks} slack bins"
+        );
+        // A hit hands back the row the unmemoized reference computes.
+        let reference = f.builder();
+        for slack in 0..slacks {
+            let st = State::Queued { n, slack };
+            let a = Action::Serve { model: 0, batch: n };
+            assert_eq!(bits(&b.row(st, a)), bits(&reference_row(&reference, st, a)));
+        }
+        assert_eq!(b.full_rows.rows.borrow().len(), held, "no new rows");
+        // Another queue length drops the first one's rows.
+        serve(n + 1, 0);
+        assert_eq!(b.full_rows.rows.borrow().len(), 1);
+    }
+
+    #[test]
+    fn unit_phase_finds_exact_unit_vectors_only() {
+        assert_eq!(unit_phase(&[1.0, 0.0, 0.0]), Some(0));
+        assert_eq!(unit_phase(&[0.0, 0.0, 1.0]), Some(2));
+        assert_eq!(unit_phase(&[0.0, 0.5, 0.5]), None);
+        assert_eq!(unit_phase(&[0.0, 1.0 - 1e-16, 0.0]), None);
+        assert_eq!(unit_phase(&[0.0, 0.0]), None);
+        // A single phase count with mass normalizes to exactly e_r.
+        let f = Fixture::new(2_000.0, 60, 35);
+        let b = f.builder();
+        let units = (0..f.grid.len())
+            .filter_map(|slack| unit_phase(&b.phase_weights(4, slack)))
+            .count();
+        assert!(units > 0, "no slack bin at n=4 has unit phase weights");
     }
 
     #[test]

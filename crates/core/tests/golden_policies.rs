@@ -16,8 +16,11 @@
 //! to the solver's stopping rule may move the first table, never the
 //! second.
 //!
-//! The constants below were recorded once and must never be edited: a
-//! mismatch means the generated policies changed.
+//! The constants below must never be edited to make a run pass: a
+//! mismatch means the generated policies changed. [`GOLDEN_SOLVED`] was
+//! recorded once. [`GOLDEN`] was re-recorded once, when Jacobi value
+//! iteration moved from a sup-norm to a span-seminorm stop: that changed
+//! five sweep counts and nothing else, as [`GOLDEN_SOLVED`] shows.
 
 use std::time::Duration;
 
@@ -27,12 +30,12 @@ use ramsis_stats::{ArrivalProcess, NegativeBinomialProcess, PoissonProcess};
 
 /// The pinned digests of the whole policy JSON, one per scenario.
 const GOLDEN: &[(&str, u64)] = &[
-    ("rr.k16.d25.q200", 0x9b8042acd6a6cb13),
+    ("rr.k16.d25.q200", 0x540f2d0655098c76),
     ("rr.k16.d25.q4000", 0x732fd4f96f79fc4b),
-    ("rr.k60.d35.q2000", 0x40ef26e90cdf05e1),
-    ("variable.k16.d15.q1000", 0x9832aba38946eb8d),
-    ("sqf.k16.d15.q1000", 0x04474a8f4106cc1f),
-    ("negbin.k16.d15.q1000", 0xfb5c52429911b914),
+    ("rr.k60.d35.q2000", 0xc7ad07642a8035b2),
+    ("variable.k16.d15.q1000", 0x727219a43d649931),
+    ("sqf.k16.d15.q1000", 0xcb05ea113947301e),
+    ("negbin.k16.d15.q1000", 0x9f1ceb16b9ce9472),
 ];
 
 /// The pinned digests with `solve_iterations` zeroed as well: actions,

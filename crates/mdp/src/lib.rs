@@ -9,7 +9,8 @@
 //!   tuple. RAMSIS transition rows are sparse (arrival counts concentrate
 //!   around the mean), so sparse storage keeps million-transition MDPs in
 //!   tens of megabytes.
-//! - [`solve`]: discounted value iteration with sup-norm stopping,
+//! - [`solve`]: discounted value iteration with span-seminorm stopping
+//!   (Jacobi; the Gauss–Seidel variant stops on the sup norm),
 //!   modified policy iteration, and relative value iteration for the
 //!   average-reward criterion (the paper cites both Puterman \[36\] and the
 //!   semi-MDP literature \[8\]).

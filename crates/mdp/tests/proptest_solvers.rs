@@ -106,6 +106,45 @@ proptest! {
         }
     }
 
+    /// Span-seminorm stopping keeps value iteration's guarantee
+    /// (Puterman Thm 6.6.6): the greedy policy it returns is
+    /// `tol`-optimal, and its shifted values lie within `tol / 2` of the
+    /// optimum. The optimum is policy iteration's policy, evaluated far
+    /// tighter than `tol`; `REFERENCE_TOL` is that evaluation's own
+    /// error bound.
+    #[test]
+    fn span_stopped_value_iteration_is_tol_optimal(
+        n in 2usize..10,
+        shape in shape_strategy(),
+        gamma in 0.5f64..0.99,
+        tol_exp in 0i32..3,
+    ) {
+        const REFERENCE_TOL: f64 = 1e-11;
+        let mdp = random_mdp(n, &shape);
+        let tol = 10f64.powi(-3 - 3 * tol_exp);
+        let opts = SolveOptions { discount: gamma, tolerance: tol, max_iterations: 1_000_000 };
+        let vi = value_iteration(&mdp, &opts);
+        prop_assert!(vi.iterations < opts.max_iterations, "did not converge");
+        let tight = SolveOptions { tolerance: REFERENCE_TOL, ..opts };
+        let pi = policy_iteration(&mdp, &tight, 100_000);
+        let v_star = evaluate_policy(&mdp, &pi.policy, gamma, REFERENCE_TOL);
+        let v_greedy = evaluate_policy(&mdp, &vi.policy, gamma, REFERENCE_TOL);
+        for s in 0..n {
+            prop_assert!(
+                (v_greedy[s] - v_star[s]).abs() <= tol + 2.0 * REFERENCE_TOL,
+                "state {s}: greedy policy's value {} vs optimum {} (tol {tol})",
+                v_greedy[s],
+                v_star[s]
+            );
+            prop_assert!(
+                (vi.values[s] - v_star[s]).abs() <= tol / 2.0 + REFERENCE_TOL,
+                "state {s}: shifted value {} vs optimum {} (tol {tol})",
+                vi.values[s],
+                v_star[s]
+            );
+        }
+    }
+
     /// The stationary distribution is a probability vector and a fixed
     /// point of the induced chain.
     #[test]

@@ -32,6 +32,13 @@ stage "e2e benchmark unit tests" \
 stage "transition-identity" \
     cargo test --release -q -p ramsis-core --lib \
     transitions::tests::rows_match_scalar_reference_at_paper_scale -- --ignored --exact
+# Policy identity at the paper's scale: span-stopped value iteration must
+# pick the same action in every state as the sup-norm reference loop, for
+# the 20 grid loads at K=60 (D=35, D=100) and K=16 (D=25), and for variable
+# batching, SQF and negative-binomial arrivals at K=16 D=15 (about 20 s in
+# release).
+stage "policy-identity" \
+    cargo test --release -q -p ramsis-core --test policy_identity -- --ignored
 # Randomized resilience sweep: 2,000 seeded chaos runs in release (about
 # 2 s), invariants checked (determinism, conservation, counter agreement,
 # hedge + admission bounds, scale-event and drain accounting,
