@@ -110,7 +110,6 @@ fn main() {
                 assert!(policy.guarantees().expected_accuracy > 0.0);
                 Some((dt, policy.solve_iterations))
             };
-            let (runtime, sweeps) = (solved.map(|(t, _)| t), solved.map(|(_, n)| n));
             let (cell, sweeps_cell) = match solved {
                 Some((t, n)) => (format!("{t:.2}"), n.to_string()),
                 None => (
@@ -133,8 +132,8 @@ fn main() {
                 models: profile.pareto_models().len(),
                 states,
                 actions,
-                runtime_s: runtime,
-                sweeps,
+                runtime_s: solved.map(|(t, _)| t),
+                sweeps: solved.map(|(_, n)| n),
             });
         }
     }
