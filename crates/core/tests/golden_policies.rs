@@ -10,23 +10,32 @@
 //! setup, variable batching, shortest-queue-first balancing and an
 //! over-dispersed arrival process.
 //!
-//! Two digests are pinned per scenario. [`GOLDEN`] covers the whole
+//! Three digests are pinned per scenario. [`GOLDEN`] covers the whole
 //! JSON, sweep count included. [`GOLDEN_SOLVED`] also zeroes
 //! `solve_iterations`, so it pins only what a policy *does*: a change
 //! to the solver's stopping rule may move the first table, never the
-//! second.
+//! second. [`GOLDEN_ACTIONS`] leaves `guarantees`, `stationary`,
+//! `solve_iterations` and `generation_seconds` out of the JSON, so it
+//! pins the configuration, grid, state space and per-state actions: a
+//! change that moves float bits in the guarantees or the stationary
+//! distribution but no action may move the first two tables, never the
+//! third.
 //!
 //! The constants below must never be edited to make a run pass: a
-//! mismatch means the generated policies changed. [`GOLDEN_SOLVED`] was
-//! recorded once. [`GOLDEN`] was re-recorded once, when Jacobi value
-//! iteration moved from a sup-norm to a span-seminorm stop: that changed
-//! five sweep counts and nothing else, as [`GOLDEN_SOLVED`] shows.
+//! mismatch means the generated policies changed. [`GOLDEN_SOLVED`] and
+//! [`GOLDEN_ACTIONS`] were each recorded once. [`GOLDEN`] was
+//! re-recorded once, when Jacobi value iteration moved from a sup-norm
+//! to a span-seminorm stop: that changed five sweep counts and nothing
+//! else, as [`GOLDEN_SOLVED`] shows.
 
 use std::time::Duration;
 
-use ramsis_core::{generate_policy, Balancing, Batching, Discretization, PolicyConfig};
+use ramsis_core::{
+    generate_policy, Balancing, Batching, Discretization, PolicyConfig, WorkerPolicy,
+};
 use ramsis_profiles::{ModelCatalog, ProfilerConfig, WorkerProfile};
 use ramsis_stats::{ArrivalProcess, NegativeBinomialProcess, PoissonProcess};
+use serde::{Serialize, Value};
 
 /// The pinned digests of the whole policy JSON, one per scenario.
 const GOLDEN: &[(&str, u64)] = &[
@@ -49,6 +58,25 @@ const GOLDEN_SOLVED: &[(&str, u64)] = &[
     ("negbin.k16.d15.q1000", 0xf22a5304e389559e),
 ];
 
+/// The pinned digests of the JSON without `guarantees`, `stationary`,
+/// `solve_iterations` and `generation_seconds`: what each state does.
+const GOLDEN_ACTIONS: &[(&str, u64)] = &[
+    ("rr.k16.d25.q200", 0xdf96524f023c2a82),
+    ("rr.k16.d25.q4000", 0xdc324e955ef249dc),
+    ("rr.k60.d35.q2000", 0x55f9099e787348e8),
+    ("variable.k16.d15.q1000", 0x66ffea0522c85350),
+    ("sqf.k16.d15.q1000", 0xf66046459143f0a9),
+    ("negbin.k16.d15.q1000", 0x8601267afc334b74),
+];
+
+/// The fields [`GOLDEN_ACTIONS`] leaves out of the policy JSON.
+const NOT_ACTIONS: [&str; 4] = [
+    "guarantees",
+    "stationary",
+    "solve_iterations",
+    "generation_seconds",
+];
+
 fn profile() -> WorkerProfile {
     WorkerProfile::build(
         &ModelCatalog::torchvision_image(),
@@ -62,6 +90,15 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
     })
+}
+
+/// The policy JSON with the [`NOT_ACTIONS`] fields removed.
+fn actions_json(policy: &WorkerPolicy) -> String {
+    let Value::Object(mut fields) = policy.to_value() else {
+        panic!("a policy serializes to a JSON object");
+    };
+    fields.retain(|(key, _)| !NOT_ACTIONS.contains(&key.as_str()));
+    serde_json::to_string(&Value::Object(fields)).expect("a value tree serializes")
 }
 
 struct Scenario {
@@ -130,6 +167,7 @@ fn generated_policies_match_pinned_digests() {
     let profile = profile();
     let mut whole = Vec::new();
     let mut solved = Vec::new();
+    let mut acting = Vec::new();
     for s in scenarios() {
         let config = PolicyConfig::builder(Duration::from_millis(150))
             .workers(s.workers)
@@ -139,12 +177,14 @@ fn generated_policies_match_pinned_digests() {
             .build();
         let mut policy = generate_policy(&profile, s.process.as_ref(), &config)
             .unwrap_or_else(|e| panic!("{}: {e}", s.name));
+        acting.push((s.name, fnv1a(actions_json(&policy).as_bytes())));
         policy.generation_seconds = 0.0;
         whole.push((s.name, fnv1a(policy.to_json().as_bytes())));
         policy.solve_iterations = 0;
         solved.push((s.name, fnv1a(policy.to_json().as_bytes())));
     }
-    // The sweep-agnostic table first: if both move, the actions did.
+    // The narrowest table first: if it moves, the actions did.
+    assert_digests("actions", &acting, GOLDEN_ACTIONS);
     assert_digests("sweep count zeroed", &solved, GOLDEN_SOLVED);
     assert_digests("whole policy", &whole, GOLDEN);
 }
