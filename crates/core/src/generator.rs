@@ -8,7 +8,7 @@ use ramsis_mdp::{
     value_iteration_gauss_seidel, MdpBuilder, SolveOptions, SparseMdp, StationaryOptions,
 };
 use ramsis_profiles::WorkerProfile;
-use ramsis_stats::counts::ArrivalProcess;
+use ramsis_stats::counts::{ArrivalProcess, PoissonProcess};
 
 use crate::action::{slo_satisfied, valid_actions, Action};
 use crate::config::{Balancing, PolicyConfig, RewardKind, SolverKind};
@@ -16,21 +16,50 @@ use crate::discretize::TimeGrid;
 use crate::error::CoreError;
 use crate::guarantees::compute_guarantees;
 use crate::policy::WorkerPolicy;
-use crate::sqf::SqfTransitionBuilder;
+use crate::sqf::jsq_rates;
 use crate::state::{State, StateSpace};
 use crate::transitions::TransitionBuilder;
 
-/// Internal dispatch over the two load-balancing transition models.
+/// The transition rows of the configured load balancer. Round-robin
+/// folds Eq. 2 over the central-queue process at `K` workers.
+/// Shortest-queue-first (§I) is the same fold at `K = 1` over the
+/// worker's conditional Poisson process: `[low, high]` builders, at the
+/// low rate for queue lengths `n ≤ 2` and the high rate otherwise.
 enum RowSource<'a> {
     RoundRobin(TransitionBuilder<'a>),
-    Sqf(SqfTransitionBuilder<'a>),
+    Sqf([TransitionBuilder<'a>; 2]),
 }
 
-impl RowSource<'_> {
+impl<'a> RowSource<'a> {
+    /// The rows of `config`'s balancer over `process`, or over the
+    /// conditional processes `jsq` under shortest-queue-first.
+    fn new(
+        profile: &'a WorkerProfile,
+        grid: &'a TimeGrid,
+        space: &'a StateSpace,
+        process: &'a dyn ArrivalProcess,
+        jsq: Option<&'a [PoissonProcess; 2]>,
+        config: &PolicyConfig,
+    ) -> Self {
+        let builder = |process: &'a dyn ArrivalProcess, workers| {
+            let (slo, tail_eps, prune_eps) = (config.slo_s, config.tail_eps, config.prune_eps);
+            TransitionBuilder::new(
+                profile, grid, space, process, workers, slo, tail_eps, prune_eps,
+            )
+        };
+        match jsq {
+            None => RowSource::RoundRobin(builder(process, config.workers)),
+            Some([low, high]) => RowSource::Sqf([builder(low, 1), builder(high, 1)]),
+        }
+    }
+
     fn row(&self, state: State, action: Action) -> Vec<(usize, f64)> {
         match self {
             RowSource::RoundRobin(b) => b.row(state, action),
-            RowSource::Sqf(b) => b.row(state, action),
+            RowSource::Sqf([low, high]) => match state {
+                State::Empty | State::Queued { n: ..=2, .. } => low.row(state, action),
+                State::Queued { .. } | State::Full => high.row(state, action),
+            },
         }
     }
 }
@@ -187,28 +216,21 @@ fn assemble(
     let grid = TimeGrid::build(profile, config.slo_s, config.discretization);
     let nw = config.max_queue.unwrap_or(profile.max_batch() + 3);
     let space = StateSpace::new(nw, grid.len() as u32);
-    let source = match config.balancing {
-        Balancing::RoundRobin => RowSource::RoundRobin(TransitionBuilder::new(
-            profile,
-            &grid,
-            &space,
-            process,
-            config.workers,
-            config.slo_s,
-            config.tail_eps,
-            config.prune_eps,
-        )),
-        Balancing::ShortestQueueFirst => RowSource::Sqf(SqfTransitionBuilder::new(
-            profile,
-            &grid,
-            &space,
-            process.rate(),
-            config.workers,
-            config.slo_s,
-            config.tail_eps,
-            config.prune_eps,
-        )),
+    let jsq = match config.balancing {
+        Balancing::RoundRobin => None,
+        // §I's conditional rates assume Poisson central-queue arrivals.
+        Balancing::ShortestQueueFirst if process.name() != "poisson" => {
+            return Err(CoreError::InvalidConfig(format!(
+                "shortest-queue-first balancing models Poisson arrivals only, not {}",
+                process.name()
+            )));
+        }
+        Balancing::ShortestQueueFirst => {
+            let (low, high) = jsq_rates(profile, config.slo_s, process.rate(), config.workers);
+            Some([low, high].map(PoissonProcess::per_second))
+        }
     };
+    let source = RowSource::new(profile, &grid, &space, process, jsq.as_ref(), config);
     let mut builder = MdpBuilder::new(space.len());
     builder.normalize_rows(true);
     for (_, st) in space.iter() {
@@ -249,7 +271,7 @@ mod tests {
     use crate::discretize::Discretization;
     use crate::policy::Decision;
     use ramsis_profiles::{ModelCatalog, ProfilerConfig};
-    use ramsis_stats::PoissonProcess;
+    use ramsis_stats::NegativeBinomialProcess;
     use std::time::Duration;
 
     fn profile() -> &'static WorkerProfile {
@@ -384,6 +406,146 @@ mod tests {
         let process = PoissonProcess::per_second(400.0);
         let policy = generate_policy(p, &process, &config).unwrap();
         assert!(policy.guarantees().expected_accuracy > 60.0);
+    }
+
+    /// Shortest-queue-first rows at `qps` over `workers` workers, D = 20.
+    struct SqfRows {
+        config: PolicyConfig,
+        grid: TimeGrid,
+        space: StateSpace,
+        jsq: [PoissonProcess; 2],
+    }
+
+    impl SqfRows {
+        fn new(qps: f64, workers: usize) -> Self {
+            let mut config = quick_config(workers);
+            config.discretization = Discretization::fixed_length(20);
+            let grid = TimeGrid::build(profile(), config.slo_s, config.discretization);
+            let space = StateSpace::new(profile().max_batch() + 3, grid.len() as u32);
+            let (low, high) = jsq_rates(profile(), config.slo_s, qps, workers);
+            let jsq = [low, high].map(PoissonProcess::per_second);
+            Self {
+                config,
+                grid,
+                space,
+                jsq,
+            }
+        }
+
+        fn source(&self) -> RowSource<'_> {
+            let (p, grid, space) = (profile(), &self.grid, &self.space);
+            RowSource::new(p, grid, space, &self.jsq[0], Some(&self.jsq), &self.config)
+        }
+
+        /// The serve-everything row of `n` queued queries at slack bin
+        /// `slack` on the fastest model.
+        fn serve_all(&self, n: u32, slack: usize) -> Vec<(usize, f64)> {
+            let model = profile().fastest_model() as u32;
+            let state = State::Queued {
+                n,
+                slack: slack as u32,
+            };
+            self.source().row(state, Action::Serve { model, batch: n })
+        }
+    }
+
+    #[test]
+    fn sqf_rows_sum_to_one() {
+        let sqf = SqfRows::new(800.0, 8);
+        let top = sqf.grid.top();
+        for n in [1u32, 2, 3, sqf.space.max_queue()] {
+            for slack in [0, top / 2, top] {
+                let s: f64 = sqf.serve_all(n, slack).iter().map(|&(_, p)| p).sum();
+                assert!((s - 1.0).abs() < 1e-6, "n={n} slack={slack}: sum={s}");
+            }
+        }
+    }
+
+    #[test]
+    fn sqf_rows_take_the_low_rate_up_to_two_queued_queries() {
+        let sqf = SqfRows::new(600.0, 30);
+        let [low, high] = &sqf.jsq;
+        assert!(high.rate() < low.rate());
+        let c = &sqf.config;
+        let at_rate = |process| {
+            let (grid, space) = (&sqf.grid, &sqf.space);
+            TransitionBuilder::new(
+                profile(),
+                grid,
+                space,
+                process,
+                1,
+                c.slo_s,
+                c.tail_eps,
+                c.prune_eps,
+            )
+        };
+        let (short, long) = (at_rate(low), at_rate(high));
+        let model = profile().fastest_model() as u32;
+        let source = sqf.source();
+        for n in 1..=sqf.space.max_queue() {
+            let state = State::Queued { n, slack: 3 };
+            let serve = Action::Serve { model, batch: n };
+            let want = if n <= 2 { &short } else { &long };
+            assert_eq!(source.row(state, serve), want.row(state, serve), "n={n}");
+        }
+        let serve_full = Action::Serve {
+            model,
+            batch: sqf.space.max_queue(),
+        };
+        assert_eq!(
+            source.row(State::Full, serve_full),
+            long.row(State::Full, serve_full)
+        );
+    }
+
+    #[test]
+    fn sqf_long_queues_empty_more_often_than_round_robin() {
+        // A worker with a long queue receives almost nothing under JSQ,
+        // so serving it all should empty the queue with high probability
+        // compared to round-robin at the same nominal load. 600 QPS over
+        // 30 workers (20 QPS each) is sustainable within SLO/2, so the
+        // JSQ approximation strongly throttles arrivals to a worker
+        // already holding 5 queries.
+        let sqf = SqfRows::new(600.0, 30);
+        let p_empty: f64 = sqf
+            .serve_all(5, sqf.grid.top())
+            .iter()
+            .filter(|&&(t, _)| sqf.space.state(t) == State::Empty)
+            .map(|&(_, p)| p)
+            .sum();
+        assert!(p_empty > 0.5, "p_empty={p_empty}");
+    }
+
+    #[test]
+    fn sqf_shed_and_arrival_rows_are_deterministic() {
+        let sqf = SqfRows::new(500.0, 4);
+        let source = sqf.source();
+        let shed = source.row(State::Queued { n: 5, slack: 0 }, Action::Shed);
+        assert_eq!(shed, vec![(sqf.space.index(State::Empty), 1.0)]);
+        let arrival = source.row(State::Empty, Action::Arrival);
+        let fresh = State::Queued {
+            n: 1,
+            slack: sqf.grid.top() as u32,
+        };
+        assert_eq!(arrival, vec![(sqf.space.index(fresh), 1.0)]);
+    }
+
+    #[test]
+    fn sqf_refuses_non_poisson_arrivals() {
+        // §I's conditional rates model Poisson arrivals; an over-dispersed
+        // process must not silently yield the Poisson policy.
+        let mut config = quick_config(16);
+        config.balancing = Balancing::ShortestQueueFirst;
+        let process = NegativeBinomialProcess::new(1_000.0, 4.0);
+        assert!(matches!(
+            generate_policy(profile(), &process, &config),
+            Err(CoreError::InvalidConfig(_))
+        ));
+        assert!(matches!(
+            assemble_mdp(profile(), &process, &config),
+            Err(CoreError::InvalidConfig(_))
+        ));
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //! 3. **Actions** — `(model, batch)` pairs constrained by latency, batch
 //!    strategy, and Pareto pruning ([`action`], §4.3).
 //! 4. **Transitions** — the interval-counting derivation of §4.4 for
-//!    round-robin balancing ([`transitions`]) or the conditional-Poisson
-//!    approximation of appendix §I for shortest-queue-first ([`sqf`]).
+//!    round-robin balancing ([`transitions`]); shortest-queue-first is
+//!    the same derivation at `K = 1` over appendix §I's conditional
+//!    Poisson rates ([`sqf`]).
 //! 5. **Solution** — value iteration over the assembled sparse MDP
 //!    ([`generator`], §4.1), yielding a [`policy::WorkerPolicy`].
 //! 6. **Guarantees** — expected accuracy and expected SLO violation rate

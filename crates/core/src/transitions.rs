@@ -1,5 +1,6 @@
 //! Worker-MDP transition probabilities for round-robin load balancing
-//! (paper §4.4).
+//! (paper §4.4), and for shortest-queue-first as the same fold at `K = 1`
+//! (appendix §I, see [`crate::sqf`]).
 //!
 //! Transition `(n, T_j) --(m, b)--> (n', T_{j'})` probabilities are
 //! derived from the central-queue arrival distribution `PF(k, T)` and
@@ -37,9 +38,9 @@
 //!    arrivals whose deadline is already blown (negative slack) land in
 //!    the exhausted-slack bin rather than leaking probability mass.
 //!    (This realizes the paper's "we set T_B = 0" clamping rule.)
-//! 4. Poisson tables are memoized per interval length, scoped to one
-//!    queue length `n` (see [`TableCache::scope`]); the Full-state mass
-//!    is the complement (Eq. 3).
+//! 4. Count tables are memoized per interval length, scoped to one
+//!    queue length `n` (see `ScopedCache`); the Full-state mass is the
+//!    complement (Eq. 3).
 //! 5. The `W(u)` and `H(v)` sums walk table windows as contiguous
 //!    slices ([`CountTable::pmf_window`]). Each output element still
 //!    receives the same terms in the same order as the pointwise sums,
@@ -62,10 +63,14 @@
 //!    one phase count only, `w` is exactly the unit vector `e_r`, and
 //!    where it holds none, `w` falls back to `e_0`; so many slack bins
 //!    share one row. Rows whose `w` is a unit vector are memoized by
-//!    `(model, r)`, scoped to `n` like the tables (item 4): a hit returns
-//!    the row those exact inputs built, bit for bit. Other `w` almost
-//!    never repeat (at K ∈ {16, 60}, 2 of about 3,000 repeats had
-//!    another `w`), so their rows are built and not kept.
+//!    `(model, r)` in the same `n`-scoped cache as the tables (item 4):
+//!    a hit returns the row those exact inputs built, bit for bit. Other
+//!    `w` almost never repeat (at K ∈ {16, 60}, 2 of about 3,000 repeats
+//!    had another `w`), so their rows are built and not kept.
+//! 8. At `K = 1` (shortest-queue-first) every phase weight vector is
+//!    exactly `e_0`, `u = 1` forces `k_B = 0` and `k_C ≥ 1`, and the fold
+//!    reduces to §I's Eq. 4; one full-batch row per model serves every
+//!    slack bin.
 //!
 //! Variable batching (`b < n`, §4.3.2) is not derived in the paper
 //! ("follows similar reasoning"); we model it as: the earliest remaining
@@ -84,40 +89,35 @@ use crate::action::Action;
 use crate::discretize::TimeGrid;
 use crate::state::{State, StateSpace};
 
-/// Memoized truncated count tables keyed by interval length.
+/// A transition row: `(target index, probability)` pairs.
+type Row = Vec<(usize, f64)>;
+
+/// What a builder keeps for one queue length `n` (module notes, items 4
+/// and 7): count tables by interval length, and full-batch rows whose
+/// phase weights are the unit vector `e_r`, by `(model, r)`.
 ///
-/// One cache instance must only ever be fed a single arrival process —
-/// the cache key is the interval length alone.
+/// MDP assembly visits states n-major, and the service-interval tables a
+/// row needs derive from `l(m, b ≤ n)`, so almost nothing is reused
+/// across `n`: scoping bounds a solve's live tables and rows to one `n`'s
+/// worth instead of the whole grid's. Tables and rows are pure functions
+/// of their keys, so a rebuilt one is bit-identical to the dropped one.
+/// One cache only ever sees its builder's arrival process.
 #[derive(Default)]
-pub struct TableCache {
+struct ScopedCache {
     tail_eps: f64,
+    /// The queue length whose tables and rows are held.
+    n: Cell<Option<u32>>,
     tables: RefCell<HashMap<u64, Rc<CountTable>>>,
-    /// The scope key of the tables held (see [`Self::scope`]).
-    scope: Cell<Option<u32>>,
+    rows: RefCell<HashMap<(u32, usize), Row>>,
 }
 
-impl TableCache {
-    /// Creates a cache with the given truncation tolerance.
-    pub fn new(tail_eps: f64) -> Self {
-        Self {
-            tail_eps,
-            tables: RefCell::new(HashMap::new()),
-            scope: Cell::new(None),
-        }
-    }
-
-    /// Drops every table when `key` differs from the previous call's.
-    ///
-    /// The row builders scope the cache to the queue length `n` of the
-    /// row being built. MDP assembly visits states n-major, and the
-    /// service-interval tables a row needs derive from `l(m, b ≤ n)`, so
-    /// almost nothing is reused across `n`: scoping bounds a solve's live
-    /// tables to one `n`'s worth instead of the whole grid's. A table is
-    /// a pure function of its interval length, so a rebuilt table is
-    /// bit-identical to the dropped one.
-    pub fn scope(&self, key: u32) {
-        if self.scope.replace(Some(key)) != Some(key) {
+impl ScopedCache {
+    /// Drops every table and row when `n` differs from the previous
+    /// call's.
+    fn scope(&self, n: u32) {
+        if self.n.replace(Some(n)) != Some(n) {
             self.tables.borrow_mut().clear();
+            self.rows.borrow_mut().clear();
         }
     }
 
@@ -130,7 +130,7 @@ impl TableCache {
     /// wrong — ~1e-6 of row mass over a 160-window grid). Recurring
     /// interval values are bit-identical because they are derived from
     /// the same grid and latency floats, so the cache still deduplicates.
-    pub fn table(&self, process: &dyn ArrivalProcess, t: f64) -> Rc<CountTable> {
+    fn table(&self, process: &dyn ArrivalProcess, t: f64) -> Rc<CountTable> {
         debug_assert!(t >= 0.0, "interval must be non-negative, got {t}");
         let key = t.to_bits();
         if let Some(hit) = self.tables.borrow().get(&key) {
@@ -141,37 +141,9 @@ impl TableCache {
         table
     }
 
-    /// Number of distinct tables built so far.
-    pub fn len(&self) -> usize {
-        self.tables.borrow().len()
-    }
-
-    /// Whether no table has been built.
-    pub fn is_empty(&self) -> bool {
-        self.tables.borrow().is_empty()
-    }
-}
-
-/// A transition row: `(target index, probability)` pairs.
-type Row = Vec<(usize, f64)>;
-
-/// Full-batch rows of one queue length whose phase weights are the
-/// unit vector `e_r`, keyed by `(model, r)` (module notes, item 7).
-#[derive(Default)]
-struct FullRowMemo {
-    /// The queue length the rows held belong to.
-    n: Cell<Option<u32>>,
-    rows: RefCell<HashMap<(u32, usize), Row>>,
-}
-
-impl FullRowMemo {
-    /// The row for queue length `n`, `model` and phase weights `e_r`,
-    /// built by `build` on a miss. Rows of another `n` are dropped
-    /// first, as [`TableCache::scope`] drops tables.
-    fn get_or_build(&self, n: u32, model: u32, r: usize, build: impl FnOnce() -> Row) -> Row {
-        if self.n.replace(Some(n)) != Some(n) {
-            self.rows.borrow_mut().clear();
-        }
+    /// The full-batch row for `model` and phase weights `e_r`, built by
+    /// `build` on a miss.
+    fn full_row(&self, model: u32, r: usize, build: impl FnOnce() -> Row) -> Row {
         if let Some(row) = self.rows.borrow().get(&(model, r)) {
             return row.clone();
         }
@@ -197,8 +169,7 @@ pub struct TransitionBuilder<'a> {
     grid: &'a TimeGrid,
     space: &'a StateSpace,
     process: &'a dyn ArrivalProcess,
-    cache: TableCache,
-    full_rows: FullRowMemo,
+    cache: ScopedCache,
     /// Number of workers `K` behind the balancer.
     workers: usize,
     slo: f64,
@@ -236,17 +207,14 @@ impl<'a> TransitionBuilder<'a> {
             grid,
             space,
             process,
-            cache: TableCache::new(tail_eps),
-            full_rows: FullRowMemo::default(),
+            cache: ScopedCache {
+                tail_eps,
+                ..ScopedCache::default()
+            },
             workers,
             slo,
             prune_eps,
         }
-    }
-
-    /// The memoized table cache (exposed for diagnostics and benches).
-    pub fn cache(&self) -> &TableCache {
-        &self.cache
     }
 
     /// Round-robin phase weights `w(r) = PF((n−1)K + r, T_A)`,
@@ -321,8 +289,8 @@ impl<'a> TransitionBuilder<'a> {
                     let w = self.phase_weights(n, slack as usize);
                     match unit_phase(&w) {
                         Some(r) => self
-                            .full_rows
-                            .get_or_build(n, model, r, || self.row_full_batch(n, model, &w)),
+                            .cache
+                            .full_row(model, r, || self.row_full_batch(n, model, &w)),
                         None => self.row_full_batch(n, model, &w),
                     }
                 } else {
@@ -584,6 +552,32 @@ mod tests {
             }
         }
 
+        /// Every action valid in `state` under maximal or variable
+        /// batching.
+        fn actions(&self, state: State) -> Vec<Action> {
+            use crate::action::{valid_actions, Batching};
+            use crate::config::MissPolicy;
+            let Some((n, slack)) = self.space.effective_queue(state) else {
+                return vec![Action::Arrival];
+            };
+            let mut actions = vec![];
+            for batching in [Batching::Maximal, Batching::Variable] {
+                for a in valid_actions(
+                    profile(),
+                    &self.grid,
+                    n,
+                    slack as usize,
+                    batching,
+                    MissPolicy::ServeLate,
+                ) {
+                    if !actions.contains(&a) {
+                        actions.push(a);
+                    }
+                }
+            }
+            actions
+        }
+
         fn builder(&self) -> TransitionBuilder<'_> {
             TransitionBuilder::new(
                 profile(),
@@ -768,6 +762,81 @@ mod tests {
         }
     }
 
+    /// Shortest-queue-first's serve row as appendix §I's Eq. 4 writes
+    /// it, the pointwise reference for the fold at `K = 1`: a partial
+    /// batch adds `PF(wA, L)` worker arrivals, and a full batch sums
+    /// `PF(0, T_B) · PF(k_C, T_C) · PF(n' − k_C, T_D)` over
+    /// `k_C ∈ [1, n']` per slack bin.
+    fn row_sqf_scalar(
+        b: &TransitionBuilder<'_>,
+        n: u32,
+        slack: usize,
+        model: u32,
+        batch: u32,
+    ) -> Vec<(usize, f64)> {
+        assert_eq!(b.workers, 1, "SQF rows are the fold at K = 1");
+        let l = b.service_latency(model, batch);
+        let table_l = b.cache.table(b.process, l);
+        let nw = b.space.max_queue();
+        let leftover = n - batch;
+        let mut row = Vec::new();
+        let mut accounted = 0.0;
+        if leftover > 0 {
+            let j_next = b.grid.floor_index(b.grid.value(slack) - l) as u32;
+            for wa in 0..=(nw - leftover) {
+                let p = table_l.pmf(wa as u64);
+                accounted += p;
+                if p > b.prune_eps {
+                    let target = State::Queued {
+                        n: leftover + wa,
+                        slack: j_next,
+                    };
+                    row.push((b.space.index(target), p));
+                }
+            }
+        } else {
+            let p_empty = table_l.pmf(0);
+            accounted += p_empty;
+            if p_empty > b.prune_eps {
+                row.push((b.space.index(State::Empty), p_empty));
+            }
+            for j_next in 0..b.grid.top() {
+                let raw_lo = l + b.grid.value(j_next) - b.slo;
+                let lo_edge = if j_next == 0 { 0.0 } else { raw_lo.max(0.0) };
+                let hi_edge = (l + b.grid.upper_edge(j_next) - b.slo).clamp(0.0, l);
+                if hi_edge <= lo_edge + 1e-15 {
+                    continue;
+                }
+                let pb0 = b.cache.table(b.process, lo_edge).pmf(0);
+                let table_c = b.cache.table(b.process, hi_edge - lo_edge);
+                let table_d = b.cache.table(b.process, l - hi_edge);
+                for n_next in 1..=nw {
+                    let mut p = 0.0;
+                    for kc in 1..=n_next {
+                        p += table_c.pmf(kc as u64) * table_d.pmf((n_next - kc) as u64);
+                    }
+                    p *= pb0;
+                    accounted += p;
+                    if p > b.prune_eps {
+                        let target = State::Queued {
+                            n: n_next,
+                            slack: j_next as u32,
+                        };
+                        row.push((b.space.index(target), p));
+                    }
+                }
+            }
+        }
+        let p_full = (1.0 - accounted).max(0.0);
+        if p_full > b.prune_eps {
+            row.push((b.space.index(State::Full), p_full));
+        }
+        if row.is_empty() {
+            row.push((b.space.index(State::Full), 1.0));
+        }
+        row
+    }
+
     fn bits(row: &[(usize, f64)]) -> Vec<(usize, u64)> {
         row.iter().map(|&(to, p)| (to, p.to_bits())).collect()
     }
@@ -781,34 +850,12 @@ mod tests {
     /// or variable batching, equals the scalar reference bit for bit, at
     /// each load in `loads` and each `D` in `ds`.
     fn assert_rows_match_scalar(workers: usize, ds: &[u32], loads: &[f64]) {
-        use crate::action::{valid_actions, Batching};
-        use crate::config::MissPolicy;
         for &d in ds {
             for &qps in loads {
                 let f = Fixture::new(qps, workers, d);
                 let (fast, reference) = (f.builder(), f.builder());
                 for (_, st) in f.space.iter() {
-                    let mut actions = vec![];
-                    match f.space.effective_queue(st) {
-                        None => actions.push(Action::Arrival),
-                        Some((n, slack)) => {
-                            for batching in [Batching::Maximal, Batching::Variable] {
-                                for a in valid_actions(
-                                    profile(),
-                                    &f.grid,
-                                    n,
-                                    slack as usize,
-                                    batching,
-                                    MissPolicy::ServeLate,
-                                ) {
-                                    if !actions.contains(&a) {
-                                        actions.push(a);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    for a in actions {
+                    for a in f.actions(st) {
                         assert_eq!(
                             bits(&fast.row(st, a)),
                             bits(&reference_row(&reference, st, a)),
@@ -817,6 +864,71 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// Under shortest-queue-first across `workers` workers, every serve
+    /// row of every state, built by the fold at `K = 1` over the
+    /// conditional Poisson process of its queue length (low rate for
+    /// `n ≤ 2`, high rate otherwise), is within 1e-15 of the Eq. 4
+    /// reference in every target, at each load in `loads` and each `D`
+    /// in `ds`.
+    fn assert_sqf_rows_match_eq4(workers: usize, ds: &[u32], loads: &[f64]) {
+        use std::collections::BTreeMap;
+        let dense = |row: Vec<(usize, f64)>| {
+            let mut by_target = BTreeMap::new();
+            for (to, p) in row {
+                *by_target.entry(to).or_insert(0.0) += p;
+            }
+            by_target
+        };
+        for &d in ds {
+            for &qps in loads {
+                let (low, high) = crate::sqf::jsq_rates(profile(), SLO, qps, workers);
+                let rates = [Fixture::new(low, 1, d), Fixture::new(high, 1, d)];
+                let (fold, reference) = (
+                    rates.each_ref().map(Fixture::builder),
+                    rates.each_ref().map(Fixture::builder),
+                );
+                let f = &rates[0];
+                for (_, st) in f.space.iter() {
+                    let Some((n, slack)) = f.space.effective_queue(st) else {
+                        continue;
+                    };
+                    let by_rate = usize::from(n > 2);
+                    for a in f.actions(st) {
+                        let Action::Serve { model, batch } = a else {
+                            continue;
+                        };
+                        let got = dense(fold[by_rate].row(st, a));
+                        let want = dense(row_sqf_scalar(
+                            &reference[by_rate],
+                            n,
+                            slack as usize,
+                            model,
+                            batch,
+                        ));
+                        for to in got.keys().chain(want.keys()) {
+                            let (g, w) = (
+                                got.get(to).copied().unwrap_or(0.0),
+                                want.get(to).copied().unwrap_or(0.0),
+                            );
+                            assert!(
+                                (g - w).abs() <= 1e-15,
+                                "D={d} K={workers} qps={qps} {st:?} {a:?} -> {:?}: {g} vs {w}",
+                                f.space.state(*to)
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sqf_rows_match_the_eq4_reference() {
+        for workers in [1, 4, 16, 60] {
+            assert_sqf_rows_match_eq4(workers, &[10, 35], &IDENTITY_LOADS);
         }
     }
 
@@ -840,29 +952,43 @@ mod tests {
         assert_rows_match_scalar(60, &[10, 35], &IDENTITY_LOADS);
     }
 
-    /// The paper's D=100 grid at both evaluation worker counts; too slow
-    /// for a debug build, so `scripts/ci.sh` runs it in release.
+    /// The paper's D=100 grid at both evaluation worker counts, round-robin
+    /// and shortest-queue-first; too slow for a debug build, so
+    /// `scripts/ci.sh` runs it in release.
     #[test]
     #[ignore = "release-only: run with --release -- --ignored"]
     fn rows_match_scalar_reference_at_paper_scale() {
         let loads = [200.0, 1_000.0, 2_000.0, 3_000.0, 4_000.0];
         for workers in [16, 60] {
             assert_rows_match_scalar(workers, &[100], &loads);
+            assert_sqf_rows_match_eq4(workers, &[100], &loads);
         }
     }
 
     #[test]
-    fn cache_scope_drops_tables_only_when_the_key_changes() {
+    fn cache_scope_drops_tables_and_rows_only_when_n_changes() {
         let process = PoissonProcess::per_second(500.0);
-        let cache = TableCache::new(1e-12);
+        let cache = ScopedCache {
+            tail_eps: 1e-12,
+            ..ScopedCache::default()
+        };
         cache.scope(2);
         let first = cache.table(&process, 0.01);
         let _ = cache.table(&process, 0.02);
-        assert_eq!(cache.len(), 2);
+        let row = cache.full_row(0, 0, || vec![(0, 1.0)]);
         cache.scope(2);
-        assert_eq!(cache.len(), 2, "the same key keeps its tables");
+        assert_eq!(
+            cache.tables.borrow().len(),
+            2,
+            "the same n keeps its tables"
+        );
+        assert_eq!(cache.full_row(0, 0, Vec::new), row, "and its rows");
         cache.scope(3);
-        assert!(cache.is_empty(), "a new key drops every table");
+        assert!(
+            cache.tables.borrow().is_empty(),
+            "a new n drops every table"
+        );
+        assert!(cache.rows.borrow().is_empty(), "and every row");
         // A rebuilt table reproduces the dropped one exactly.
         assert_eq!(*cache.table(&process, 0.01), *first);
     }
@@ -884,7 +1010,7 @@ mod tests {
         for slack in 0..slacks {
             serve(n, slack);
         }
-        let held = b.full_rows.rows.borrow().len();
+        let held = b.cache.rows.borrow().len();
         assert!(
             held < slacks as usize,
             "{held} rows held for {slacks} slack bins"
@@ -896,10 +1022,13 @@ mod tests {
             let a = Action::Serve { model: 0, batch: n };
             assert_eq!(bits(&b.row(st, a)), bits(&reference_row(&reference, st, a)));
         }
-        assert_eq!(b.full_rows.rows.borrow().len(), held, "no new rows");
-        // Another queue length drops the first one's rows.
-        serve(n + 1, 0);
-        assert_eq!(b.full_rows.rows.borrow().len(), 1);
+        assert_eq!(b.cache.rows.borrow().len(), held, "no new rows");
+        // Another queue length drops the first one's rows: a fresh
+        // query's phase is 0, so only its row is held after.
+        let next = serve(n + 1, f.grid.top() as u32);
+        let rows = b.cache.rows.borrow();
+        assert_eq!(rows.len(), 1);
+        assert!(rows.values().all(|row| *row == next));
     }
 
     #[test]
@@ -1212,7 +1341,7 @@ mod tests {
                 batch: 1,
             },
         );
-        let count_once = b.cache().len();
+        let count_once = b.cache.tables.borrow().len();
         let _ = b.row(
             State::Queued { n: 1, slack: 5 },
             Action::Serve {
@@ -1221,11 +1350,11 @@ mod tests {
             },
         );
         assert_eq!(
-            b.cache().len(),
+            b.cache.tables.borrow().len(),
             count_once,
             "repeat rows must hit the cache"
         );
-        assert!(!b.cache().is_empty());
+        assert!(count_once > 0);
     }
 
     #[test]

@@ -22,11 +22,18 @@
 //! third.
 //!
 //! The constants below must never be edited to make a run pass: a
-//! mismatch means the generated policies changed. [`GOLDEN_SOLVED`] and
-//! [`GOLDEN_ACTIONS`] were each recorded once. [`GOLDEN`] was
-//! re-recorded once, when Jacobi value iteration moved from a sup-norm
-//! to a span-seminorm stop: that changed five sweep counts and nothing
-//! else, as [`GOLDEN_SOLVED`] shows.
+//! mismatch means the generated policies changed. [`GOLDEN_ACTIONS`] was
+//! recorded once. [`GOLDEN`] was re-recorded when Jacobi value iteration
+//! moved from a sup-norm to a span-seminorm stop: that changed five sweep
+//! counts and nothing else, as [`GOLDEN_SOLVED`] shows. The
+//! `sqf.k16.d15.q1000` entries of [`GOLDEN`] and [`GOLDEN_SOLVED`] were
+//! re-recorded when shortest-queue-first rows moved to the round-robin
+//! fold at `K = 1`: its rows differ from the old three-factor product in
+//! the last float bits (within 1e-15, checked in `transitions.rs`).
+//! That moved its stationary probabilities by at most 1e-16, its
+//! expected accuracy by 1.4e-14 percentage points and its sweep count
+//! from 94 to 97, while [`GOLDEN_ACTIONS`] shows the same action in
+//! every state.
 
 use std::time::Duration;
 
@@ -43,7 +50,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("rr.k16.d25.q4000", 0x732fd4f96f79fc4b),
     ("rr.k60.d35.q2000", 0xc7ad07642a8035b2),
     ("variable.k16.d15.q1000", 0x727219a43d649931),
-    ("sqf.k16.d15.q1000", 0xcb05ea113947301e),
+    ("sqf.k16.d15.q1000", 0x90806825a4228ea2),
     ("negbin.k16.d15.q1000", 0x9f1ceb16b9ce9472),
 ];
 
@@ -54,7 +61,7 @@ const GOLDEN_SOLVED: &[(&str, u64)] = &[
     ("rr.k16.d25.q4000", 0x84c5b444a71202c4),
     ("rr.k60.d35.q2000", 0x25404e49434c66c2),
     ("variable.k16.d15.q1000", 0x287fdf9b8a8141ea),
-    ("sqf.k16.d15.q1000", 0xef7e78d0aeea484f),
+    ("sqf.k16.d15.q1000", 0x349431e626d09ff6),
     ("negbin.k16.d15.q1000", 0xf22a5304e389559e),
 ];
 

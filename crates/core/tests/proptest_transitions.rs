@@ -8,7 +8,7 @@ use std::time::Duration;
 use ramsis_core::action::{valid_actions, Action, Batching};
 use ramsis_core::config::MissPolicy;
 use ramsis_core::discretize::{Discretization, TimeGrid};
-use ramsis_core::sqf::SqfTransitionBuilder;
+use ramsis_core::sqf::jsq_rates;
 use ramsis_core::state::{State, StateSpace};
 use ramsis_core::transitions::TransitionBuilder;
 use ramsis_profiles::{ModelCatalog, ProfilerConfig, WorkerProfile};
@@ -70,7 +70,9 @@ proptest! {
         }
     }
 
-    /// SQF rows are distributions too.
+    /// SQF rows are distributions too: the fold at K = 1 over the
+    /// worker's conditional Poisson process, at the low rate for n ≤ 2
+    /// and the high rate otherwise (appendix §I).
     #[test]
     fn sqf_rows_are_distributions(
         qps in 20.0f64..3_000.0,
@@ -83,10 +85,11 @@ proptest! {
         let grid = TimeGrid::build(p, SLO, Discretization::fixed_length(d));
         let nw = p.max_batch() + 3;
         let space = StateSpace::new(nw, grid.len() as u32);
-        let builder =
-            SqfTransitionBuilder::new(p, &grid, &space, qps, workers, SLO, 1e-12, 0.0);
-
         let n = n_raw.min(nw);
+        let (low, high) = jsq_rates(p, SLO, qps, workers);
+        let process = PoissonProcess::per_second(if n <= 2 { low } else { high });
+        let builder = TransitionBuilder::new(p, &grid, &space, &process, 1, SLO, 1e-12, 0.0);
+
         let slack = ((grid.len() - 1) as f64 * slack_frac) as usize;
         let state = State::Queued { n, slack: slack as u32 };
         for action in valid_actions(p, &grid, n, slack, Batching::Maximal, MissPolicy::ServeLate) {
