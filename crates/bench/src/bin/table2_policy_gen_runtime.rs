@@ -179,10 +179,10 @@ fn main() {
     }
     if let (Some(maxb), Some(varb)) = (get("MD", "max", m_big), get("MD", "variable", m_big)) {
         println!(
-            "note: MD max {maxb:.2}s vs MD variable {varb:.2}s — near-equal here, unlike \
-             the paper's ~30x gap: our reorganized Eq. 2 sums make the extra partial-batch \
-             rows cheap (see docs/transition_derivation.md), so variable batching's cost \
-             is dominated by the shared full-batch rows."
+            "MD variable/max runtime: {:.2}x (MD variable {varb:.2}s vs MD max {maxb:.2}s); \
+             the paper reports ~30x. The reorganized Eq. 2 sums keep the extra partial-batch \
+             rows cheap (see docs/transition_derivation.md).",
+            varb / maxb
         );
     }
 

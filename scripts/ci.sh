@@ -27,8 +27,9 @@ stage "e2e benchmark unit tests" \
     cargo test --release --offline --manifest-path e2e_bench/Cargo.toml
 # Transition identity at the paper's scale: every round-robin row at
 # D=100, K ∈ {16, 60} and 200–4,000 QPS must equal the pointwise scalar
-# references bit for bit (about 15 s in release; too slow for the debug
-# suite above, which checks the same at D ≤ 35).
+# references bit for bit, and every shortest-queue-first row must lie
+# within 1e-15 of appendix §I's Eq. 4 product (about 20 s in release; too
+# slow for the debug suite above, which checks the same at D ≤ 35).
 stage "transition-identity" \
     cargo test --release -q -p ramsis-core --lib \
     transitions::tests::rows_match_scalar_reference_at_paper_scale -- --ignored --exact
