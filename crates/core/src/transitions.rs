@@ -875,13 +875,7 @@ mod tests {
     /// in `ds`.
     fn assert_sqf_rows_match_eq4(workers: usize, ds: &[u32], loads: &[f64]) {
         use std::collections::BTreeMap;
-        let dense = |row: Vec<(usize, f64)>| {
-            let mut by_target = BTreeMap::new();
-            for (to, p) in row {
-                *by_target.entry(to).or_insert(0.0) += p;
-            }
-            by_target
-        };
+        let dense = |row: Vec<(usize, f64)>| row.into_iter().collect::<BTreeMap<_, _>>();
         for &d in ds {
             for &qps in loads {
                 let (low, high) = crate::sqf::jsq_rates(profile(), SLO, qps, workers);
