@@ -10,6 +10,10 @@
 //! decision provenance, a counterfactual replay forcing a non-own
 //! action, and a kill at a checkpoint followed by a resume.
 //!
+//! Each telemetry stream is pinned twice: as the JSONL the run wrote,
+//! and re-encoded through the binary codec, so a change to either
+//! encoding's bytes shows here.
+//!
 //! The constants below were recorded once and must never be edited: a
 //! mismatch means the engine's output changed.
 
@@ -22,7 +26,10 @@ use ramsis_sim::{
     HealthPolicy, MemoryRecorder, RamsisScheme, ResiliencePolicy, Routing, RunSpec, Selection,
     Simulation, SimulationConfig, SimulationReport,
 };
-use ramsis_telemetry::{ChosenAction, JsonlDecisionSink, JsonlSink, ReasonCode, VecDecisionSink};
+use ramsis_telemetry::{
+    parse_jsonl_tolerant, write_bin, ChosenAction, JsonlDecisionSink, JsonlSink, ReasonCode,
+    VecDecisionSink,
+};
 use ramsis_workload::{LoadMonitor, Trace, TraceKind};
 
 /// The pinned digests, one per named artifact.
@@ -58,6 +65,24 @@ const GOLDEN: &[(&str, u64)] = &[
     ("resume.elastic_health.suffix", 0x8a919e1f552d2014),
 ];
 
+/// Each `*.telemetry` / `*.suffix` stream of [`GOLDEN`], parsed and
+/// written again with `write_bin`.
+const GOLDEN_BIN: &[(&str, u64)] = &[
+    ("plain.telemetry", 0x5b83d9e18fda1909),
+    ("arrivals.requeue_rr.telemetry", 0x8414b5d9cfcc320c),
+    ("arrivals.requeue_central.telemetry", 0x563ed88a16fd2f19),
+    ("arrivals.drop_sq.telemetry", 0x732f6a45e5530df8),
+    ("resilience.sq.telemetry", 0xcde6ee8d8c381b1e),
+    ("resilience.central.telemetry", 0xfed1317dc976202b),
+    ("autoscale.telemetry", 0x2d44b17c6671371d),
+    ("health.rr.telemetry", 0x9eb3fcdaee1b9c9a),
+    ("health.central.telemetry", 0xf1a5246cdde41ba1),
+    ("decisions.telemetry", 0x02e17b19f3194677),
+    ("counterfactual.telemetry", 0xfecd71706b77265c),
+    ("resume.resilience.suffix", 0x67c84ef76353f05b),
+    ("resume.elastic_health.suffix", 0xf98346199a897e88),
+];
+
 fn profile() -> &'static WorkerProfile {
     use std::sync::OnceLock;
     static PROFILE: OnceLock<WorkerProfile> = OnceLock::new();
@@ -89,37 +114,54 @@ fn report_json(r: &SimulationReport) -> Vec<u8> {
     serde_json::to_string(r).unwrap().into_bytes()
 }
 
-/// Collected `(name, digest)` pairs, checked against [`GOLDEN`].
+/// Collected `(name, digest)` pairs, checked against [`GOLDEN`] and,
+/// for the telemetry streams' binary encoding, [`GOLDEN_BIN`].
 #[derive(Default)]
-struct Digests(Vec<(String, u64)>);
+struct Digests {
+    artifacts: Vec<(String, u64)>,
+    binary: Vec<(String, u64)>,
+}
 
 impl Digests {
     fn add(&mut self, name: &str, bytes: &[u8]) {
         assert!(!bytes.is_empty(), "{name}: empty artifact");
-        self.0.push((name.to_owned(), fnv1a(bytes)));
+        self.artifacts.push((name.to_owned(), fnv1a(bytes)));
+    }
+
+    /// Adds a JSONL telemetry stream and its binary re-encoding.
+    fn telemetry(&mut self, name: &str, jsonl: &[u8]) {
+        self.add(name, jsonl);
+        let parsed = parse_jsonl_tolerant(std::str::from_utf8(jsonl).unwrap()).unwrap();
+        assert!(parsed.torn_tail.is_none() && parsed.unknown_events == 0);
+        let bin = write_bin(&parsed.events, None);
+        self.binary.push((name.to_owned(), fnv1a(&bin)));
     }
 
     fn check(&self) {
-        let table: String = self
-            .0
-            .iter()
-            .map(|(n, d)| format!("    (\"{n}\", {d:#018x}),\n"))
-            .collect();
+        check_table(&self.artifacts, GOLDEN);
+        check_table(&self.binary, GOLDEN_BIN);
+    }
+}
+
+fn check_table(computed: &[(String, u64)], pinned: &[(&str, u64)]) {
+    let table: String = computed
+        .iter()
+        .map(|(n, d)| format!("    (\"{n}\", {d:#018x}),\n"))
+        .collect();
+    assert_eq!(
+        computed.len(),
+        pinned.len(),
+        "artifact set changed; computed:\n{table}"
+    );
+    for ((name, got), (want_name, want)) in computed.iter().zip(pinned) {
         assert_eq!(
-            self.0.len(),
-            GOLDEN.len(),
-            "artifact set changed; computed:\n{table}"
+            name, want_name,
+            "artifact order changed; computed:\n{table}"
         );
-        for ((name, got), (want_name, want)) in self.0.iter().zip(GOLDEN) {
-            assert_eq!(
-                name, want_name,
-                "artifact order changed; computed:\n{table}"
-            );
-            assert_eq!(
-                got, want,
-                "{name}: digest {got:#018x} != pinned {want:#018x}; computed:\n{table}"
-            );
-        }
+        assert_eq!(
+            got, want,
+            "{name}: digest {got:#018x} != pinned {want:#018x}; computed:\n{table}"
+        );
     }
 }
 
@@ -153,7 +195,7 @@ fn plain(d: &mut Digests) {
         .unwrap()
         .report();
     d.add("plain.report", &report_json(&report));
-    d.add("plain.telemetry", &sink.finish().unwrap());
+    d.telemetry("plain.telemetry", &sink.finish().unwrap());
 }
 
 fn explicit_arrivals_under_faults(d: &mut Digests) {
@@ -182,7 +224,7 @@ fn explicit_arrivals_under_faults(d: &mut Digests) {
             .unwrap()
             .report();
         d.add(&format!("{name}.report"), &report_json(&report));
-        d.add(&format!("{name}.telemetry"), &sink.finish().unwrap());
+        d.telemetry(&format!("{name}.telemetry"), &sink.finish().unwrap());
     }
 }
 
@@ -217,7 +259,7 @@ fn resilience_stack(d: &mut Digests) {
         let res = &report.resilience;
         assert!(res.retries > 0 && res.hedges_issued > 0 && res.admission_shed > 0);
         d.add(&format!("{name}.report"), &report_json(&report));
-        d.add(&format!("{name}.telemetry"), &sink.finish().unwrap());
+        d.telemetry(&format!("{name}.telemetry"), &sink.finish().unwrap());
     }
 }
 
@@ -244,7 +286,7 @@ fn autoscale_brownout(d: &mut Digests) {
     let stats = report.autoscale.as_ref().unwrap();
     assert!(stats.brownout_enters > 0 && stats.scale_ups > 0 && stats.scale_downs > 0);
     d.add("autoscale.report", &report_json(&report));
-    d.add("autoscale.telemetry", &sink.finish().unwrap());
+    d.telemetry("autoscale.telemetry", &sink.finish().unwrap());
 }
 
 fn health_gray_faults(d: &mut Digests) {
@@ -271,7 +313,7 @@ fn health_gray_faults(d: &mut Digests) {
             .report();
         assert!(report.health.as_ref().unwrap().suspects > 0);
         d.add(&format!("{name}.report"), &report_json(&report));
-        d.add(&format!("{name}.telemetry"), &sink.finish().unwrap());
+        d.telemetry(&format!("{name}.telemetry"), &sink.finish().unwrap());
     }
 }
 
@@ -310,7 +352,7 @@ fn decisions_and_counterfactual(d: &mut Digests) {
         )
         .unwrap();
     d.add("decisions.report", &report_json(&report));
-    d.add("decisions.telemetry", &sink.finish().unwrap());
+    d.telemetry("decisions.telemetry", &sink.finish().unwrap());
     d.add("decisions.records", &decisions.finish().unwrap());
 
     // Branch at the first policy-lookup Serve past decision 200 and
@@ -353,7 +395,7 @@ fn decisions_and_counterfactual(d: &mut Digests) {
         .report();
     assert_ne!(report_json(&cf), report_json(&report), "the branch bit");
     d.add("counterfactual.report", &report_json(&cf));
-    d.add("counterfactual.telemetry", &sink.finish().unwrap());
+    d.telemetry("counterfactual.telemetry", &sink.finish().unwrap());
 }
 
 /// Runs durably, is killed at the third checkpoint, and resumes from
@@ -390,7 +432,7 @@ fn kill_resume(
         .report();
     d.add(&format!("{name}.snapshot"), snap.to_json().as_bytes());
     d.add(&format!("{name}.report"), &report_json(&resumed));
-    d.add(&format!("{name}.suffix"), &suffix.finish().unwrap());
+    d.telemetry(&format!("{name}.suffix"), &suffix.finish().unwrap());
 }
 
 fn kill_and_resume(d: &mut Digests) {

@@ -866,8 +866,8 @@ mod tests {
     use super::*;
     use crate::sink::{parse_jsonl_tolerant, UNKNOWN_SAMPLE_CAP};
 
-    /// One of every variant — the same exhaustive list the event-model
-    /// serde test pins, so a codec gap on any variant fails here.
+    /// One of every variant, and every value of each sub-enum and
+    /// bool field, so a codec gap on any variant or tag fails here.
     fn every_variant() -> Vec<Event> {
         vec![
             Event::Arrival {
@@ -908,10 +908,33 @@ mod tests {
                 response_ns: 8,
                 violated: false,
             },
+            Event::Complete {
+                at: 9,
+                query: 1,
+                worker: 3,
+                model: 7,
+                response_ns: 160_000_000,
+                violated: true,
+            },
             Event::Shed {
                 at: 10,
                 query: 4,
                 cause: ShedCause::Hopeless,
+            },
+            Event::Shed {
+                at: 10,
+                query: 5,
+                cause: ShedCause::QueueDepth,
+            },
+            Event::Shed {
+                at: 10,
+                query: 6,
+                cause: ShedCause::Policy,
+            },
+            Event::Shed {
+                at: 21,
+                query: 9,
+                cause: ShedCause::RetryExhausted,
             },
             Event::Drop { at: 11, query: 5 },
             Event::CrashRequeue {
@@ -949,6 +972,10 @@ mod tests {
             Event::LazySolve {
                 at: 15,
                 regime: String::new(),
+            },
+            Event::LazySolve {
+                at: 15,
+                regime: "gt120qps-bursty".into(),
             },
             Event::FallbackEngaged { at: 16, worker: 2 },
             Event::Timeout {
@@ -1018,6 +1045,12 @@ mod tests {
                 worker: 1,
                 genuine: true,
                 lag_ns: 40_000_000,
+            },
+            Event::Suspect {
+                at: 31,
+                worker: 2,
+                genuine: false,
+                lag_ns: 0,
             },
             Event::Reinstate {
                 at: 33,
@@ -1129,21 +1162,85 @@ mod tests {
         assert!(parsed.events.len() >= 2, "known records still parse");
     }
 
+    /// 64-bit FNV-1a.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// The byte format across versions: every other codec test is a
+    /// round trip through one build, which an encoder and decoder that
+    /// drift together would pass. Recorded once; never edit them.
+    #[test]
+    fn binary_bytes_match_pinned_digests() {
+        let events = every_variant();
+        assert_eq!(fnv1a(&write_bin(&events, None)), PINNED_PLAIN);
+        assert_eq!(fnv1a(&write_bin(&events, Some((0.25, 9)))), PINNED_SAMPLED);
+    }
+
+    const PINNED_PLAIN: u64 = 0x41de_9263_7bf0_0866;
+    const PINNED_SAMPLED: u64 = 0xf006_e2df_fd31_ff8b;
+
     #[test]
     fn complete_but_malformed_record_is_corruption_not_tolerated() {
+        // (case, kind, a well-formed payload, the same with one defect)
+        let cases: &[(&str, u8, &[u8], &[u8])] = &[
+            ("truncated payload", 3, &[0, 0, 0, 0, 0, 0], &[0xff, 0xff]),
+            ("trailing payload bytes", 5, &[1, 2], &[1, 2, 0]),
+            (
+                "overlong varint",
+                5,
+                &[
+                    0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 0,
+                ],
+                &[
+                    0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 0,
+                ],
+            ),
+            (
+                "varint above u64::MAX",
+                5,
+                &[
+                    0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 0,
+                ],
+                &[
+                    0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02, 0,
+                ],
+            ),
+            (
+                "u32 field above u32::MAX",
+                2,
+                &[0, 0xff, 0xff, 0xff, 0xff, 0x0f, 0, 0, 0],
+                &[0, 0x80, 0x80, 0x80, 0x80, 0x10, 0, 0, 0],
+            ),
+            ("bool byte 2", 3, &[0, 0, 0, 0, 0, 1], &[0, 0, 0, 0, 0, 2]),
+            ("QueueId tag 3", 1, &[0, 0, 2, 0], &[0, 0, 3, 0]),
+            ("Action tag 3", 7, &[0, 0, 0, 0, 2], &[0, 0, 0, 0, 3]),
+            ("ShedCause tag 4", 4, &[0, 0, 3], &[0, 0, 4]),
+            ("string not UTF-8", 9, &[0, 1, b'a'], &[0, 1, 0xff]),
+        ];
         let events = vec![every_variant()[0].clone()];
-        let mut bytes = write_bin(&events, None);
-        // A known kind (3 = Complete) with a garbage 2-byte payload,
-        // followed by a valid record so it is not the tail.
-        bytes.push(3);
-        bytes.push(2);
-        bytes.extend_from_slice(&[0xff, 0xff]);
         let mut scratch = Vec::new();
         let mut rec = Vec::new();
         encode_record(&mut rec, &mut scratch, &events[0]);
-        bytes.extend_from_slice(&rec);
-        let err = parse_bin_tolerant(&bytes).unwrap_err();
-        assert!(err.contains("malformed payload"), "{err}");
+        // The record under test sits between two valid ones, so it is
+        // complete and never the tail.
+        let stream = |kind: u8, payload: &[u8]| {
+            let mut bytes = write_bin(&events, None);
+            bytes.push(kind);
+            bytes.push(u8::try_from(payload.len()).unwrap());
+            bytes.extend_from_slice(payload);
+            bytes.extend_from_slice(&rec);
+            bytes
+        };
+        for &(case, kind, good, bad) in cases {
+            let parsed = parse_bin_tolerant(&stream(kind, good))
+                .unwrap_or_else(|e| panic!("{case}: the well-formed twin fails: {e}"));
+            assert_eq!(parsed.events.len(), 3, "{case}");
+            let err = parse_bin_tolerant(&stream(kind, bad)).unwrap_err();
+            assert!(err.contains("malformed payload"), "{case}: {err}");
+        }
     }
 
     #[test]
