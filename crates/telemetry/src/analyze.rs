@@ -332,16 +332,6 @@ impl KindCountFold {
     }
 }
 
-/// Per-kind event counts of a complete stream: every estimate is the
-/// count itself.
-pub fn kind_counts(events: &[Event]) -> Vec<KindCount> {
-    let mut fold = KindCountFold::default();
-    for e in events {
-        fold.observe(e);
-    }
-    fold.finish()
-}
-
 fn kind_table(kept: [u64; 6], est: [f64; 6], std_error: [f64; 6]) -> Vec<KindCount> {
     (0..EVENT_KINDS.len())
         .map(|k| KindCount {

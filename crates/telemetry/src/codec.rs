@@ -15,6 +15,13 @@
 //!   varints, floats are 8 fixed little-endian IEEE-754 bytes, strings
 //!   are varint-length-prefixed UTF-8, and sub-enums are one tag byte.
 //!
+//! The layout table below is the one place that defines each kind's tag
+//! and field order: one row per kind generates its encoder and decoder
+//! arms, and each field type's [`Field`] impl holds both directions of
+//! its encoding. Adding a kind is an [`Event`] variant plus one row with
+//! the next tag; a kind or field missing from the table, or a duplicate
+//! tag, does not compile.
+//!
 //! The explicit payload length is what buys tolerance: an unknown kind
 //! tag from a newer engine is skipped whole (counted, like the JSONL
 //! parser's unknown kinds), and a record cut short by a mid-write kill
@@ -45,10 +52,6 @@ pub const BIN_SCHEMA_VERSION: u32 = 1;
 /// carries its rate + seed in the header.
 pub(crate) const FLAG_SAMPLED: u8 = 0b0000_0001;
 
-/// The highest kind tag this build knows; a record tagged above it is a
-/// newer writer's, skipped and counted rather than rejected.
-pub(crate) const MAX_KIND: u8 = 28;
-
 /// True when `bytes` starts with the binary stream magic — the format
 /// auto-detection used by `ramsis-cli` for `--telemetry` paths and
 /// `telemetry convert` inputs.
@@ -57,93 +60,44 @@ pub fn is_binary_stream(bytes: &[u8]) -> bool {
 }
 
 // ---------------------------------------------------------------------
-// Primitive encoders
+// Field codecs
 // ---------------------------------------------------------------------
 
-fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(byte);
-            return;
+/// Both directions of one payload field type's encoding. `get` reads
+/// from the front of the remaining payload and advances it; `Err(())`
+/// means the payload is malformed.
+trait Field: Sized {
+    fn put(&self, buf: &mut Vec<u8>);
+    fn get(input: &mut &[u8]) -> Result<Self, ()>;
+}
+
+/// Splits the next `n` bytes off the payload.
+fn take<'a>(input: &mut &'a [u8], n: usize) -> Result<&'a [u8], ()> {
+    let (head, rest) = input.split_at_checked(n).ok_or(())?;
+    *input = rest;
+    Ok(head)
+}
+
+fn byte(input: &mut &[u8]) -> Result<u8, ()> {
+    Ok(take(input, 1)?[0])
+}
+
+/// LEB128 varint.
+impl Field for u64 {
+    fn put(&self, buf: &mut Vec<u8>) {
+        let mut v = *self;
+        while v >= 0x80 {
+            buf.push((v & 0x7f) as u8 | 0x80);
+            v >>= 7;
         }
-        buf.push(byte | 0x80);
-    }
-}
-
-fn put_zigzag(buf: &mut Vec<u8>, v: i64) {
-    put_varint(buf, ((v << 1) ^ (v >> 63)) as u64);
-}
-
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_bool(buf: &mut Vec<u8>, v: bool) {
-    buf.push(u8::from(v));
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_varint(buf, s.len() as u64);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn put_queue(buf: &mut Vec<u8>, q: QueueId) {
-    match q {
-        QueueId::Central => buf.push(0),
-        QueueId::Worker(w) => {
-            buf.push(1);
-            put_varint(buf, u64::from(w));
-        }
-        QueueId::Limbo => buf.push(2),
-    }
-}
-
-fn put_action(buf: &mut Vec<u8>, a: Action) {
-    match a {
-        Action::Serve { model, batch } => {
-            buf.push(0);
-            put_varint(buf, u64::from(model));
-            put_varint(buf, u64::from(batch));
-        }
-        Action::Drop { count } => {
-            buf.push(1);
-            put_varint(buf, u64::from(count));
-        }
-        Action::Idle => buf.push(2),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Primitive decoders (byte-slice cursor; Err(()) = malformed payload)
-// ---------------------------------------------------------------------
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
+        buf.push(v as u8);
     }
 
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-
-    fn byte(&mut self) -> Result<u8, ()> {
-        let b = *self.buf.get(self.pos).ok_or(())?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn varint(&mut self) -> Result<u64, ()> {
+    fn get(input: &mut &[u8]) -> Result<Self, ()> {
         let mut v: u64 = 0;
         let mut shift = 0u32;
         loop {
-            let b = self.byte()?;
+            let b = byte(input)?;
             if shift >= 64 || (shift == 63 && b > 1) {
                 return Err(()); // overlong encoding
             }
@@ -154,495 +108,232 @@ impl<'a> Cursor<'a> {
             shift += 7;
         }
     }
+}
 
-    fn u32(&mut self) -> Result<u32, ()> {
-        u32::try_from(self.varint()?).map_err(|_| ())
+/// A varint that must fit in 32 bits.
+impl Field for u32 {
+    fn put(&self, buf: &mut Vec<u8>) {
+        u64::from(*self).put(buf);
     }
 
-    fn zigzag(&mut self) -> Result<i64, ()> {
-        let v = self.varint()?;
+    fn get(input: &mut &[u8]) -> Result<Self, ()> {
+        u32::try_from(u64::get(input)?).map_err(|_| ())
+    }
+}
+
+/// Zigzag varint.
+impl Field for i64 {
+    fn put(&self, buf: &mut Vec<u8>) {
+        (((self << 1) ^ (self >> 63)) as u64).put(buf);
+    }
+
+    fn get(input: &mut &[u8]) -> Result<Self, ()> {
+        let v = u64::get(input)?;
         Ok(((v >> 1) as i64) ^ -((v & 1) as i64))
     }
+}
 
-    fn f64(&mut self) -> Result<f64, ()> {
-        let end = self.pos.checked_add(8).ok_or(())?;
-        let bytes: [u8; 8] = self.buf.get(self.pos..end).ok_or(())?.try_into().unwrap();
-        self.pos = end;
-        Ok(f64::from_bits(u64::from_le_bytes(bytes)))
+/// IEEE-754 bits, little-endian.
+impl Field for f64 {
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&self.to_bits().to_le_bytes());
     }
 
-    fn bool(&mut self) -> Result<bool, ()> {
-        match self.byte()? {
+    fn get(input: &mut &[u8]) -> Result<Self, ()> {
+        let bytes = take(input, 8)?.try_into().expect("8 bytes");
+        Ok(f64::from_bits(u64::from_le_bytes(bytes)))
+    }
+}
+
+impl Field for bool {
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.push(u8::from(*self));
+    }
+
+    fn get(input: &mut &[u8]) -> Result<Self, ()> {
+        match byte(input)? {
             0 => Ok(false),
             1 => Ok(true),
             _ => Err(()),
         }
     }
+}
 
-    fn string(&mut self) -> Result<String, ()> {
-        let len = usize::try_from(self.varint()?).map_err(|_| ())?;
-        let end = self.pos.checked_add(len).ok_or(())?;
-        let bytes = self.buf.get(self.pos..end).ok_or(())?;
-        self.pos = end;
-        String::from_utf8(bytes.to_vec()).map_err(|_| ())
+/// Varint byte length, then UTF-8.
+impl Field for String {
+    fn put(&self, buf: &mut Vec<u8>) {
+        (self.len() as u64).put(buf);
+        buf.extend_from_slice(self.as_bytes());
     }
 
-    fn queue(&mut self) -> Result<QueueId, ()> {
-        match self.byte()? {
+    fn get(input: &mut &[u8]) -> Result<Self, ()> {
+        let len = usize::try_from(u64::get(input)?).map_err(|_| ())?;
+        String::from_utf8(take(input, len)?.to_vec()).map_err(|_| ())
+    }
+}
+
+impl Field for QueueId {
+    fn put(&self, buf: &mut Vec<u8>) {
+        match self {
+            QueueId::Central => buf.push(0),
+            QueueId::Worker(w) => {
+                buf.push(1);
+                w.put(buf);
+            }
+            QueueId::Limbo => buf.push(2),
+        }
+    }
+
+    fn get(input: &mut &[u8]) -> Result<Self, ()> {
+        match byte(input)? {
             0 => Ok(QueueId::Central),
-            1 => Ok(QueueId::Worker(self.u32()?)),
+            1 => Ok(QueueId::Worker(u32::get(input)?)),
             2 => Ok(QueueId::Limbo),
             _ => Err(()),
         }
     }
+}
 
-    fn action(&mut self) -> Result<Action, ()> {
-        match self.byte()? {
+impl Field for Action {
+    fn put(&self, buf: &mut Vec<u8>) {
+        match self {
+            Action::Serve { model, batch } => {
+                buf.push(0);
+                model.put(buf);
+                batch.put(buf);
+            }
+            Action::Drop { count } => {
+                buf.push(1);
+                count.put(buf);
+            }
+            Action::Idle => buf.push(2),
+        }
+    }
+
+    fn get(input: &mut &[u8]) -> Result<Self, ()> {
+        match byte(input)? {
             0 => Ok(Action::Serve {
-                model: self.u32()?,
-                batch: self.u32()?,
+                model: u32::get(input)?,
+                batch: u32::get(input)?,
             }),
-            1 => Ok(Action::Drop { count: self.u32()? }),
+            1 => Ok(Action::Drop {
+                count: u32::get(input)?,
+            }),
             2 => Ok(Action::Idle),
             _ => Err(()),
         }
     }
 }
 
-// ---------------------------------------------------------------------
-// Event (de)serialization
-// ---------------------------------------------------------------------
-
-/// Kind tags follow [`Event`]'s declaration order; new variants append.
-fn kind_of(event: &Event) -> u8 {
-    match event {
-        Event::Arrival { .. } => 0,
-        Event::Enqueue { .. } => 1,
-        Event::Dispatch { .. } => 2,
-        Event::Complete { .. } => 3,
-        Event::Shed { .. } => 4,
-        Event::Drop { .. } => 5,
-        Event::CrashRequeue { .. } => 6,
-        Event::PolicyDecision { .. } => 7,
-        Event::RegimeSwap { .. } => 8,
-        Event::LazySolve { .. } => 9,
-        Event::FallbackEngaged { .. } => 10,
-        Event::Timeout { .. } => 11,
-        Event::Retry { .. } => 12,
-        Event::HedgeIssued { .. } => 13,
-        Event::HedgeCancelled { .. } => 14,
-        Event::Admission { .. } => 15,
-        Event::ScaleUp { .. } => 16,
-        Event::ScaleDown { .. } => 17,
-        Event::WorkerWarm { .. } => 18,
-        Event::DrainComplete { .. } => 19,
-        Event::BrownoutEnter { .. } => 20,
-        Event::BrownoutExit { .. } => 21,
-        Event::ProbeSent { .. } => 22,
-        Event::ProbeFailed { .. } => 23,
-        Event::Suspect { .. } => 24,
-        Event::Reinstate { .. } => 25,
-        Event::BreakerOpen { .. } => 26,
-        Event::BreakerHalfOpen { .. } => 27,
-        Event::BreakerClose { .. } => 28,
+impl Field for ShedCause {
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.push(match self {
+            ShedCause::Hopeless => 0,
+            ShedCause::QueueDepth => 1,
+            ShedCause::Policy => 2,
+            ShedCause::RetryExhausted => 3,
+        });
     }
-}
 
-fn encode_payload(buf: &mut Vec<u8>, event: &Event) {
-    match *event {
-        Event::Arrival {
-            at,
-            query,
-            deadline,
-        } => {
-            put_varint(buf, at);
-            put_varint(buf, query);
-            put_varint(buf, deadline);
-        }
-        Event::Enqueue {
-            at,
-            query,
-            queue,
-            depth,
-        } => {
-            put_varint(buf, at);
-            put_varint(buf, query);
-            put_queue(buf, queue);
-            put_varint(buf, u64::from(depth));
-        }
-        Event::Dispatch {
-            at,
-            worker,
-            model,
-            batch,
-            depth,
-        } => {
-            put_varint(buf, at);
-            put_varint(buf, u64::from(worker));
-            put_varint(buf, u64::from(model));
-            put_varint(buf, u64::from(batch));
-            put_varint(buf, u64::from(depth));
-        }
-        Event::Complete {
-            at,
-            query,
-            worker,
-            model,
-            response_ns,
-            violated,
-        } => {
-            put_varint(buf, at);
-            put_varint(buf, query);
-            put_varint(buf, u64::from(worker));
-            put_varint(buf, u64::from(model));
-            put_varint(buf, response_ns);
-            put_bool(buf, violated);
-        }
-        Event::Shed { at, query, cause } => {
-            put_varint(buf, at);
-            put_varint(buf, query);
-            buf.push(match cause {
-                ShedCause::Hopeless => 0,
-                ShedCause::QueueDepth => 1,
-                ShedCause::Policy => 2,
-                ShedCause::RetryExhausted => 3,
-            });
-        }
-        Event::Drop { at, query } => {
-            put_varint(buf, at);
-            put_varint(buf, query);
-        }
-        Event::CrashRequeue { at, query, from } => {
-            put_varint(buf, at);
-            put_varint(buf, query);
-            put_varint(buf, u64::from(from));
-        }
-        Event::PolicyDecision {
-            at,
-            worker,
-            queued,
-            slack_ns,
-            action,
-        } => {
-            put_varint(buf, at);
-            put_varint(buf, u64::from(worker));
-            put_varint(buf, u64::from(queued));
-            put_zigzag(buf, slack_ns);
-            put_action(buf, action);
-        }
-        Event::RegimeSwap {
-            at,
-            ref from,
-            ref to,
-            detection_delay_ns,
-        } => {
-            put_varint(buf, at);
-            put_str(buf, from);
-            put_str(buf, to);
-            put_varint(buf, detection_delay_ns);
-        }
-        Event::LazySolve { at, ref regime } => {
-            put_varint(buf, at);
-            put_str(buf, regime);
-        }
-        Event::FallbackEngaged { at, worker }
-        | Event::DrainComplete { at, worker }
-        | Event::ProbeSent { at, worker }
-        | Event::ProbeFailed { at, worker }
-        | Event::BreakerOpen { at, worker }
-        | Event::BreakerHalfOpen { at, worker }
-        | Event::BreakerClose { at, worker } => {
-            put_varint(buf, at);
-            put_varint(buf, u64::from(worker));
-        }
-        Event::Timeout {
-            at,
-            query,
-            worker,
-            attempt,
-        } => {
-            put_varint(buf, at);
-            put_varint(buf, query);
-            put_varint(buf, u64::from(worker));
-            put_varint(buf, u64::from(attempt));
-        }
-        Event::Retry {
-            at,
-            query,
-            attempt,
-            delay_ns,
-        } => {
-            put_varint(buf, at);
-            put_varint(buf, query);
-            put_varint(buf, u64::from(attempt));
-            put_varint(buf, delay_ns);
-        }
-        Event::HedgeIssued {
-            at,
-            primary,
-            hedge,
-            model,
-            batch,
-        } => {
-            put_varint(buf, at);
-            put_varint(buf, u64::from(primary));
-            put_varint(buf, u64::from(hedge));
-            put_varint(buf, u64::from(model));
-            put_varint(buf, u64::from(batch));
-        }
-        Event::HedgeCancelled { at, worker, winner } => {
-            put_varint(buf, at);
-            put_varint(buf, u64::from(worker));
-            put_varint(buf, u64::from(winner));
-        }
-        Event::Admission {
-            at,
-            query,
-            queue,
-            depth,
-            sojourn_ns,
-        } => {
-            put_varint(buf, at);
-            put_varint(buf, query);
-            put_queue(buf, queue);
-            put_varint(buf, u64::from(depth));
-            put_varint(buf, sojourn_ns);
-        }
-        Event::ScaleUp { at, worker, live } | Event::WorkerWarm { at, worker, live } => {
-            put_varint(buf, at);
-            put_varint(buf, u64::from(worker));
-            put_varint(buf, u64::from(live));
-        }
-        Event::ScaleDown {
-            at,
-            worker,
-            live,
-            handoffs,
-        } => {
-            put_varint(buf, at);
-            put_varint(buf, u64::from(worker));
-            put_varint(buf, u64::from(live));
-            put_varint(buf, u64::from(handoffs));
-        }
-        Event::BrownoutEnter {
-            at,
-            rung,
-            load_qps,
-            capacity_qps,
-        }
-        | Event::BrownoutExit {
-            at,
-            rung,
-            load_qps,
-            capacity_qps,
-        } => {
-            put_varint(buf, at);
-            put_varint(buf, u64::from(rung));
-            put_f64(buf, load_qps);
-            put_f64(buf, capacity_qps);
-        }
-        Event::Suspect {
-            at,
-            worker,
-            genuine,
-            lag_ns,
-        } => {
-            put_varint(buf, at);
-            put_varint(buf, u64::from(worker));
-            put_bool(buf, genuine);
-            put_varint(buf, lag_ns);
-        }
-        Event::Reinstate {
-            at,
-            worker,
-            suspected_ns,
-        } => {
-            put_varint(buf, at);
-            put_varint(buf, u64::from(worker));
-            put_varint(buf, suspected_ns);
+    fn get(input: &mut &[u8]) -> Result<Self, ()> {
+        match byte(input)? {
+            0 => Ok(ShedCause::Hopeless),
+            1 => Ok(ShedCause::QueueDepth),
+            2 => Ok(ShedCause::Policy),
+            3 => Ok(ShedCause::RetryExhausted),
+            _ => Err(()),
         }
     }
 }
 
-pub(crate) fn decode_payload(kind: u8, payload: &[u8]) -> Result<Event, ()> {
-    let mut c = Cursor::new(payload);
-    let event = match kind {
-        0 => Event::Arrival {
-            at: c.varint()?,
-            query: c.varint()?,
-            deadline: c.varint()?,
-        },
-        1 => Event::Enqueue {
-            at: c.varint()?,
-            query: c.varint()?,
-            queue: c.queue()?,
-            depth: c.u32()?,
-        },
-        2 => Event::Dispatch {
-            at: c.varint()?,
-            worker: c.u32()?,
-            model: c.u32()?,
-            batch: c.u32()?,
-            depth: c.u32()?,
-        },
-        3 => Event::Complete {
-            at: c.varint()?,
-            query: c.varint()?,
-            worker: c.u32()?,
-            model: c.u32()?,
-            response_ns: c.varint()?,
-            violated: c.bool()?,
-        },
-        4 => Event::Shed {
-            at: c.varint()?,
-            query: c.varint()?,
-            cause: match c.byte()? {
-                0 => ShedCause::Hopeless,
-                1 => ShedCause::QueueDepth,
-                2 => ShedCause::Policy,
-                3 => ShedCause::RetryExhausted,
+// ---------------------------------------------------------------------
+// The layout table
+// ---------------------------------------------------------------------
+
+/// Generates the record codec from one row per kind: `tag Kind { fields
+/// in payload order }`. The struct patterns and literals have no `..`,
+/// so a kind or field left out does not compile; a repeated tag is an
+/// unreachable decoder arm, and the tags must count up from 0.
+macro_rules! layout {
+    ($($tag:literal $kind:ident { $($field:ident),* })*) => {
+        /// The highest kind tag this build knows; a record tagged above
+        /// it is a newer writer's, skipped and counted rather than
+        /// rejected.
+        pub(crate) const MAX_KIND: u8 = {
+            let tags = [$($tag),*];
+            let mut i = 0;
+            while i < tags.len() {
+                assert!(tags[i] as usize == i, "kind tags count up from 0");
+                i += 1;
+            }
+            tags[tags.len() - 1]
+        };
+
+        /// Appends `event`'s payload to `buf` and returns its kind tag.
+        fn encode_payload(buf: &mut Vec<u8>, event: &Event) -> u8 {
+            match event {
+                $(Event::$kind { $($field),* } => {
+                    $($field.put(buf);)*
+                    $tag
+                })*
+            }
+        }
+
+        /// Decodes one payload of kind `kind`. Struct literal fields are
+        /// evaluated in the order written, which is the payload order.
+        pub(crate) fn decode_payload(kind: u8, mut payload: &[u8]) -> Result<Event, ()> {
+            let input = &mut payload;
+            let event = match kind {
+                $($tag => Event::$kind { $($field: Field::get(input)?),* },)*
                 _ => return Err(()),
-            },
-        },
-        5 => Event::Drop {
-            at: c.varint()?,
-            query: c.varint()?,
-        },
-        6 => Event::CrashRequeue {
-            at: c.varint()?,
-            query: c.varint()?,
-            from: c.u32()?,
-        },
-        7 => Event::PolicyDecision {
-            at: c.varint()?,
-            worker: c.u32()?,
-            queued: c.u32()?,
-            slack_ns: c.zigzag()?,
-            action: c.action()?,
-        },
-        8 => Event::RegimeSwap {
-            at: c.varint()?,
-            from: c.string()?,
-            to: c.string()?,
-            detection_delay_ns: c.varint()?,
-        },
-        9 => Event::LazySolve {
-            at: c.varint()?,
-            regime: c.string()?,
-        },
-        10 => Event::FallbackEngaged {
-            at: c.varint()?,
-            worker: c.u32()?,
-        },
-        11 => Event::Timeout {
-            at: c.varint()?,
-            query: c.varint()?,
-            worker: c.u32()?,
-            attempt: c.u32()?,
-        },
-        12 => Event::Retry {
-            at: c.varint()?,
-            query: c.varint()?,
-            attempt: c.u32()?,
-            delay_ns: c.varint()?,
-        },
-        13 => Event::HedgeIssued {
-            at: c.varint()?,
-            primary: c.u32()?,
-            hedge: c.u32()?,
-            model: c.u32()?,
-            batch: c.u32()?,
-        },
-        14 => Event::HedgeCancelled {
-            at: c.varint()?,
-            worker: c.u32()?,
-            winner: c.u32()?,
-        },
-        15 => Event::Admission {
-            at: c.varint()?,
-            query: c.varint()?,
-            queue: c.queue()?,
-            depth: c.u32()?,
-            sojourn_ns: c.varint()?,
-        },
-        16 => Event::ScaleUp {
-            at: c.varint()?,
-            worker: c.u32()?,
-            live: c.u32()?,
-        },
-        17 => Event::ScaleDown {
-            at: c.varint()?,
-            worker: c.u32()?,
-            live: c.u32()?,
-            handoffs: c.u32()?,
-        },
-        18 => Event::WorkerWarm {
-            at: c.varint()?,
-            worker: c.u32()?,
-            live: c.u32()?,
-        },
-        19 => Event::DrainComplete {
-            at: c.varint()?,
-            worker: c.u32()?,
-        },
-        20 => Event::BrownoutEnter {
-            at: c.varint()?,
-            rung: c.u32()?,
-            load_qps: c.f64()?,
-            capacity_qps: c.f64()?,
-        },
-        21 => Event::BrownoutExit {
-            at: c.varint()?,
-            rung: c.u32()?,
-            load_qps: c.f64()?,
-            capacity_qps: c.f64()?,
-        },
-        22 => Event::ProbeSent {
-            at: c.varint()?,
-            worker: c.u32()?,
-        },
-        23 => Event::ProbeFailed {
-            at: c.varint()?,
-            worker: c.u32()?,
-        },
-        24 => Event::Suspect {
-            at: c.varint()?,
-            worker: c.u32()?,
-            genuine: c.bool()?,
-            lag_ns: c.varint()?,
-        },
-        25 => Event::Reinstate {
-            at: c.varint()?,
-            worker: c.u32()?,
-            suspected_ns: c.varint()?,
-        },
-        26 => Event::BreakerOpen {
-            at: c.varint()?,
-            worker: c.u32()?,
-        },
-        27 => Event::BreakerHalfOpen {
-            at: c.varint()?,
-            worker: c.u32()?,
-        },
-        28 => Event::BreakerClose {
-            at: c.varint()?,
-            worker: c.u32()?,
-        },
-        _ => return Err(()),
+            };
+            if input.is_empty() {
+                Ok(event)
+            } else {
+                Err(()) // trailing payload bytes: not a record this build wrote
+            }
+        }
     };
-    if c.done() {
-        Ok(event)
-    } else {
-        Err(()) // trailing payload bytes: not a record this build wrote
-    }
+}
+
+layout! {
+    0 Arrival { at, query, deadline }
+    1 Enqueue { at, query, queue, depth }
+    2 Dispatch { at, worker, model, batch, depth }
+    3 Complete { at, query, worker, model, response_ns, violated }
+    4 Shed { at, query, cause }
+    5 Drop { at, query }
+    6 CrashRequeue { at, query, from }
+    7 PolicyDecision { at, worker, queued, slack_ns, action }
+    8 RegimeSwap { at, from, to, detection_delay_ns }
+    9 LazySolve { at, regime }
+    10 FallbackEngaged { at, worker }
+    11 Timeout { at, query, worker, attempt }
+    12 Retry { at, query, attempt, delay_ns }
+    13 HedgeIssued { at, primary, hedge, model, batch }
+    14 HedgeCancelled { at, worker, winner }
+    15 Admission { at, query, queue, depth, sojourn_ns }
+    16 ScaleUp { at, worker, live }
+    17 ScaleDown { at, worker, live, handoffs }
+    18 WorkerWarm { at, worker, live }
+    19 DrainComplete { at, worker }
+    20 BrownoutEnter { at, rung, load_qps, capacity_qps }
+    21 BrownoutExit { at, rung, load_qps, capacity_qps }
+    22 ProbeSent { at, worker }
+    23 ProbeFailed { at, worker }
+    24 Suspect { at, worker, genuine, lag_ns }
+    25 Reinstate { at, worker, suspected_ns }
+    26 BreakerOpen { at, worker }
+    27 BreakerHalfOpen { at, worker }
+    28 BreakerClose { at, worker }
 }
 
 /// Appends one whole record (kind, length, payload) to `buf`.
 fn encode_record(buf: &mut Vec<u8>, scratch: &mut Vec<u8>, event: &Event) {
     scratch.clear();
-    encode_payload(scratch, event);
-    buf.push(kind_of(event));
-    put_varint(buf, scratch.len() as u64);
+    let kind = encode_payload(scratch, event);
+    buf.push(kind);
+    (scratch.len() as u64).put(buf);
     buf.extend_from_slice(scratch);
 }
 
@@ -864,209 +555,8 @@ pub fn write_jsonl(events: &[Event], sampling: Option<(f64, u64)>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::every_variant;
     use crate::sink::{parse_jsonl_tolerant, UNKNOWN_SAMPLE_CAP};
-
-    /// One of every variant, and every value of each sub-enum and
-    /// bool field, so a codec gap on any variant or tag fails here.
-    fn every_variant() -> Vec<Event> {
-        vec![
-            Event::Arrival {
-                at: 1,
-                query: 0,
-                deadline: 150_000_001,
-            },
-            Event::Enqueue {
-                at: 1,
-                query: 0,
-                queue: QueueId::Worker(3),
-                depth: 2,
-            },
-            Event::Enqueue {
-                at: 2,
-                query: 1,
-                queue: QueueId::Central,
-                depth: 1,
-            },
-            Event::Enqueue {
-                at: 3,
-                query: 2,
-                queue: QueueId::Limbo,
-                depth: 1,
-            },
-            Event::Dispatch {
-                at: 5,
-                worker: 3,
-                model: 7,
-                batch: 2,
-                depth: 2,
-            },
-            Event::Complete {
-                at: 9,
-                query: 0,
-                worker: 3,
-                model: 7,
-                response_ns: 8,
-                violated: false,
-            },
-            Event::Complete {
-                at: 9,
-                query: 1,
-                worker: 3,
-                model: 7,
-                response_ns: 160_000_000,
-                violated: true,
-            },
-            Event::Shed {
-                at: 10,
-                query: 4,
-                cause: ShedCause::Hopeless,
-            },
-            Event::Shed {
-                at: 10,
-                query: 5,
-                cause: ShedCause::QueueDepth,
-            },
-            Event::Shed {
-                at: 10,
-                query: 6,
-                cause: ShedCause::Policy,
-            },
-            Event::Shed {
-                at: 21,
-                query: 9,
-                cause: ShedCause::RetryExhausted,
-            },
-            Event::Drop { at: 11, query: 5 },
-            Event::CrashRequeue {
-                at: 12,
-                query: 6,
-                from: 1,
-            },
-            Event::PolicyDecision {
-                at: 13,
-                worker: 0,
-                queued: 4,
-                slack_ns: -2_000,
-                action: Action::Drop { count: 1 },
-            },
-            Event::PolicyDecision {
-                at: 13,
-                worker: 1,
-                queued: 4,
-                slack_ns: i64::MIN,
-                action: Action::Serve { model: 2, batch: 8 },
-            },
-            Event::PolicyDecision {
-                at: 13,
-                worker: 2,
-                queued: 0,
-                slack_ns: i64::MAX,
-                action: Action::Idle,
-            },
-            Event::RegimeSwap {
-                at: 14,
-                from: "le120qps-poisson".into(),
-                to: "gt120qps-bursty".into(),
-                detection_delay_ns: 2_000_000_000,
-            },
-            Event::LazySolve {
-                at: 15,
-                regime: String::new(),
-            },
-            Event::LazySolve {
-                at: 15,
-                regime: "gt120qps-bursty".into(),
-            },
-            Event::FallbackEngaged { at: 16, worker: 2 },
-            Event::Timeout {
-                at: 17,
-                query: 7,
-                worker: 1,
-                attempt: 1,
-            },
-            Event::Retry {
-                at: 17,
-                query: 7,
-                attempt: 1,
-                delay_ns: 5_000_000,
-            },
-            Event::HedgeIssued {
-                at: 18,
-                primary: 0,
-                hedge: 2,
-                model: 3,
-                batch: 4,
-            },
-            Event::HedgeCancelled {
-                at: 19,
-                worker: 2,
-                winner: 0,
-            },
-            Event::Admission {
-                at: 20,
-                query: 8,
-                queue: QueueId::Worker(1),
-                depth: 64,
-                sojourn_ns: 30_000_000,
-            },
-            Event::ScaleUp {
-                at: 22,
-                worker: 4,
-                live: 2,
-            },
-            Event::ScaleDown {
-                at: 23,
-                worker: 4,
-                live: 1,
-                handoffs: 3,
-            },
-            Event::WorkerWarm {
-                at: 24,
-                worker: 4,
-                live: 3,
-            },
-            Event::DrainComplete { at: 25, worker: 4 },
-            Event::BrownoutEnter {
-                at: 26,
-                rung: 1,
-                load_qps: 420.25,
-                capacity_qps: 300.0,
-            },
-            Event::BrownoutExit {
-                at: 27,
-                rung: 1,
-                load_qps: 0.125,
-                capacity_qps: f64::MAX,
-            },
-            Event::ProbeSent { at: 28, worker: 1 },
-            Event::ProbeFailed { at: 29, worker: 1 },
-            Event::Suspect {
-                at: 30,
-                worker: 1,
-                genuine: true,
-                lag_ns: 40_000_000,
-            },
-            Event::Suspect {
-                at: 31,
-                worker: 2,
-                genuine: false,
-                lag_ns: 0,
-            },
-            Event::Reinstate {
-                at: 33,
-                worker: 2,
-                suspected_ns: 2_000_000,
-            },
-            Event::BreakerOpen { at: 31, worker: 2 },
-            Event::BreakerHalfOpen { at: 32, worker: 2 },
-            Event::BreakerClose { at: 33, worker: 2 },
-            Event::Arrival {
-                at: u64::MAX,
-                query: u64::MAX,
-                deadline: u64::MAX,
-            },
-        ]
-    }
 
     #[test]
     fn binary_round_trips_every_variant() {
@@ -1282,15 +772,18 @@ mod tests {
 
     #[test]
     fn zigzag_and_varint_edge_values_round_trip() {
-        for v in [0i64, -1, 1, i64::MIN, i64::MAX, -123_456_789] {
+        fn round_trip<T: Field + PartialEq + std::fmt::Debug>(v: T) {
             let mut buf = Vec::new();
-            put_zigzag(&mut buf, v);
-            assert_eq!(Cursor::new(&buf).zigzag().unwrap(), v);
+            v.put(&mut buf);
+            let mut input = &buf[..];
+            assert_eq!(T::get(&mut input).unwrap(), v);
+            assert!(input.is_empty(), "{v:?} left bytes unread");
+        }
+        for v in [0i64, -1, 1, i64::MIN, i64::MAX, -123_456_789] {
+            round_trip(v);
         }
         for v in [0u64, 1, 127, 128, 16_383, 16_384, u64::MAX] {
-            let mut buf = Vec::new();
-            put_varint(&mut buf, v);
-            assert_eq!(Cursor::new(&buf).varint().unwrap(), v);
+            round_trip(v);
         }
     }
 }

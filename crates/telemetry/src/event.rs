@@ -435,33 +435,210 @@ impl Event {
             _ => None,
         }
     }
+}
 
-    /// True for lifecycle events (the ones conservation accounting
-    /// runs over), false for audit events.
-    pub fn is_lifecycle(&self) -> bool {
-        !matches!(
-            self,
-            Event::PolicyDecision { .. }
-                | Event::RegimeSwap { .. }
-                | Event::LazySolve { .. }
-                | Event::FallbackEngaged { .. }
-                | Event::HedgeIssued { .. }
-                | Event::HedgeCancelled { .. }
-                | Event::ScaleUp { .. }
-                | Event::ScaleDown { .. }
-                | Event::WorkerWarm { .. }
-                | Event::DrainComplete { .. }
-                | Event::BrownoutEnter { .. }
-                | Event::BrownoutExit { .. }
-                | Event::ProbeSent { .. }
-                | Event::ProbeFailed { .. }
-                | Event::Suspect { .. }
-                | Event::Reinstate { .. }
-                | Event::BreakerOpen { .. }
-                | Event::BreakerHalfOpen { .. }
-                | Event::BreakerClose { .. }
-        )
-    }
+/// One of every variant, and every value of each sub-enum and
+/// bool field: the fixture the serde and binary codec tests share, so
+/// a gap on any variant or tag fails both.
+#[cfg(test)]
+pub(crate) fn every_variant() -> Vec<Event> {
+    vec![
+        Event::Arrival {
+            at: 1,
+            query: 0,
+            deadline: 150_000_001,
+        },
+        Event::Enqueue {
+            at: 1,
+            query: 0,
+            queue: QueueId::Worker(3),
+            depth: 2,
+        },
+        Event::Enqueue {
+            at: 2,
+            query: 1,
+            queue: QueueId::Central,
+            depth: 1,
+        },
+        Event::Enqueue {
+            at: 3,
+            query: 2,
+            queue: QueueId::Limbo,
+            depth: 1,
+        },
+        Event::Dispatch {
+            at: 5,
+            worker: 3,
+            model: 7,
+            batch: 2,
+            depth: 2,
+        },
+        Event::Complete {
+            at: 9,
+            query: 0,
+            worker: 3,
+            model: 7,
+            response_ns: 8,
+            violated: false,
+        },
+        Event::Complete {
+            at: 9,
+            query: 1,
+            worker: 3,
+            model: 7,
+            response_ns: 160_000_000,
+            violated: true,
+        },
+        Event::Shed {
+            at: 10,
+            query: 4,
+            cause: ShedCause::Hopeless,
+        },
+        Event::Shed {
+            at: 10,
+            query: 5,
+            cause: ShedCause::QueueDepth,
+        },
+        Event::Shed {
+            at: 10,
+            query: 6,
+            cause: ShedCause::Policy,
+        },
+        Event::Shed {
+            at: 21,
+            query: 9,
+            cause: ShedCause::RetryExhausted,
+        },
+        Event::Drop { at: 11, query: 5 },
+        Event::CrashRequeue {
+            at: 12,
+            query: 6,
+            from: 1,
+        },
+        Event::PolicyDecision {
+            at: 13,
+            worker: 0,
+            queued: 4,
+            slack_ns: -2_000,
+            action: Action::Drop { count: 1 },
+        },
+        Event::PolicyDecision {
+            at: 13,
+            worker: 1,
+            queued: 4,
+            slack_ns: i64::MIN,
+            action: Action::Serve { model: 2, batch: 8 },
+        },
+        Event::PolicyDecision {
+            at: 13,
+            worker: 2,
+            queued: 0,
+            slack_ns: i64::MAX,
+            action: Action::Idle,
+        },
+        Event::RegimeSwap {
+            at: 14,
+            from: "le120qps-poisson".into(),
+            to: "gt120qps-bursty".into(),
+            detection_delay_ns: 2_000_000_000,
+        },
+        Event::LazySolve {
+            at: 15,
+            regime: String::new(),
+        },
+        Event::LazySolve {
+            at: 15,
+            regime: "gt120qps-bursty".into(),
+        },
+        Event::FallbackEngaged { at: 16, worker: 2 },
+        Event::Timeout {
+            at: 17,
+            query: 7,
+            worker: 1,
+            attempt: 1,
+        },
+        Event::Retry {
+            at: 17,
+            query: 7,
+            attempt: 1,
+            delay_ns: 5_000_000,
+        },
+        Event::HedgeIssued {
+            at: 18,
+            primary: 0,
+            hedge: 2,
+            model: 3,
+            batch: 4,
+        },
+        Event::HedgeCancelled {
+            at: 19,
+            worker: 2,
+            winner: 0,
+        },
+        Event::Admission {
+            at: 20,
+            query: 8,
+            queue: QueueId::Worker(1),
+            depth: 64,
+            sojourn_ns: 30_000_000,
+        },
+        Event::ScaleUp {
+            at: 22,
+            worker: 4,
+            live: 2,
+        },
+        Event::ScaleDown {
+            at: 23,
+            worker: 4,
+            live: 1,
+            handoffs: 3,
+        },
+        Event::WorkerWarm {
+            at: 24,
+            worker: 4,
+            live: 3,
+        },
+        Event::DrainComplete { at: 25, worker: 4 },
+        Event::BrownoutEnter {
+            at: 26,
+            rung: 1,
+            load_qps: 420.25,
+            capacity_qps: 300.0,
+        },
+        Event::BrownoutExit {
+            at: 27,
+            rung: 1,
+            load_qps: 0.125,
+            capacity_qps: f64::MAX,
+        },
+        Event::ProbeSent { at: 28, worker: 1 },
+        Event::ProbeFailed { at: 29, worker: 1 },
+        Event::Suspect {
+            at: 30,
+            worker: 1,
+            genuine: true,
+            lag_ns: 40_000_000,
+        },
+        Event::Suspect {
+            at: 31,
+            worker: 2,
+            genuine: false,
+            lag_ns: 0,
+        },
+        Event::Reinstate {
+            at: 33,
+            worker: 2,
+            suspected_ns: 2_000_000,
+        },
+        Event::BreakerOpen { at: 31, worker: 2 },
+        Event::BreakerHalfOpen { at: 32, worker: 2 },
+        Event::BreakerClose { at: 33, worker: 2 },
+        Event::Arrival {
+            at: u64::MAX,
+            query: u64::MAX,
+            deadline: u64::MAX,
+        },
+    ]
 }
 
 #[cfg(test)]
@@ -470,163 +647,7 @@ mod tests {
 
     #[test]
     fn serde_round_trips_every_variant() {
-        let events = vec![
-            Event::Arrival {
-                at: 1,
-                query: 0,
-                deadline: 150_000_001,
-            },
-            Event::Enqueue {
-                at: 1,
-                query: 0,
-                queue: QueueId::Worker(3),
-                depth: 2,
-            },
-            Event::Enqueue {
-                at: 2,
-                query: 1,
-                queue: QueueId::Central,
-                depth: 1,
-            },
-            Event::Enqueue {
-                at: 3,
-                query: 2,
-                queue: QueueId::Limbo,
-                depth: 1,
-            },
-            Event::Dispatch {
-                at: 5,
-                worker: 3,
-                model: 7,
-                batch: 2,
-                depth: 2,
-            },
-            Event::Complete {
-                at: 9,
-                query: 0,
-                worker: 3,
-                model: 7,
-                response_ns: 8,
-                violated: false,
-            },
-            Event::Shed {
-                at: 10,
-                query: 4,
-                cause: ShedCause::Hopeless,
-            },
-            Event::Drop { at: 11, query: 5 },
-            Event::CrashRequeue {
-                at: 12,
-                query: 6,
-                from: 1,
-            },
-            Event::PolicyDecision {
-                at: 13,
-                worker: 0,
-                queued: 4,
-                slack_ns: -2_000,
-                action: Action::Drop { count: 1 },
-            },
-            Event::RegimeSwap {
-                at: 14,
-                from: "le120qps-poisson".into(),
-                to: "gt120qps-bursty".into(),
-                detection_delay_ns: 2_000_000_000,
-            },
-            Event::LazySolve {
-                at: 15,
-                regime: "gt120qps-bursty".into(),
-            },
-            Event::FallbackEngaged { at: 16, worker: 2 },
-            Event::Timeout {
-                at: 17,
-                query: 7,
-                worker: 1,
-                attempt: 1,
-            },
-            Event::Retry {
-                at: 17,
-                query: 7,
-                attempt: 1,
-                delay_ns: 5_000_000,
-            },
-            Event::HedgeIssued {
-                at: 18,
-                primary: 0,
-                hedge: 2,
-                model: 3,
-                batch: 4,
-            },
-            Event::HedgeCancelled {
-                at: 19,
-                worker: 2,
-                winner: 0,
-            },
-            Event::Admission {
-                at: 20,
-                query: 8,
-                queue: QueueId::Worker(1),
-                depth: 64,
-                sojourn_ns: 30_000_000,
-            },
-            Event::Shed {
-                at: 21,
-                query: 9,
-                cause: ShedCause::RetryExhausted,
-            },
-            Event::ScaleUp {
-                at: 22,
-                worker: 4,
-                live: 2,
-            },
-            Event::ScaleDown {
-                at: 23,
-                worker: 4,
-                live: 1,
-                handoffs: 3,
-            },
-            Event::WorkerWarm {
-                at: 24,
-                worker: 4,
-                live: 3,
-            },
-            Event::DrainComplete { at: 25, worker: 4 },
-            Event::BrownoutEnter {
-                at: 26,
-                rung: 1,
-                load_qps: 420.0,
-                capacity_qps: 300.0,
-            },
-            Event::BrownoutExit {
-                at: 27,
-                rung: 1,
-                load_qps: 180.0,
-                capacity_qps: 300.0,
-            },
-            Event::ProbeSent { at: 28, worker: 1 },
-            Event::ProbeFailed { at: 29, worker: 1 },
-            Event::Suspect {
-                at: 30,
-                worker: 1,
-                genuine: true,
-                lag_ns: 40_000_000,
-            },
-            Event::Suspect {
-                at: 31,
-                worker: 2,
-                genuine: false,
-                lag_ns: 0,
-            },
-            Event::BreakerOpen { at: 31, worker: 2 },
-            Event::BreakerHalfOpen { at: 32, worker: 2 },
-            Event::BreakerClose { at: 33, worker: 2 },
-            Event::Reinstate {
-                at: 33,
-                worker: 2,
-                suspected_ns: 2_000_000,
-            },
-        ];
-        for e in &events {
+        for e in &every_variant() {
             let json = serde_json::to_string(e).unwrap();
             let back: Event = serde_json::from_str(&json).unwrap();
             assert_eq!(&back, e, "{json}");
@@ -636,76 +657,15 @@ mod tests {
     }
 
     #[test]
-    fn timestamps_and_lifecycle_split() {
+    fn timestamps_and_query_ids() {
         let e = Event::Shed {
             at: 42,
             query: 1,
             cause: ShedCause::Policy,
         };
-        assert_eq!(e.at(), 42);
-        assert!(e.is_lifecycle());
+        assert_eq!((e.at(), e.query()), (42, Some(1)));
+        // Dispatches and audit events are attributed by worker.
         let a = Event::FallbackEngaged { at: 7, worker: 0 };
-        assert_eq!(a.at(), 7);
-        assert!(!a.is_lifecycle());
-        // Resilience events: timeouts/retries/admissions are lifecycle
-        // (they move a query through its state machine), hedge audit
-        // events are not.
-        let t = Event::Timeout {
-            at: 8,
-            query: 0,
-            worker: 0,
-            attempt: 1,
-        };
-        assert!(t.is_lifecycle());
-        let adm = Event::Admission {
-            at: 9,
-            query: 0,
-            queue: QueueId::Central,
-            depth: 1,
-            sojourn_ns: 0,
-        };
-        assert!(adm.is_lifecycle());
-        let h = Event::HedgeIssued {
-            at: 10,
-            primary: 0,
-            hedge: 1,
-            model: 0,
-            batch: 1,
-        };
-        assert!(!h.is_lifecycle());
-        // Autoscale events are audit: they narrate membership and
-        // degradation, not a query's own state machine.
-        let s = Event::ScaleUp {
-            at: 11,
-            worker: 2,
-            live: 3,
-        };
-        assert_eq!(s.at(), 11);
-        assert!(!s.is_lifecycle());
-        let b = Event::BrownoutEnter {
-            at: 12,
-            rung: 2,
-            load_qps: 500.0,
-            capacity_qps: 300.0,
-        };
-        assert!(!b.is_lifecycle());
-        // Health events are audit too: they narrate perceived
-        // membership, never a query's own state machine.
-        let sus = Event::Suspect {
-            at: 13,
-            worker: 0,
-            genuine: true,
-            lag_ns: 1_000_000,
-        };
-        assert_eq!(sus.at(), 13);
-        assert!(!sus.is_lifecycle());
-        let p = Event::ProbeFailed { at: 14, worker: 0 };
-        assert!(!p.is_lifecycle());
-        let r = Event::Reinstate {
-            at: 15,
-            worker: 0,
-            suspected_ns: 2_000_000,
-        };
-        assert!(!r.is_lifecycle());
+        assert_eq!((a.at(), a.query()), (7, None));
     }
 }

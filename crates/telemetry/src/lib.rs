@@ -59,7 +59,7 @@ pub mod sample;
 pub mod sink;
 pub mod spans;
 
-pub use analyze::{aggregates, conservation, kind_counts, sampled_aggregates, window_breakdown};
+pub use analyze::{aggregates, conservation, sampled_aggregates, window_breakdown};
 pub use analyze::{
     Conservation, ConservationFold, EventAggregates, KindCount, KindCountFold, SampledAggregates,
     SampledAggregatesFold, WindowFold, WindowRows, WindowStats, EVENT_KINDS,
