@@ -27,14 +27,14 @@
 //! carrying the active regime's set — adaptivity costs nothing until
 //! drift actually happens.
 
-use ramsis_core::{Decision, FallbackPolicy, PolicyConfig, PolicyLibrary, ShedPolicy};
+use ramsis_core::{FallbackPolicy, PolicyConfig, PolicyLibrary, ShedPolicy};
 use ramsis_profiles::WorkerProfile;
 use ramsis_telemetry::{Event, ShedCause};
 use ramsis_workload::DriftDetector;
 
 use crate::metrics::{AdaptiveStats, RegimeSwapEvent};
 use crate::query::nanos_from_secs;
-use crate::scheme::{Routing, Selection, SelectionContext, ServingScheme};
+use crate::scheme::{selection_for, Routing, Selection, SelectionContext, ServingScheme};
 use crate::SimError;
 
 /// RAMSIS with online drift adaptation (see module docs).
@@ -254,19 +254,11 @@ impl ServingScheme for AdaptiveRamsis {
             };
         };
         let policy = set.select(ctx.load_qps);
-        match policy.decide(ctx.queued, ctx.earliest_slack_s) {
-            Decision::Wait => Selection::Idle,
-            Decision::Drop { count } => {
-                self.last_shed = ShedCause::Policy;
-                Selection::Drop {
-                    count: count.min(ctx.queued as u32).max(1),
-                }
-            }
-            Decision::Serve { model, batch } => Selection::Serve {
-                model,
-                batch: batch.min(ctx.queued as u32),
-            },
+        let selection = selection_for(policy.decide(ctx.queued, ctx.earliest_slack_s), ctx.queued);
+        if matches!(selection, Selection::Drop { .. }) {
+            self.last_shed = ShedCause::Policy;
         }
+        selection
     }
 
     fn set_audit(&mut self, enabled: bool) {

@@ -71,6 +71,22 @@ pub enum Selection {
     Idle,
 }
 
+/// A policy decision as the engine acts on it: a drop sheds at least one
+/// and at most the visible queue, a batch never exceeds it.
+pub(crate) fn selection_for(decision: Decision, queued: usize) -> Selection {
+    let queued = queued as u32;
+    match decision {
+        Decision::Wait => Selection::Idle,
+        Decision::Drop { count } => Selection::Drop {
+            count: count.min(queued).max(1),
+        },
+        Decision::Serve { model, batch } => Selection::Serve {
+            model,
+            batch: batch.min(queued),
+        },
+    }
+}
+
 /// An MS&S approach, as seen by the simulator.
 pub trait ServingScheme {
     /// Scheme name for reports (e.g. `"RAMSIS"`, `"ModelSwitching"`).
@@ -213,16 +229,7 @@ impl ServingScheme for RamsisScheme {
 
     fn select(&mut self, ctx: &SelectionContext) -> Selection {
         let policy = self.policies.select(ctx.load_qps);
-        match policy.decide(ctx.queued, ctx.earliest_slack_s) {
-            Decision::Wait => Selection::Idle,
-            Decision::Drop { count } => Selection::Drop {
-                count: count.min(ctx.queued as u32).max(1),
-            },
-            Decision::Serve { model, batch } => Selection::Serve {
-                model,
-                batch: batch.min(ctx.queued as u32),
-            },
-        }
+        selection_for(policy.decide(ctx.queued, ctx.earliest_slack_s), ctx.queued)
     }
 
     /// Pure function of the policy set and context: nothing to capture.
@@ -296,16 +303,7 @@ impl ServingScheme for OnDemandRamsis {
             }
         }
         let policy = self.policies.select(ctx.load_qps);
-        match policy.decide(ctx.queued, ctx.earliest_slack_s) {
-            Decision::Wait => Selection::Idle,
-            Decision::Drop { count } => Selection::Drop {
-                count: count.min(ctx.queued as u32).max(1),
-            },
-            Decision::Serve { model, batch } => Selection::Serve {
-                model,
-                batch: batch.min(ctx.queued as u32),
-            },
-        }
+        selection_for(policy.decide(ctx.queued, ctx.earliest_slack_s), ctx.queued)
     }
 }
 
@@ -351,16 +349,7 @@ impl ServingScheme for PerWorkerRamsis {
     fn select(&mut self, ctx: &SelectionContext) -> Selection {
         let set = &self.sets[ctx.worker % self.sets.len()];
         let policy = set.select(ctx.load_qps);
-        match policy.decide(ctx.queued, ctx.earliest_slack_s) {
-            Decision::Wait => Selection::Idle,
-            Decision::Drop { count } => Selection::Drop {
-                count: count.min(ctx.queued as u32).max(1),
-            },
-            Decision::Serve { model, batch } => Selection::Serve {
-                model,
-                batch: batch.min(ctx.queued as u32),
-            },
-        }
+        selection_for(policy.decide(ctx.queued, ctx.earliest_slack_s), ctx.queued)
     }
 
     /// Per-worker sets are configuration; decisions carry no state.
@@ -475,16 +464,7 @@ impl ServingScheme for DegradingRamsis {
         };
         self.last_fallback = false;
         let policy = set.select(ctx.load_qps);
-        match policy.decide(ctx.queued, ctx.earliest_slack_s) {
-            Decision::Wait => Selection::Idle,
-            Decision::Drop { count } => Selection::Drop {
-                count: count.min(ctx.queued as u32).max(1),
-            },
-            Decision::Serve { model, batch } => Selection::Serve {
-                model,
-                batch: batch.min(ctx.queued as u32),
-            },
-        }
+        selection_for(policy.decide(ctx.queued, ctx.earliest_slack_s), ctx.queued)
     }
 
     fn last_select_was_fallback(&self) -> bool {
