@@ -44,6 +44,7 @@
 //! the *run's own seed*, so a red sweep is reproducible with a single
 //! value regardless of how many runs preceded it.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use ramsis_profiles::{ModelCatalog, ProfilerConfig, WorkerProfile};
@@ -195,7 +196,11 @@ impl ChaosConfig {
         splitmix64(self.seed ^ (u64::from(run) << 17) ^ 0x0C_1A05)
     }
 
-    /// Executes the sweep: `runs` randomized, invariant-checked runs.
+    /// Executes the sweep: `runs` randomized, invariant-checked runs,
+    /// one thread per available core. Runs are independent and each
+    /// result lands in its run's slot, so the report is the same as a
+    /// serial loop over [`ChaosConfig::run_seed`] and
+    /// [`ChaosConfig::run_one`] gives.
     ///
     /// # Errors
     ///
@@ -204,28 +209,62 @@ impl ChaosConfig {
     /// violations) never abort the sweep; they are collected as
     /// [`ChaosFailure`]s in the report.
     pub fn run_sweep(&self) -> Result<ChaosReport, SimError> {
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        self.sweep(cores)
+    }
+
+    /// [`ChaosConfig::run_sweep`] on up to `threads` scoped threads,
+    /// which take run indices from a shared counter.
+    fn sweep(&self, threads: usize) -> Result<ChaosReport, SimError> {
         self.validate()?;
         let profile = WorkerProfile::build(
             &ModelCatalog::torchvision_image(),
             Duration::from_secs_f64(self.slo_s),
             ProfilerConfig::default(),
         );
+        let runs = self.runs as usize;
+        // Relaxed suffices: the counter only hands out distinct indices,
+        // and results reach this thread through `join`.
+        let next = AtomicUsize::new(0);
+        let work = || {
+            let mut done = Vec::new();
+            loop {
+                let run = next.fetch_add(1, Ordering::Relaxed);
+                if run >= runs {
+                    return done;
+                }
+                let run = run as u32;
+                done.push((run, self.run_one(&profile, run, self.run_seed(run))));
+            }
+        };
+        let mut slots = Vec::new();
+        slots.resize_with(runs, || None);
+        std::thread::scope(|s| {
+            let workers: Vec<_> = (0..threads.clamp(1, runs)).map(|_| s.spawn(work)).collect();
+            for worker in workers {
+                let done = worker
+                    .join()
+                    .unwrap_or_else(|p| std::panic::resume_unwind(p));
+                for (run, outcome) in done {
+                    slots[run as usize] = Some(outcome);
+                }
+            }
+        });
         let mut report = ChaosReport {
             seed: self.seed,
             runs_requested: self.runs,
-            runs: Vec::with_capacity(self.runs as usize),
+            runs: Vec::with_capacity(runs),
             failures: Vec::new(),
         };
-        for run in 0..self.runs {
-            let seed = self.run_seed(run);
-            match self.run_one(&profile, run, seed) {
+        for (run, slot) in (0..self.runs).zip(slots) {
+            match slot.expect("every run ran") {
                 Ok((summary, mut failures)) => {
                     report.runs.push(summary);
                     report.failures.append(&mut failures);
                 }
                 Err(e) => report.failures.push(ChaosFailure {
                     run,
-                    seed,
+                    seed: self.run_seed(run),
                     invariant: "setup".to_string(),
                     detail: e.to_string(),
                 }),
@@ -1652,6 +1691,30 @@ mod tests {
             max_load_qps: 80.0,
             ..ChaosConfig::default()
         }
+    }
+
+    #[test]
+    fn threaded_sweep_equals_a_serial_loop() {
+        let config = tiny(3, 9);
+        let profile = WorkerProfile::build(
+            &ModelCatalog::torchvision_image(),
+            Duration::from_secs_f64(config.slo_s),
+            ProfilerConfig::default(),
+        );
+        let mut serial = ChaosReport {
+            seed: config.seed,
+            runs_requested: config.runs,
+            runs: Vec::new(),
+            failures: Vec::new(),
+        };
+        for run in 0..config.runs {
+            let (summary, mut failures) =
+                config.run_one(&profile, run, config.run_seed(run)).unwrap();
+            serial.runs.push(summary);
+            serial.failures.append(&mut failures);
+        }
+        assert_eq!(config.sweep(4).unwrap(), serial);
+        assert_eq!(config.run_sweep().unwrap(), serial);
     }
 
     #[test]

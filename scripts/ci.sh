@@ -40,8 +40,9 @@ stage "transition-identity" \
 # release).
 stage "policy-identity" \
     cargo test --release -q -p ramsis-core --test policy_identity -- --ignored
-# Randomized resilience sweep: 2,000 seeded chaos runs in release (about
-# 2 s), invariants checked (determinism, conservation, counter agreement,
+# Randomized resilience sweep: 2,000 seeded chaos runs in release, one
+# thread per core (about 1 s serial, 0.5 s on 2 cores; the other chaos
+# sweeps below scale the same way), invariants checked (determinism, conservation, counter agreement,
 # hedge + admission bounds, scale-event and drain accounting,
 # autoscaler-off bit-identity). An invariant that fails in 0.1% of runs
 # still shows here.
