@@ -34,7 +34,7 @@ use ramsis_workload::DriftDetector;
 
 use crate::metrics::{AdaptiveStats, RegimeSwapEvent};
 use crate::query::nanos_from_secs;
-use crate::scheme::{selection_for, Routing, Selection, SelectionContext, ServingScheme};
+use crate::scheme::{policy_selection, Routing, Selection, SelectionContext, ServingScheme};
 use crate::SimError;
 
 /// RAMSIS with online drift adaptation (see module docs).
@@ -253,8 +253,7 @@ impl ServingScheme for AdaptiveRamsis {
                 batch: batch.min(ctx.queued as u32),
             };
         };
-        let policy = set.select(ctx.load_qps);
-        let selection = selection_for(policy.decide(ctx.queued, ctx.earliest_slack_s), ctx.queued);
+        let selection = policy_selection(set.select(ctx.load_qps), ctx);
         if matches!(selection, Selection::Drop { .. }) {
             self.last_shed = ShedCause::Policy;
         }

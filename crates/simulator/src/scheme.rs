@@ -8,7 +8,9 @@
 //! (paper §3.2) is implemented here; the baselines live in
 //! `ramsis-baselines`.
 
-use ramsis_core::{Decision, DegradablePolicySet, FallbackPolicy, PolicyConfig, PolicySet};
+use ramsis_core::{
+    Decision, DegradablePolicySet, FallbackPolicy, PolicyConfig, PolicySet, WorkerPolicy,
+};
 use ramsis_profiles::WorkerProfile;
 use ramsis_telemetry::{Event, ShedCause};
 
@@ -71,11 +73,12 @@ pub enum Selection {
     Idle,
 }
 
-/// A policy decision as the engine acts on it: a drop sheds at least one
-/// and at most the visible queue, a batch never exceeds it.
-pub(crate) fn selection_for(decision: Decision, queued: usize) -> Selection {
-    let queued = queued as u32;
-    match decision {
+/// `policy`'s decision in `ctx`, as the engine acts on it: a drop sheds
+/// at least one query and at most the visible queue, and a batch never
+/// exceeds it.
+pub(crate) fn policy_selection(policy: &WorkerPolicy, ctx: &SelectionContext) -> Selection {
+    let queued = ctx.queued as u32;
+    match policy.decide(ctx.queued, ctx.earliest_slack_s) {
         Decision::Wait => Selection::Idle,
         Decision::Drop { count } => Selection::Drop {
             count: count.min(queued).max(1),
@@ -228,8 +231,7 @@ impl ServingScheme for RamsisScheme {
     }
 
     fn select(&mut self, ctx: &SelectionContext) -> Selection {
-        let policy = self.policies.select(ctx.load_qps);
-        selection_for(policy.decide(ctx.queued, ctx.earliest_slack_s), ctx.queued)
+        policy_selection(self.policies.select(ctx.load_qps), ctx)
     }
 
     /// Pure function of the policy set and context: nothing to capture.
@@ -302,8 +304,7 @@ impl ServingScheme for OnDemandRamsis {
                 self.generated += 1;
             }
         }
-        let policy = self.policies.select(ctx.load_qps);
-        selection_for(policy.decide(ctx.queued, ctx.earliest_slack_s), ctx.queued)
+        policy_selection(self.policies.select(ctx.load_qps), ctx)
     }
 }
 
@@ -348,8 +349,7 @@ impl ServingScheme for PerWorkerRamsis {
 
     fn select(&mut self, ctx: &SelectionContext) -> Selection {
         let set = &self.sets[ctx.worker % self.sets.len()];
-        let policy = set.select(ctx.load_qps);
-        selection_for(policy.decide(ctx.queued, ctx.earliest_slack_s), ctx.queued)
+        policy_selection(set.select(ctx.load_qps), ctx)
     }
 
     /// Per-worker sets are configuration; decisions carry no state.
@@ -463,8 +463,7 @@ impl ServingScheme for DegradingRamsis {
             };
         };
         self.last_fallback = false;
-        let policy = set.select(ctx.load_qps);
-        selection_for(policy.decide(ctx.queued, ctx.earliest_slack_s), ctx.queued)
+        policy_selection(set.select(ctx.load_qps), ctx)
     }
 
     fn last_select_was_fallback(&self) -> bool {

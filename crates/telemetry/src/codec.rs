@@ -17,7 +17,7 @@
 //!
 //! The layout table below is the one place that defines each kind's tag
 //! and field order: one row per kind generates its encoder and decoder
-//! arms, and each field type's [`Field`] impl holds both directions of
+//! arms, and each field type's `Field` impl holds both directions of
 //! its encoding. Adding a kind is an [`Event`] variant plus one row with
 //! the next tag; a kind or field missing from the table, or a duplicate
 //! tag, does not compile.
