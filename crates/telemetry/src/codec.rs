@@ -252,8 +252,9 @@ impl Field for ShedCause {
 
 /// Generates the record codec from one row per kind: `tag Kind { fields
 /// in payload order }`. The struct patterns and literals have no `..`,
-/// so a kind or field left out does not compile; a repeated tag is an
-/// unreachable decoder arm, and the tags must count up from 0.
+/// so a kind or field left out does not compile, and the tags must count
+/// up from 0 in row order, so a repeated or skipped tag does not compile
+/// either.
 macro_rules! layout {
     ($($tag:literal $kind:ident { $($field:ident),* })*) => {
         /// The highest kind tag this build knows; a record tagged above
@@ -281,10 +282,9 @@ macro_rules! layout {
 
         /// Decodes one payload of kind `kind`. Struct literal fields are
         /// evaluated in the order written, which is the payload order.
-        pub(crate) fn decode_payload(kind: u8, mut payload: &[u8]) -> Result<Event, ()> {
-            let input = &mut payload;
+        pub(crate) fn decode_payload(kind: u8, mut input: &[u8]) -> Result<Event, ()> {
             let event = match kind {
-                $($tag => Event::$kind { $($field: Field::get(input)?),* },)*
+                $($tag => Event::$kind { $($field: Field::get(&mut input)?),* },)*
                 _ => return Err(()),
             };
             if input.is_empty() {
